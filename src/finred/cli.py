@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, render_config
+from .core import TruncationError
 from .dirichlet import DirichletSolution, dirichlet_plan, solve_dirichlet, weyl_estimate
 from .fourier import SinePath
 from .functional import hessian_blocks
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
             c_values = [float(v) for v in args.c_values.split(",")]
             return cmd_weyl(cfg, c_values)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -4,6 +4,17 @@ A "system" exposes the diagonal stiffness of its stored modes plus the
 sampled nonlinearity; everything downstream (tail contraction/Newton,
 reduced Newton with the Schur-complement Jacobian, multistart) is written
 against that surface.  Coefficient vectors are flat, head block first.
+
+The mechanical curvature matrix is Toeplitz-minus-Hankel in the mode
+indices.  On the DST-I nodes t_j = j T/(P+1),
+
+    2 sin(k pi j/(P+1)) sin(l pi j/(P+1))
+        = cos((k-l) pi j/(P+1)) - cos((k+l) pi j/(P+1)),
+
+so the quadrature of V''(path) phi_k phi_l is (C[|k-l|] - C[k+l])/(P+1)
+with C one DCT-I of the sampled V''.  The frequencies needed reach
+k + l <= 2M, which the anti-aliasing rule P >= 2M+1 keeps below the
+DCT-I length P+2.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dct
 from scipy.linalg import cho_factor, cho_solve
 
 from .fourier import (BoundaryProblem, affine_coeffs, analyze_values, grid_points,
@@ -67,7 +79,12 @@ class MechanicalSystem:
         self.eigenvalues = np.repeat(self.mode_eigs, self.n)  # flat, mode-major
         self.t = grid_points(bp.T, P)
         self.drift_values = bp.drift(self.t)  # (P, n)
-        self._sine = None  # (P, M) weighted sine table, built on demand
+        # V' at the endpoints fixes the affine part of every V'(path) sample
+        a0 = bp.potential.grad(bp.q0)
+        a1 = bp.potential.grad(bp.qT)
+        self._affine_values = a0[None, :] + np.outer(self.t / self.T, a1 - a0)
+        self._affine_coeffs = affine_coeffs(self.T, M, a0, (a1 - a0) / self.T)
+        self._gather = None  # (D, D) index pair into the DCT-I of V'', built on demand
         self._gauss = None
 
     # -- flat <-> (M, n) ---------------------------------------------------
@@ -86,36 +103,47 @@ class MechanicalSystem:
 
     def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Sine coefficients of t -> V'(path(t)), affine part handled exactly."""
-        pot = self.bp.potential
-        F = pot.grad(self.path_values(c))  # (P, n)
-        a0 = pot.grad(self.bp.q0)
-        a1 = pot.grad(self.bp.qT)
-        ell = a0[None, :] + np.outer(self.t / self.T, a1 - a0)
-        g = (analyze_values(F - ell, self.T, self.M)
-             + affine_coeffs(self.T, self.M, a0, (a1 - a0) / self.T))
+        F = self.bp.potential.grad(self.path_values(c))  # (P, n)
+        g = analyze_values(F - self._affine_values, self.T, self.M) + self._affine_coeffs
         return self.flatten(g)
 
     def residual(self, c: np.ndarray) -> np.ndarray:
         return self.eigenvalues * c - self.nonlinear_coeffs(c)
 
     # -- curvature -----------------------------------------------------------
-    def _sine_table(self) -> np.ndarray:
-        if self._sine is None:
-            k = np.arange(1, self.M + 1)
-            h = self.T / (self.P + 1)
-            self._sine = np.sqrt(h * 2.0 / self.T) * np.sin(np.outer(self.t, k) * np.pi / self.T)
-        return self._sine
+    def _gather_index(self):
+        """Flat positions of C[|k-l|, i, j] and C[k+l, i, j] in the (P+2, n, n)
+        transform, for W[a, b] with a = (k, i), b = (l, j) in mode-major order."""
+        if self._gather is None:
+            n = self.n
+            k = np.repeat(np.arange(1, self.M + 1), n)
+            i = np.tile(np.arange(n), self.M)
+            block = i[:, None] * n + i[None, :]
+            self._gather = (np.abs(k[:, None] - k[None, :]) * n * n + block,
+                            (k[:, None] + k[None, :]) * n * n + block)
+        return self._gather
 
     def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
-        """W[a, b] = quadrature of V''(path)_{ij} phi_k phi_l, flat indexing."""
+        """W[a, b] = quadrature of V''(path)_{ij} phi_k phi_l, flat indexing.
+
+        Toeplitz-minus-Hankel in (k, l): W[k,i,l,j] = (C[|k-l|,i,j] -
+        C[k+l,i,j]) / (P+1), with C[m] = sum_j cos(m pi j/(P+1)) V''(t_j)
+        from one DCT-I of the zero-padded samples.  Every index m <= 2M
+        lies inside the transform because P >= 2M+1.
+        """
         D = self.M * self.n
         if self.bp.potential.is_linear():
             return np.zeros((D, D))
         H = self.bp.potential.hess(self.path_values(c))  # (P, n, n)
         H = 0.5 * (H + np.swapaxes(H, -1, -2))
-        S = self._sine_table()
-        W = np.einsum("qk,ql,qij->kilj", S, S, H, optimize=True)
-        return W.reshape(D, D)
+        pad = np.zeros((self.P + 2,) + H.shape[1:])
+        pad[1:-1] = H
+        # scipy's DCT-I doubles the interior sum, hence 0.5
+        C = dct(pad, type=1, axis=0).ravel() * (0.5 / (self.P + 1))
+        toeplitz, hankel = self._gather_index()
+        W = C[toeplitz]
+        W -= C[hankel]
+        return W
 
     def hessian_matrix(self, c: np.ndarray) -> np.ndarray:
         K = -self.curvature_matrix(c)

@@ -93,6 +93,8 @@ class BoundaryProblem:
     qT: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(self.T):
+            raise ValueError(f"time horizon T must be finite, got {self.T}")
         if self.T <= 0:
             raise ValueError(f"time horizon must be positive, got {self.T}")
         q0 = np.atleast_1d(np.asarray(self.q0, dtype=float))
@@ -101,6 +103,9 @@ class BoundaryProblem:
         if q0.shape != (n,) or qT.shape != (n,):
             raise ValueError(
                 f"endpoints must have shape ({n},), got {q0.shape} and {qT.shape}")
+        for name, value in (("q0", q0), ("qT", qT)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"endpoint {name} must be finite, got {value.tolist()}")
         q0.flags.writeable = False
         qT.flags.writeable = False
         object.__setattr__(self, "q0", q0)

@@ -90,6 +90,25 @@ directory = {out}
 """
 
 
+# the curvature bound 0.5 is wrong: V'' reaches 5, so the tail block is indefinite
+WRONG_BOUND_CFG = """
+[problem]
+kind = mechanical
+
+[potential]
+expr = -5*cos(q1)
+c_bound = 0.5
+
+[geometry]
+T = 6
+q0 = 0.0
+qT = 1.0
+
+[output]
+directory = {out}
+"""
+
+
 def write_cfg(tmp_path, template, name="run.cfg"):
     out = tmp_path / "out"
     path = tmp_path / name
@@ -152,6 +171,21 @@ def test_solve_exit_code_two_when_no_solutions(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
     rows = (out / "solutions.csv").read_text().strip().splitlines()
     assert len(rows) == 1  # header only
+
+
+def test_solve_wrong_curvature_bound_is_clean_error(tmp_path, capsys):
+    cfg, _ = write_cfg(tmp_path, WRONG_BOUND_CFG)
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: tail curvature block is not positive definite")
+
+
+def test_solve_non_finite_endpoint_is_clean_error(tmp_path, capsys):
+    cfg, _ = write_cfg(tmp_path, PENDULUM_CFG.replace("qT = 1.0", "qT = nan"))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: endpoint qT must be finite, got [nan]"]
 
 
 def test_convergence_log_has_per_seed_records(tmp_path):

@@ -36,6 +36,18 @@ def test_affine_embed_rejects_outside():
         affine_embed(bp, c, 2.1)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("T", {"T": float("nan")}),
+    ("T", {"T": float("inf")}),
+    ("q0", {"q0": (float("nan"), 0.0)}),
+    ("qT", {"qT": (0.0, float("-inf"))}),
+])
+def test_boundary_problem_rejects_non_finite(field, kwargs):
+    args = {"T": 2.0, "q0": (0.5, 0.0), "qT": (-1.0, 1.0)} | kwargs
+    with pytest.raises(ValueError, match=rf"\b{field}\b.*finite"):
+        make_bp(**args)
+
+
 def test_sample_single_mode_closed_form():
     T = 2.7
     c = SinePath(T, np.array([[1.0]]))

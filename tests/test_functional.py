@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from finred import (BoundaryProblem, SinePath, action_value, builtin_potential,
-                    gradient, hessian_blocks)
+                    gradient, hessian_blocks, parse_potential)
+from finred.core import MechanicalSystem
 from finred.fourier import l2_inner, mode_eigenvalues
 from tests.conftest import random_builtin_problem, random_combined_path
 
@@ -133,6 +136,47 @@ def test_hessian_symmetry(rng):
     assert np.allclose(K, K.T, rtol=1e-12, atol=1e-13)
     assert np.allclose(blocks.A, blocks.A.T, atol=1e-13)
     assert np.allclose(blocks.D, blocks.D.T, atol=1e-13)
+
+
+def einsum_curvature(system, c):
+    """Reference assembly: quadrature of V'' phi_k phi_l with a dense sine table."""
+    H = system.bp.potential.hess(system.path_values(c))
+    H = 0.5 * (H + np.swapaxes(H, -1, -2))
+    k = np.arange(1, system.M + 1)
+    h = system.T / (system.P + 1)
+    S = np.sqrt(h * 2.0 / system.T) * np.sin(np.outer(system.t, k) * np.pi / system.T)
+    D = system.M * system.n
+    return np.einsum("qk,ql,qij->kilj", S, S, H, optimize=True).reshape(D, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["pendulum", "harmonic", "coupled_pendula"]),
+       n=st.integers(1, 4), M=st.integers(1, 40), extra=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_structured_curvature_matches_dense_quadrature(family, n, M, extra, seed):
+    rng = np.random.default_rng(seed)
+    params = {"pendulum": (rng.uniform(0.2, 2.0),),
+              "harmonic": tuple(rng.uniform(0.3, 2.0, n)),
+              "coupled_pendula": (rng.uniform(0.2, 1.5), rng.uniform(0.1, 0.8))}[family]
+    pot = builtin_potential(family, params, dim=n)
+    T = float(rng.uniform(0.5, 6.0))
+    bp = BoundaryProblem(pot, T, rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
+    # P runs from 2M+1 (the default) to 2M+7, both parities, through the override
+    system = MechanicalSystem(bp, M, None if extra == 0 else 2 * M + 1 + extra)
+    c = rng.standard_normal(M * n) / np.repeat(np.arange(1, M + 1), n)
+    ref = einsum_curvature(system, c)
+    W = system.curvature_matrix(c)
+    assert np.max(np.abs(W - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_linear_potential_curvature_is_zero(n, rng):
+    for pot in (builtin_potential("zero", dim=n),
+                parse_potential(" + ".join(f"{i + 1}*q{i + 1}" for i in range(n)), n, 0.0)):
+        system = MechanicalSystem(BoundaryProblem(pot, 2.0, np.zeros(n), np.ones(n)), 9, 22)
+        W = system.curvature_matrix(rng.standard_normal(9 * n))
+        assert W.shape == (9 * n, 9 * n)
+        assert not np.any(W)
 
 
 def test_pendulum_entries_match_adaptive_quadrature_at_rest():
