@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, render_config
 from .core import TruncationError
-from .dirichlet import DirichletSolution, dirichlet_plan, solve_dirichlet, weyl_estimate
+from .dirichlet import (DirichletSolution, DirichletSystem, blocks_at, dirichlet_plan,
+                        solve_dirichlet, weyl_estimate)
 from .fourier import SinePath
 from .functional import hessian_blocks
 from .morse import index_full, index_jacobi, index_schur
@@ -240,14 +241,12 @@ def cmd_index(cfg: RunConfig, solution_id: int) -> int:
     plan = dirichlet_plan(dom, pot, N=cfg.N, lambda_cut=lam_max,
                           allow_uncertified=True)
     coeffs = np.array([float(r.split(",")[-1]) for r in rows])
-    from .dirichlet import DirichletSystem
     system = DirichletSystem(dom, pot, plan)
     if len(coeffs) != len(plan.modes):
         print(f"error: artifact has {len(coeffs)} modes, plan rebuilt {len(plan.modes)}",
               file=sys.stderr)
         return 1
-    from .dirichlet import _blocks_at
-    blocks = _blocks_at(system, plan.N, coeffs)
+    blocks = blocks_at(system, plan.N, coeffs)
     schur = index_schur(blocks)
     full = index_full(blocks)
     agree = schur.index == full.index

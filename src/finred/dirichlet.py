@@ -36,6 +36,7 @@ __all__ = [
     "dirichlet_plan",
     "weyl_estimate",
     "solve_dirichlet",
+    "blocks_at",
 ]
 
 MODE_CAP = 100_000
@@ -79,26 +80,52 @@ def mode_eigenvalue(dom: RectangleDomain, indices) -> float:
 
 def enumerate_modes(dom: RectangleDomain, lambda_max: float,
                     cap: int = MODE_CAP) -> list[EigenMode]:
-    """All modes with eigenvalue <= lambda_max, ascending, ties lexicographic."""
+    """All modes with eigenvalue <= lambda_max, ascending, ties lexicographic.
+
+    The modes are counted row by row (one row per k1) before any list is
+    built, so a ``cap`` violation is raised without allocating the lattice.
+    """
     if lambda_max <= 0:
         raise ValueError(f"lambda_max must be positive, got {lambda_max}")
     kmax = [int(math.floor(L * math.sqrt(lambda_max) / math.pi)) for L in dom.lengths]
-    modes = []
+    # per-axis terms (pi k / L)^2, computed exactly as mode_eigenvalue does
+    squares = [np.array([(math.pi * k / L) ** 2 for k in range(1, km + 1)])
+               for km, L in zip(kmax, dom.lengths)]
     if dom.m == 1:
-        for k in range(1, kmax[0] + 1):
-            lam = mode_eigenvalue(dom, (k,))
-            if lam <= lambda_max:
-                modes.append(EigenMode(lam, (k,)))
+        counts = np.array([np.count_nonzero(squares[0] <= lambda_max)])
     else:
-        for k1 in range(1, kmax[0] + 1):
-            for k2 in range(1, kmax[1] + 1):
-                lam = mode_eigenvalue(dom, (k1, k2))
-                if lam <= lambda_max:
-                    modes.append(EigenMode(lam, (k1, k2)))
-    if len(modes) > cap:
-        raise ValueError(f"mode list would hold {len(modes)} entries, above the cap {cap}")
-    modes.sort()
-    return modes
+        counts = _row_counts(*squares, lambda_max, dom.lengths[1])
+    total = int(np.sum(counts))
+    if total > cap:
+        raise ValueError(f"mode list would hold {total} entries, above the cap {cap}")
+    if dom.m == 1:
+        return [EigenMode(lam, (k,)) for k, lam in enumerate(squares[0][:total].tolist(), start=1)]
+    first, second = squares
+    k1 = np.repeat(np.arange(1, len(first) + 1), counts)
+    k2 = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    lams = first[k1 - 1] + second[k2 - 1]
+    order = np.lexsort((k2, k1, lams))
+    return [EigenMode(lam, (a, b)) for lam, a, b in
+            zip(lams[order].tolist(), k1[order].tolist(), k2[order].tolist())]
+
+
+def _row_counts(first: np.ndarray, second: np.ndarray, lambda_max: float,
+                L2: float) -> np.ndarray:
+    """Per k1, the number of k2 with first[k1] + second[k2] <= lambda_max.
+
+    The floor-sqrt estimate is corrected against the exact float test; the
+    sum is monotone in k2, so the admissible k2 form a prefix of the row.
+    """
+    budget = np.maximum(lambda_max - first, 0.0)
+    counts = np.clip(np.floor(L2 * np.sqrt(budget) / math.pi).astype(int), 0, len(second))
+    while True:
+        up = counts < len(second)
+        up[up] = first[up] + second[counts[up]] <= lambda_max
+        down = counts > 0
+        down[down] = first[down] + second[counts[down] - 1] > lambda_max
+        if not (up.any() or down.any()):
+            return counts
+        counts += up.astype(int) - down.astype(int)
 
 
 def weyl_estimate(dom: RectangleDomain, C: float) -> tuple[int, float, float]:
@@ -388,7 +415,8 @@ class DirichletSolution:
     residual_history: list = field(default_factory=list)
 
 
-def _blocks_at(system: DirichletSystem, head_dim: int, c: np.ndarray) -> HessianBlocks:
+def blocks_at(system: DirichletSystem, head_dim: int, c: np.ndarray) -> HessianBlocks:
+    """Head/tail blocks of the Hessian at coefficients c, head = first head_dim modes."""
     K = system.hessian_matrix(c)
     return HessianBlocks(N=head_dim, M=len(system.modes), n=1,
                          A=K[:head_dim, :head_dim], B=K[:head_dim, head_dim:],
@@ -399,7 +427,7 @@ def _build_solution(system: DirichletSystem, plan: DirichletPlan,
                     res: core.ReducedResult, seed_index: int,
                     with_oracles: bool) -> DirichletSolution:
     c = np.concatenate([res.u, res.v])
-    blocks = _blocks_at(system, plan.N, c)
+    blocks = blocks_at(system, plan.N, c)
     idx = index_schur(blocks)
     oracle = index_full(blocks).index if with_oracles else None
     tail_coeffs = np.concatenate([np.zeros(plan.N), res.v])

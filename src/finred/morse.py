@@ -12,6 +12,16 @@
 Eigenvalues within theta = 1e-8 (1 + ||matrix||) of zero count as null;
 degenerate cases are flagged through a positive nullity rather than
 silently classified.
+
+The Jacobi oracle integrates Y = [J; J'] with fixed-step classical RK4.
+Because Y' = A(t) Y is linear, each step is one 2n x 2n transfer matrix
+built from V'' at the step's start, midpoint and end; all of them are
+built in one batched pass and applied in sequence.  The RK4 half-grid
+t_j = j T / (2 steps) is the DST-I grid with P + 1 = 2 steps, so the path
+is sampled there by one transform, with modes above P folded onto their
+aliases (exact at the nodes).  Conjugate times are then refined by a
+fixed 40-step bisection and counted by the rank drop of J (singular values
+below JACOBI_RANK_TOL max ||J||).
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import schur_matrix
-from .fourier import BoundaryProblem, SinePath
+from .fourier import BoundaryProblem, SinePath, synthesize_coeffs
 from .functional import HessianBlocks
 
 __all__ = ["IndexReport", "reduced_hessian", "index_schur", "index_full", "index_jacobi"]
@@ -68,52 +78,58 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
                  steps: int = JACOBI_DEFAULT_STEPS) -> IndexReport:
     """Count conjugate points along the path by integrating the variation ODE.
 
-    Fixed-step RK4 on the matrix system; zeros of det J in (0, T) are
-    located from sign changes plus near-zero dips of |det J|, refined by
-    bisection, and weighted by the rank drop of J there (singular values
-    below 1e-7 ||J||).  A singular J(T) is reported as nullity.
+    The state Y = [J; J'] obeys the linear ODE Y' = A(t) Y with
+    A = [[0, I], [-V''(t), 0]], so one classical RK4 step of size
+    h = T / steps is multiplication by a fixed 2n x 2n matrix (see
+    ``_step_matrices``).  All ``steps`` matrices are built at once from V''
+    on the RK4 half-grid t_j = j T / (2 steps); that grid is the DST-I grid
+    with P + 1 = 2 steps, so the path is sampled by one transform, with
+    modes above P folded onto their aliases.  The matrices are applied in
+    sequence from Y(0) = [0; I], and det J is taken at every node at once.
+
+    Zeros of det J in (0, T) are located from sign changes plus near-zero
+    dips of |det J| (parabola vertex below 1e-6 max |det J|), refined by
+    40 bisection steps, merged when closer than 1.5 h, and weighted by the
+    rank drop of J there (singular values below 1e-7 max ||J||).  Zeros
+    within 0.75 h of T are left to the endpoint check: a singular J(T) is
+    reported as nullity.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    steps = int(steps)
     n, T = bp.n, bp.T
     h = T / steps
-    # V'' along the path at the RK4 half-grid
-    t_half = np.linspace(0.0, T, 2 * steps + 1)
-    path_half = bp.drift(t_half) + c.evaluate(t_half)
-    hess_half = bp.potential.hess(path_half)  # (2 steps + 1, n, n)
+    hess_half = bp.potential.hess(_half_grid_path(bp, c, steps))  # (2 steps + 1, n, n)
+    Y0 = np.vstack([np.zeros((n, n)), np.eye(n)])  # [J(0); J'(0)]
+    Y = _propagate(_step_matrices(hess_half, h), Y0)
+    Js = Y[:, :n]
 
-    J = np.zeros((n, n))
-    Jd = np.eye(n)
-    Js = np.empty((steps + 1, n, n))
-    Jds = np.empty((steps + 1, n, n))
-    Js[0], Jds[0] = J, Jd
-    for i in range(steps):
-        J, Jd = _rk4_step(J, Jd, h, hess_half[2 * i], hess_half[2 * i + 1], hess_half[2 * i + 2])
-        Js[i + 1], Jds[i + 1] = J, Jd
-
-    dets = np.array([np.linalg.det(Js[i]) for i in range(steps + 1)])
+    dets = np.linalg.det(Js)
     det_scale = float(np.max(np.abs(dets)))
     # size scale of J along the whole trajectory; rank drops are relative to it
     J_scale = float(np.max(np.linalg.norm(Js, axis=(1, 2))))
 
     crossings: list[float] = []
-    for i in range(1, steps):
-        if dets[i] == 0.0 or dets[i] * dets[i + 1] < 0.0:
-            crossings.append(_bisect_zero(bp, c, Js[i], Jds[i], i * h, (i + 1) * h, dets[i]))
+    i = np.arange(1, steps)
+    sign_change = (dets[i] == 0.0) | (dets[i] * dets[i + 1] < 0.0)
+    for k in i[sign_change].tolist():
+        crossings.append(_bisect_zero(bp, c, Y[k], k * h, (k + 1) * h, dets[k]))
     # even-order touches: interior dips of |det| without sign change.  The
     # grid may straddle the touch, so candidacy is judged on the vertex of
     # the parabola through the three samples; the rank test downstream is
     # what actually confirms a conjugate point.
     if det_scale > 0.0:
-        for i in range(2, steps - 1):
-            if (abs(dets[i]) <= abs(dets[i - 1]) and abs(dets[i]) < abs(dets[i + 1])
-                    and dets[i - 1] * dets[i] > 0.0 and dets[i] * dets[i + 1] > 0.0):
-                denom = dets[i + 1] - 2.0 * dets[i] + dets[i - 1]
-                if denom != 0.0:
-                    shift = -0.5 * h * (dets[i + 1] - dets[i - 1]) / denom
-                    vertex = dets[i] - (dets[i + 1] - dets[i - 1]) ** 2 / (8.0 * denom)
-                else:
-                    shift, vertex = 0.0, dets[i]
-                if abs(vertex) < 1e-6 * det_scale:
-                    crossings.append(i * h + float(np.clip(shift, -h, h)))
+        i = np.arange(2, steps - 1)
+        prev, cur, nxt = dets[i - 1], dets[i], dets[i + 1]
+        dip = ((np.abs(cur) <= np.abs(prev)) & (np.abs(cur) < np.abs(nxt))
+               & (prev * cur > 0.0) & (cur * nxt > 0.0))
+        denom = nxt - 2.0 * cur + prev
+        flat = denom == 0.0
+        safe = np.where(flat, 1.0, denom)
+        shift = np.where(flat, 0.0, -0.5 * h * (nxt - prev) / safe)
+        vertex = np.where(flat, cur, cur - (nxt - prev) ** 2 / (8.0 * safe))
+        dip &= np.abs(vertex) < 1e-6 * det_scale
+        crossings.extend((i[dip] * h + np.clip(shift[dip], -h, h)).tolist())
 
     total = 0
     counted: list[float] = []
@@ -123,7 +139,7 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
         if t_star > T - 0.75 * h:  # belongs to the endpoint check below
             continue
         i0 = min(max(int(np.floor(t_star / h + 1e-12)), 0), steps - 1)
-        mult = _rank_drop(_integrate_to(bp, c, Js[i0], Jds[i0], i0 * h, t_star), J_scale)
+        mult = _rank_drop(_integrate_to(bp, c, Y[i0], i0 * h, t_star), J_scale)
         if mult > 0:
             total += mult
             counted.append(t_star)
@@ -134,40 +150,82 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
     return IndexReport(total, end_nullity, "jacobi_oracle", margin)
 
 
-def _rk4_step(J, Jd, h, H0, Hmid, H1):
-    def rhs(state, H):
-        j, jd = state
-        return jd, -H @ j
+def _half_grid_path(bp: BoundaryProblem, c: SinePath, steps: int) -> np.ndarray:
+    """Path at t_j = j T / (2 steps), j = 0..2 steps, shape (2 steps + 1, n).
 
-    y = (J, Jd)
-    k1 = rhs(y, H0)
-    k2 = rhs((y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]), Hmid)
-    k3 = rhs((y[0] + 0.5 * h * k2[0], y[1] + 0.5 * h * k2[1]), Hmid)
-    k4 = rhs((y[0] + h * k3[0], y[1] + h * k3[1]), H1)
-    J_new = J + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    Jd_new = Jd + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return J_new, Jd_new
+    The interior nodes are the DST-I grid with P = 2 steps - 1.  There,
+    sin(k pi t_j / T) repeats with period 2(P+1) in k, and mode
+    2(P+1) - k equals minus mode k; modes 0 and P+1 vanish.  Folding every
+    mode onto its alias in 1..P is exact at the nodes, so one transform
+    serves any number of modes M.
+    """
+    P = 2 * steps - 1
+    period = 2 * (P + 1)
+    k = np.arange(1, c.M + 1) % period
+    mirrored = k > P + 1
+    k = np.where(mirrored, period - k, k)
+    sign = np.where(mirrored, -1.0, 1.0)
+    keep = (k != 0) & (k != P + 1)
+    folded = np.zeros((P, c.n))
+    np.add.at(folded, k[keep] - 1, sign[keep, None] * c.coeffs[keep])
+    path = bp.drift(np.linspace(0.0, bp.T, 2 * steps + 1))
+    path[1:-1] += synthesize_coeffs(folded, P, c.T)
+    return path
 
 
-def _integrate_to(bp: BoundaryProblem, c: SinePath, J, Jd, t0: float, t1: float,
+def _step_matrices(hess: np.ndarray, h: float) -> np.ndarray:
+    """RK4 transfer matrices of Y' = A(t) Y from V'' on a half-grid.
+
+    ``hess`` holds V'' at the step ends and midpoints, shape
+    (2 steps + 1, n, n); the result has shape (steps, 2n, 2n).  With A0,
+    Am, A1 the values of A at a step's start, midpoint and end, one RK4
+    step is Y -> Phi Y with
+
+        Phi = I + h/6 (A0 + 4 Am + A1) + h^2/6 (Am A0 + Am^2 + A1 Am)
+                + h^3/12 (Am^2 A0 + A1 Am^2) + h^4/24 A1 Am^2 A0.
+
+    Written out in n x n blocks (A = [[0, I], [-H, 0]]), only the products
+    Hm H0 and H1 Hm remain.
+    """
+    H0, Hm, H1 = hess[0:-1:2], hess[1::2], hess[2::2]
+    n = hess.shape[-1]
+    eye = np.eye(n)
+    HmH0 = Hm @ H0
+    H1Hm = H1 @ Hm
+    Phi = np.empty((Hm.shape[0], 2 * n, 2 * n))
+    Phi[:, :n, :n] = eye - (h * h / 6.0) * (H0 + 2.0 * Hm) + (h ** 4 / 24.0) * HmH0
+    Phi[:, :n, n:] = h * eye - (h ** 3 / 6.0) * Hm
+    Phi[:, n:, :n] = -(h / 6.0) * (H0 + 4.0 * Hm + H1) + (h ** 3 / 12.0) * (HmH0 + H1Hm)
+    Phi[:, n:, n:] = eye - (h * h / 6.0) * (2.0 * Hm + H1) + (h ** 4 / 24.0) * H1Hm
+    return Phi
+
+
+def _propagate(Phi: np.ndarray, Y0: np.ndarray) -> np.ndarray:
+    """States Y_0 = Y0, Y_{i+1} = Phi_i Y_i, shape (len(Phi) + 1, 2n, n)."""
+    Y = np.empty((Phi.shape[0] + 1,) + Y0.shape)
+    Y[0] = Y0
+    for i in range(Phi.shape[0]):
+        np.matmul(Phi[i], Y[i], out=Y[i + 1])
+    return Y
+
+
+def _integrate_to(bp: BoundaryProblem, c: SinePath, Y0: np.ndarray, t0: float, t1: float,
                   substeps: int = 8) -> np.ndarray:
-    """Re-integrate from a stored state to an arbitrary interior time."""
+    """J at an interior time t1, re-integrated from the stored state Y0 at t0."""
+    n = bp.n
     if t1 <= t0:
-        return J
+        return Y0[:n]
     h = (t1 - t0) / substeps
     ts = t0 + h * np.arange(2 * substeps + 1) / 2.0
-    path = bp.drift(ts) + c.evaluate(ts)
-    hess = bp.potential.hess(path)
-    for i in range(substeps):
-        J, Jd = _rk4_step(J, Jd, h, hess[2 * i], hess[2 * i + 1], hess[2 * i + 2])
-    return J
+    hess = bp.potential.hess(bp.drift(ts) + c.evaluate(ts))
+    return _propagate(_step_matrices(hess, h), Y0)[-1, :n]
 
 
-def _bisect_zero(bp, c, J0, Jd0, t_lo, t_hi, det_lo, iterations: int = 40) -> float:
+def _bisect_zero(bp, c, Y0, t_lo, t_hi, det_lo, iterations: int = 40) -> float:
     lo, hi = t_lo, t_hi
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        det_mid = float(np.linalg.det(_integrate_to(bp, c, J0, Jd0, t_lo, mid)))
+        det_mid = float(np.linalg.det(_integrate_to(bp, c, Y0, t_lo, mid)))
         if det_mid == 0.0:
             return mid
         if det_lo * det_mid < 0.0:

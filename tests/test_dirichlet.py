@@ -8,7 +8,8 @@ import pytest
 from finred import (BoundaryProblem, RectangleDomain, builtin_potential,
                     dirichlet_plan, enumerate_modes, make_plan, parse_potential,
                     solve_dirichlet, solve_reduced, weyl_estimate)
-from finred.dirichlet import DirichletSystem, index_full, index_schur, _blocks_at
+from finred.dirichlet import (DirichletSystem, EigenMode, blocks_at, index_full,
+                              index_schur, mode_eigenvalue)
 from finred.reduction import UncertifiedPotentialError
 
 
@@ -51,6 +52,47 @@ def test_enumerate_modes_against_lattice_scan():
     dom = RectangleDomain((2.0, 0.7))
     for lam in (40.0, 500.0):
         assert len(enumerate_modes(dom, lam)) == lattice_scan(dom, lam)
+
+
+def enumerate_modes_reference(dom, lambda_max):
+    """The mode list by a plain double loop over the kmax box, then sorted."""
+    kmax = [int(math.floor(L * math.sqrt(lambda_max) / math.pi)) for L in dom.lengths]
+    modes = []
+    if dom.m == 1:
+        for k in range(1, kmax[0] + 1):
+            lam = mode_eigenvalue(dom, (k,))
+            if lam <= lambda_max:
+                modes.append(EigenMode(lam, (k,)))
+    else:
+        for k1 in range(1, kmax[0] + 1):
+            for k2 in range(1, kmax[1] + 1):
+                lam = mode_eigenvalue(dom, (k1, k2))
+                if lam <= lambda_max:
+                    modes.append(EigenMode(lam, (k1, k2)))
+    modes.sort()
+    return modes
+
+
+@pytest.mark.parametrize("lengths, indices", [
+    ((math.pi,), (7,)), ((1.0,), (12,)), ((0.37,), (3,)),
+    ((1.0, 1.0), (5, 7)), ((2.0, 0.7), (9, 4)), ((0.7, 2.0), (2, 11)),
+    ((1.3, math.e), (6, 13)), ((0.1, 3.0), (1, 40)),
+    ((1.0,), (5000,)), ((0.05, 40.0), (2, 1500)),  # enough k that x*x and Python's x**2 differ
+])
+def test_enumerate_modes_matches_double_loop(lengths, indices):
+    dom = RectangleDomain(lengths)
+    edge = mode_eigenvalue(dom, indices)  # boundary-exact lambda_max
+    for lam in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+                0.5 * edge, 3.7 * edge, 1e-3):
+        ref = enumerate_modes_reference(dom, lam)
+        got = enumerate_modes(dom, lam)
+        assert got == ref
+        assert all(type(m.lam) is float and all(type(k) is int for k in m.indices)
+                   for m in got)
+        if ref:
+            assert enumerate_modes(dom, lam, cap=len(ref)) == ref
+            with pytest.raises(ValueError, match=f"would hold {len(ref)} entries"):
+                enumerate_modes(dom, lam, cap=len(ref) - 1)
 
 
 def test_enumerate_modes_cap():
@@ -209,7 +251,7 @@ def test_schur_equals_full_on_dirichlet_instances(rng):
     for sol in sols:
         system = DirichletSystem(dom, pot, plan)
         c = np.array(sol.field.coeffs)
-        blocks = _blocks_at(system, plan.N, c)
+        blocks = blocks_at(system, plan.N, c)
         assert index_schur(blocks).index == index_full(blocks).index
         assert index_schur(blocks).nullity == index_full(blocks).nullity
         assert sol.index <= plan.N

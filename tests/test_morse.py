@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finred import (BoundaryProblem, HessianBlocks, SinePath, builtin_potential,
                     hessian_blocks, index_full, index_jacobi, index_schur,
                     make_plan, reduced_hessian, solve_reduced)
+from finred import morse
 from finred.core import TruncationError
 from finred.fourier import mode_eigenvalues
 
@@ -178,3 +181,73 @@ def test_schur_jacobi_agree_on_pendulum_solutions(rng):
             assert jac.index == rep.index
             assert rep.index <= plan.N * bp.n
             agreements += 1
+
+
+@pytest.mark.parametrize("steps", [0, -4, 1, 2.5, True, "64"])
+def test_jacobi_rejects_bad_steps(steps):
+    bp, rep = solve_one(builtin_potential("harmonic", (1.0,)), 3 * np.pi / 2, [0.0], [1.0])
+    with pytest.raises(ValueError, match="steps"):
+        index_jacobi(bp, rep.path, steps=steps)
+
+
+def test_jacobi_accepts_numpy_integer_steps():
+    bp, rep = solve_one(builtin_potential("harmonic", (1.0,)), 3 * np.pi / 2, [0.0], [1.0])
+    assert index_jacobi(bp, rep.path, steps=np.int64(256)) == index_jacobi(bp, rep.path, steps=256)
+
+
+def _rk4_step(J, Jd, h, H0, Hmid, H1):
+    """One classical RK4 step of J'' = -H(t) J, written stage by stage."""
+    def rhs(state, H):
+        j, jd = state
+        return jd, -H @ j
+
+    y = (J, Jd)
+    k1 = rhs(y, H0)
+    k2 = rhs((y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]), Hmid)
+    k3 = rhs((y[0] + 0.5 * h * k2[0], y[1] + 0.5 * h * k2[1]), Hmid)
+    k4 = rhs((y[0] + h * k3[0], y[1] + h * k3[1]), H1)
+    J_new = J + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+    Jd_new = Jd + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return J_new, Jd_new
+
+
+def rk4_reference(hess, h):
+    """[J; J'] at every node by stepping from J = 0, J' = I one step at a time."""
+    steps, n = (hess.shape[0] - 1) // 2, hess.shape[-1]
+    J, Jd = np.zeros((n, n)), np.eye(n)
+    states = [np.vstack([J, Jd])]
+    for i in range(steps):
+        J, Jd = _rk4_step(J, Jd, h, hess[2 * i], hess[2 * i + 1], hess[2 * i + 2])
+        states.append(np.vstack([J, Jd]))
+    return np.array(states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), steps=st.integers(min_value=2, max_value=64),
+       T=st.floats(min_value=0.1, max_value=4.0), data=st.data())
+def test_transfer_matrices_match_stepwise_rk4(n, steps, T, data):
+    seed = data.draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-4.0, 4.0, (2 * steps + 1, n, n))
+    hess = 0.5 * (raw + raw.transpose(0, 2, 1))
+    h = T / steps
+    ref = rk4_reference(hess, h)
+    Y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
+    Y = morse._propagate(morse._step_matrices(hess, h), Y0)
+    assert Y.shape == ref.shape
+    err = np.linalg.norm(Y - ref, axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("M", [3, 15, 16, 17, 32, 40, 100])
+def test_half_grid_samples_fold_aliased_modes(rng, M):
+    # steps = 8: P = 15 interior nodes, so M > 15 exercises the fold
+    steps, T = 8, 2.5
+    pot = builtin_potential("harmonic", (1.0, 2.0))
+    bp = BoundaryProblem(pot, T, [0.3, -0.2], [1.0, 0.5])
+    c = SinePath(T, rng.standard_normal((M, 2)))
+    t = np.linspace(0.0, T, 2 * steps + 1)
+    ref = bp.drift(t) + c.evaluate(t)
+    got = morse._half_grid_path(bp, c, steps)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
