@@ -20,10 +20,10 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, render_config
 from .core import TruncationError
-from .dirichlet import (DirichletSolution, DirichletSystem, blocks_at, dirichlet_plan,
+from .dirichlet import (DirichletSolution, DirichletSystem, dirichlet_plan,
                         solve_dirichlet, weyl_estimate)
 from .fourier import SinePath
-from .functional import hessian_blocks
+from .functional import blocks_at, hessian_blocks
 from .morse import index_full, index_jacobi, index_schur
 from .reduction import fixed_point_cutoff, solve_reduced
 
@@ -181,9 +181,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     else:
         dom, pot = cfg.domain(), cfg.potential()
         cfg.N, cfg.lambda_cut = plan.N, plan.lambda_cut
-        radius = cfg.radius if cfg.radius is not None else 2.0
         reports = solve_dirichlet(
-            dom, pot, plan, count=cfg.count, radius=radius, seed=cfg.seed,
+            dom, pot, plan, count=cfg.count, radius=cfg.radius, seed=cfg.seed,
             method=cfg.method, workers=cfg.workers, refine=cfg.refine,
             seed_records=seed_records)
         _write(out / "solutions.csv", _solutions_csv(reports))

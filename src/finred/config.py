@@ -250,6 +250,8 @@ def load_config(text: str) -> RunConfig:
     value, line = _get(sections, "multistart", "radius")
     if value is not None:
         cfg.radius = _parse_float(value, line, "radius")
+        if not (math.isfinite(cfg.radius) and cfg.radius > 0):
+            raise ConfigError(f"radius must be a positive real, got {cfg.radius}", line)
     value, line = _get(sections, "multistart", "seed")
     if value is not None:
         cfg.seed = _parse_int(value, line, "seed")

@@ -4,6 +4,18 @@ A "system" exposes the diagonal stiffness of its stored modes plus the
 sampled nonlinearity; everything downstream (tail contraction/Newton,
 reduced Newton with the Schur-complement Jacobian, multistart) is written
 against that surface.  Coefficient vectors are flat, head block first.
+The surface is
+
+    eigenvalues          flat diagonal stiffness, head block first
+    n                    components per mode (1 for Dirichlet fields)
+    residual(c)          eigenvalues * c - nonlinear_coeffs(c)
+    hessian_matrix(c)    diag(eigenvalues) - curvature_matrix(c)
+    action(c)            value of the functional
+    refined()            the same problem at a finer truncation
+    embed(c)             the path or field that c stands for
+
+and both MechanicalSystem and dirichlet.DirichletSystem provide it, so
+one solve loop (reduction.solve_system) serves both problem kinds.
 
 The mechanical curvature matrix is Toeplitz-minus-Hankel in the mode
 indices.  On the DST-I nodes t_j = j T/(P+1),
@@ -20,15 +32,15 @@ DCT-I length P+2.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
 from scipy.linalg import cho_factor, cho_solve
 
-from .fourier import (BoundaryProblem, affine_coeffs, analyze_values, grid_points,
-                      mode_eigenvalues, synthesize_coeffs)
+from .fourier import (BoundaryProblem, SinePath, affine_coeffs, analyze_values,
+                      grid_points, mode_eigenvalues, synthesize_coeffs)
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +71,7 @@ class ReducedResult:
     tail_residual: float
     head_history: list
     tail_iterations: int
+    seed_index: int = -1  # position in the multistart list; set by solve_system
 
 
 class MechanicalSystem:
@@ -85,7 +98,6 @@ class MechanicalSystem:
         self._affine_values = a0[None, :] + np.outer(self.t / self.T, a1 - a0)
         self._affine_coeffs = affine_coeffs(self.T, M, a0, (a1 - a0) / self.T)
         self._gather = None  # (D, D) index pair into the DCT-I of V'', built on demand
-        self._gauss = None
 
     # -- flat <-> (M, n) ---------------------------------------------------
     def unflatten(self, c: np.ndarray) -> np.ndarray:
@@ -93,6 +105,13 @@ class MechanicalSystem:
 
     def flatten(self, coeffs: np.ndarray) -> np.ndarray:
         return np.asarray(coeffs, dtype=float).reshape(self.M * self.n)
+
+    def embed(self, c: np.ndarray) -> SinePath:
+        return SinePath(self.T, self.unflatten(c))
+
+    def refined(self) -> "MechanicalSystem":
+        """The same problem at doubled truncation, quadrature 2(2M)+1."""
+        return MechanicalSystem(self.bp, 2 * self.M)
 
     # -- transforms ---------------------------------------------------------
     def sample(self, c: np.ndarray) -> np.ndarray:
@@ -151,28 +170,33 @@ class MechanicalSystem:
         return K
 
     # -- action ----------------------------------------------------------------
-    def _gauss_rule(self):
-        if self._gauss is None:
-            panels = max(16, int(np.ceil(self.M / 3)))
-            x, w = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_PANEL)
-            edges = np.linspace(0.0, self.T, panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-            weights = (half[:, None] * w[None, :]).ravel()
-            k = np.arange(1, self.M + 1)
-            basis = np.sqrt(2.0 / self.T) * np.sin(np.outer(nodes, k) * np.pi / self.T)
-            self._gauss = (nodes, weights, basis)
-        return self._gauss
+    @cached_property
+    def _gauss(self):
+        return gauss_sine_rule(self.T, self.M, min_panels=16)
 
     def action(self, c: np.ndarray) -> float:
         """Kinetic part exact in coefficients; potential part by composite Gauss."""
         d = self.bp.qT - self.bp.q0
         kinetic = float(d @ d) / (2.0 * self.T) + 0.5 * float(np.sum(self.eigenvalues * c * c))
-        nodes, weights, basis = self._gauss_rule()
+        nodes, weights, basis = self._gauss
         path = self.bp.drift(nodes) + basis @ self.unflatten(c)
         potential = float(weights @ self.bp.potential.eval(path))
         return kinetic - potential
+
+
+def gauss_sine_rule(L: float, K: int, min_panels: int):
+    """Composite Gauss nodes and weights on [0, L], and the first K
+    orthonormal sine modes at the nodes (one panel per three modes)."""
+    panels = max(min_panels, int(np.ceil(K / 3)))
+    x, w = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_PANEL)
+    edges = np.linspace(0.0, L, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    k = np.arange(1, K + 1)
+    basis = np.sqrt(2.0 / L) * np.sin(np.outer(nodes, k) * np.pi / L)
+    return nodes, weights, basis
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +259,8 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
             continue
         # Newton step on the tail block
         K = system.hessian_matrix(c)
-        D = K[head_dim:, head_dim:]
-        try:
-            chol = cho_factor(D, lower=True, check_finite=False)
-            step = cho_solve(chol, r[head_dim:], check_finite=False)
-        except np.linalg.LinAlgError:
-            smallest = float(np.min(np.linalg.eigvalsh(D)))
-            raise TruncationError(
-                f"tail curvature block is not positive definite "
-                f"(smallest eigenvalue {smallest:.3e}); increase the cutoff or truncation")
+        step = cho_solve(_tail_cholesky(K[head_dim:, head_dim:]), r[head_dim:],
+                         check_finite=False)
         v_try = v - step
         r_try = system.residual(np.concatenate([u, v_try]))
         res_try = tail_residual_norm(system, r_try, head_dim)
@@ -263,11 +280,15 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
 # ---------------------------------------------------------------------------
 # reduced system
 
-def split_blocks(K: np.ndarray, head_dim: int):
-    A = K[:head_dim, :head_dim]
-    B = K[:head_dim, head_dim:]
-    D = K[head_dim:, head_dim:]
-    return A, B, D
+def _tail_cholesky(D: np.ndarray):
+    """Cholesky factor of the tail block; TruncationError if it is not positive definite."""
+    try:
+        return cho_factor(D, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        smallest = float(np.min(np.linalg.eigvalsh(D)))
+        raise TruncationError(
+            f"tail curvature block is not positive definite "
+            f"(smallest eigenvalue {smallest:.3e}); increase the cutoff or truncation")
 
 
 def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -276,14 +297,7 @@ def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
         return A.copy()
     if D.shape[0] == 0:
         return 0.5 * (A + A.T)
-    try:
-        chol = cho_factor(D, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        smallest = float(np.min(np.linalg.eigvalsh(D)))
-        raise TruncationError(
-            f"tail curvature block is not positive definite "
-            f"(smallest eigenvalue {smallest:.3e}); increase the cutoff or truncation")
-    S = A - B @ cho_solve(chol, B.T, check_finite=False)
+    S = A - B @ cho_solve(_tail_cholesky(D), B.T, check_finite=False)
     return 0.5 * (S + S.T)
 
 
@@ -311,8 +325,8 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
         if it == max_iter or head_dim == 0:
             break
         K = system.hessian_matrix(c)
-        A, B, D = split_blocks(K, head_dim)
-        S = schur_matrix(A, B, D)
+        S = schur_matrix(K[:head_dim, :head_dim], K[:head_dim, head_dim:],
+                         K[head_dim:, head_dim:])
         step = np.linalg.solve(S, r[:head_dim])
         lam = 1.0
         accepted = False
@@ -355,17 +369,6 @@ def draw_seeds(head_dim: int, count: int, radius: float, seed: int) -> list[np.n
         r = radius * rng.uniform() ** (1.0 / head_dim)
         seeds.append(r * x / norm)
     return seeds
-
-
-def run_seeds(system, head_dim: int, seeds, workers: int = 1, **newton_kwargs) -> list[ReducedResult]:
-    """Solve every seed; results come back in seed order regardless of scheduling."""
-    def solve_one(u0):
-        return reduced_newton(system, head_dim, u0, **newton_kwargs)
-
-    if workers <= 1 or len(seeds) <= 1:
-        return [solve_one(u0) for u0 in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(solve_one, seeds))
 
 
 def dedup_roots(results: list[ReducedResult], tol: float = 1e-6) -> list[ReducedResult]:

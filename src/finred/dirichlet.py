@@ -10,21 +10,25 @@ head/tail machinery carries over with the mode eigenvalues
 replacing (pi k / T)^2: the head collects the modes with lambda <= C, the
 tail constant is mu = 1 - C / lambda_{N+1}, and the reduced Hessian is the
 Schur complement of the tail block.  Dimensions m in {1, 2} are supported.
+DirichletSystem provides the system surface of ``core``, so solves run
+through the same solve loop as mechanical problems (``reduction.solve_system``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst
 
-from . import core
-from .functional import HessianBlocks
-from .morse import index_full, index_schur
+from .core import gauss_sine_rule
+from .functional import blocks_at
+from .morse import index_full, index_schur  # noqa: F401  (callers import them from here)
 from .potentials import Potential
+from .reduction import (DEFAULT_MULTISTART_COUNT, DEFAULT_MULTISTART_SEED, SolutionReport,
+                        curvature_bound, solve_system)
 
 __all__ = [
     "RectangleDomain",
@@ -87,7 +91,9 @@ def enumerate_modes(dom: RectangleDomain, lambda_max: float,
     """
     if lambda_max <= 0:
         raise ValueError(f"lambda_max must be positive, got {lambda_max}")
-    kmax = [int(math.floor(L * math.sqrt(lambda_max) / math.pi)) for L in dom.lengths]
+    # one past the floor-sqrt bound, which can round below a boundary-exact k;
+    # the float test below trims the extra term
+    kmax = [int(math.floor(L * math.sqrt(lambda_max) / math.pi)) + 1 for L in dom.lengths]
     # per-axis terms (pi k / L)^2, computed exactly as mode_eigenvalue does
     squares = [np.array([(math.pi * k / L) ** 2 for k in range(1, km + 1)])
                for km, L in zip(kmax, dom.lengths)]
@@ -179,15 +185,7 @@ def dirichlet_plan(dom: RectangleDomain, pot: Potential, *,
     """
     if pot.dim != 1:
         raise ValueError(f"Dirichlet problems take scalar potentials, got dimension {pot.dim}")
-    C = pot.c_bound
-    if not math.isfinite(C):
-        raise ValueError("potential curvature bound must be finite")
-    if not pot.certified and not allow_uncertified:
-        from .reduction import UncertifiedPotentialError
-        raise UncertifiedPotentialError(
-            "potential curvature bound is not certified "
-            f"(source={pot.c_source!r}, unbounded_warning={pot.unbounded_warning}); "
-            "pass allow_uncertified=True to proceed at your own risk")
+    C = curvature_bound(pot, allow_uncertified)
 
     lam1 = mode_eigenvalue(dom, (1,) * dom.m)
     probe = max(C, lam1) * 4.0 + 1.0
@@ -257,6 +255,7 @@ class DirichletSystem:
         self.plan = plan
         self.modes = plan.modes
         self.m = dom.m
+        self.n = 1  # one scalar coefficient per mode
         self.eigenvalues = np.array([em.lam for em in self.modes])
         self.kbox = _box_extents(self.modes, self.m)
         self.P = tuple(plan.grid_shape)
@@ -271,7 +270,6 @@ class DirichletSystem:
             [np.ravel_multi_index(tuple(k - 1 for k in em.indices), tuple(self.kbox))
              for em in self.modes])
         self._sine = None
-        self._gauss = None
         self._const_coeffs = self._constant_coeffs()
 
     def _constant_coeffs(self) -> np.ndarray:
@@ -282,6 +280,17 @@ class DirichletSystem:
                 val *= math.sqrt(2.0 * L) * (1.0 - (-1.0) ** k) / (k * math.pi)
             out[i] = val
         return out
+
+    def embed(self, c: np.ndarray) -> DirichletField:
+        return DirichletField(self.dom, self.modes, c)
+
+    def refined(self) -> "DirichletSystem":
+        """The same problem re-planned with four times the eigenvalue cut."""
+        plan = self.plan
+        fine = dirichlet_plan(self.dom, self.pot, N=plan.N, lambda_cut=4.0 * plan.lambda_cut,
+                              tail_tol=plan.tail_tol, head_tol=plan.head_tol,
+                              allow_uncertified=True)
+        return DirichletSystem(self.dom, self.pot, fine)
 
     # -- transforms ----------------------------------------------------------
     def _scatter(self, c: np.ndarray) -> np.ndarray:
@@ -358,28 +367,14 @@ class DirichletSystem:
         return K
 
     # -- action -------------------------------------------------------------------
-    def _gauss_rule(self):
-        if self._gauss is None:
-            x, w = np.polynomial.legendre.leggauss(core.GAUSS_NODES_PER_PANEL)
-            per_axis = []
-            for axis in range(self.m):
-                L = self.dom.lengths[axis]
-                panels = max(8, int(math.ceil(self.kbox[axis] / 3)))
-                edges = np.linspace(0.0, L, panels + 1)
-                mid = 0.5 * (edges[:-1] + edges[1:])
-                half = 0.5 * (edges[1:] - edges[:-1])
-                nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-                weights = (half[:, None] * w[None, :]).ravel()
-                k = np.arange(1, self.kbox[axis] + 1)
-                basis = np.sqrt(2.0 / L) * np.sin(np.outer(nodes, k) * math.pi / L)
-                per_axis.append((nodes, weights, basis))
-            self._gauss = per_axis
-        return self._gauss
+    @cached_property
+    def _gauss(self):
+        return [gauss_sine_rule(L, K, min_panels=8) for L, K in zip(self.dom.lengths, self.kbox)]
 
     def action(self, c: np.ndarray) -> float:
         """1/2 sum lambda c^2 minus the Gauss-quadrature integral of V(phi)."""
         kinetic = 0.5 * float(np.sum(self.eigenvalues * c * c))
-        rule = self._gauss_rule()
+        rule = self._gauss
         box = self._scatter(c)
         if self.m == 1:
             _, w0, B0 = rule[0]
@@ -393,124 +388,28 @@ class DirichletSystem:
         return kinetic - potential
 
 
-@dataclass
-class DirichletSolution:
-    """One stationary field with residuals and Morse data."""
+class DirichletSolution(SolutionReport):
+    """One stationary field with residuals and Morse data; ``field`` is ``path``."""
 
-    head: np.ndarray
-    tail: DirichletField
-    field: DirichletField
-    action: float
-    head_residual: float
-    tail_residual: float
-    index: int
-    nullity: int
-    certified: bool
-    converged: bool
-    newton_iterations: int
-    tail_iterations: int
-    oracle_index: Optional[int] = None
-    seed_index: int = -1
-    truncation_drift: Optional[float] = None
-    residual_history: list = field(default_factory=list)
-
-
-def blocks_at(system: DirichletSystem, head_dim: int, c: np.ndarray) -> HessianBlocks:
-    """Head/tail blocks of the Hessian at coefficients c, head = first head_dim modes."""
-    K = system.hessian_matrix(c)
-    return HessianBlocks(N=head_dim, M=len(system.modes), n=1,
-                         A=K[:head_dim, :head_dim], B=K[:head_dim, head_dim:],
-                         D=K[head_dim:, head_dim:])
-
-
-def _build_solution(system: DirichletSystem, plan: DirichletPlan,
-                    res: core.ReducedResult, seed_index: int,
-                    with_oracles: bool) -> DirichletSolution:
-    c = np.concatenate([res.u, res.v])
-    blocks = blocks_at(system, plan.N, c)
-    idx = index_schur(blocks)
-    oracle = index_full(blocks).index if with_oracles else None
-    tail_coeffs = np.concatenate([np.zeros(plan.N), res.v])
-    return DirichletSolution(
-        head=res.u.copy(),
-        tail=DirichletField(plan.domain, plan.modes, tail_coeffs),
-        field=DirichletField(plan.domain, plan.modes, c),
-        action=system.action(c),
-        head_residual=res.head_residual,
-        tail_residual=res.tail_residual,
-        index=idx.index,
-        nullity=idx.nullity,
-        certified=plan.certified,
-        converged=res.converged,
-        newton_iterations=res.iterations,
-        tail_iterations=res.tail_iterations,
-        oracle_index=oracle,
-        seed_index=seed_index,
-        residual_history=list(res.head_history),
-    )
+    @property
+    def field(self) -> DirichletField:
+        return self.path
 
 
 def solve_dirichlet(dom: RectangleDomain, pot: Potential, plan: DirichletPlan,
                     seeds: list[np.ndarray] | None = None, *,
-                    count: int = 64, radius: float = DEFAULT_MULTISTART_RADIUS,
-                    seed: int | None = None, method: str = "newton",
+                    count: int = DEFAULT_MULTISTART_COUNT, radius: float | None = None,
+                    seed: int = DEFAULT_MULTISTART_SEED, method: str = "newton",
                     workers: int = 1, refine: bool = True,
                     with_oracles: bool = False,
                     seed_records: list | None = None) -> list[DirichletSolution]:
-    """Multistart reduced Newton for the Dirichlet problem; see solve_reduced."""
-    from .reduction import DEFAULT_MULTISTART_SEED
-    if seed is None:
-        seed = DEFAULT_MULTISTART_SEED
-    system = DirichletSystem(dom, pot, plan)
-    head_dim = plan.N
-    if seeds is None:
-        seeds = core.draw_seeds(head_dim, count, radius, seed)
-    else:
-        seeds = [np.asarray(s, dtype=float).reshape(head_dim) for s in seeds]
+    """Multistart reduced Newton for the Dirichlet problem; see solve_reduced.
 
-    results = core.run_seeds(system, head_dim, seeds, workers=workers,
-                             head_tol=plan.head_tol, tail_tol=plan.tail_tol,
-                             tail_method=method)
-    for i, res in enumerate(results):
-        res.seed_index = i  # type: ignore[attr-defined]
-    if seed_records is not None:
-        seed_records.extend(results)
-    roots = core.dedup_roots(results)
-
-    solutions = []
-    for res in roots:
-        seed_index = getattr(res, "seed_index", -1)
-        use_plan, use_system, use_res, drift = plan, system, res, None
-        if refine:
-            use_plan, use_system, use_res, drift = _refine_root(dom, pot, plan, res, method)
-        sol = _build_solution(use_system, use_plan, use_res, seed_index, with_oracles)
-        sol.truncation_drift = drift
-        solutions.append(sol)
-
-    solutions.sort(key=lambda s: (s.action, tuple(s.head)))
-    return solutions
-
-
-def _refine_root(dom: RectangleDomain, pot: Potential, plan: DirichletPlan,
-                 res: core.ReducedResult, method: str, max_refinements: int = 2):
-    from .reduction import REFINE_DRIFT_TOL
-    cur_plan, cur_res = plan, res
-    cur_system = DirichletSystem(dom, pot, plan)
-    drift = None
-    for _ in range(max_refinements):
-        fine_plan = dirichlet_plan(dom, pot, N=cur_plan.N,
-                                   lambda_cut=4.0 * cur_plan.lambda_cut,
-                                   tail_tol=cur_plan.tail_tol, head_tol=cur_plan.head_tol,
-                                   allow_uncertified=True)
-        fine_system = DirichletSystem(dom, pot, fine_plan)
-        fine_res = core.reduced_newton(fine_system, fine_plan.N, cur_res.u,
-                                       head_tol=fine_plan.head_tol,
-                                       tail_tol=fine_plan.tail_tol,
-                                       tail_method=method)
-        drift = float(np.linalg.norm(fine_res.u - cur_res.u))
-        if not fine_res.converged:
-            break
-        cur_plan, cur_system, cur_res = fine_plan, fine_system, fine_res
-        if drift <= REFINE_DRIFT_TOL:
-            break
-    return cur_plan, cur_system, cur_res, drift
+    The radius defaults to DEFAULT_MULTISTART_RADIUS; refinement re-plans
+    with four times the eigenvalue cut.  ``workers`` is accepted and ignored.
+    """
+    return solve_system(DirichletSystem(dom, pot, plan), plan, seeds, count=count,
+                        radius=DEFAULT_MULTISTART_RADIUS if radius is None else float(radius),
+                        seed=seed, method=method, refine=refine,
+                        with_oracles=with_oracles, seed_records=seed_records,
+                        report=DirichletSolution)

@@ -21,7 +21,7 @@ import numpy as np
 from .core import MechanicalSystem
 from .fourier import BoundaryProblem, SinePath, mode_eigenvalues
 
-__all__ = ["HessianBlocks", "action_value", "gradient", "hessian_blocks"]
+__all__ = ["HessianBlocks", "action_value", "blocks_at", "gradient", "hessian_blocks"]
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,22 @@ def gradient(bp: BoundaryProblem, c: SinePath, convention: str = "euler_lagrange
     return SinePath(bp.T, system.unflatten(r))
 
 
+def blocks_at(system, head_dim: int, c: np.ndarray) -> HessianBlocks:
+    """Head/tail blocks of a system's Hessian at coefficients c, head = first head_dim entries."""
+    K = system.hessian_matrix(c)
+    n = system.n
+    return HessianBlocks(N=head_dim // n, M=len(system.eigenvalues) // n, n=n,
+                         A=K[:head_dim, :head_dim], B=K[:head_dim, head_dim:],
+                         D=K[head_dim:, head_dim:])
+
+
 def hessian_blocks(bp: BoundaryProblem, c: SinePath, N: int,
                    quad_points: int | None = None) -> HessianBlocks:
     """Assemble the truncated second variation, partitioned at mode N."""
     if not 0 <= N <= c.M:
         raise ValueError(f"cutoff must satisfy 0 <= N <= M = {c.M}, got {N}")
     system = _system(bp, c, quad_points)
-    K = system.hessian_matrix(system.flatten(c.coeffs))
-    hd = N * bp.n
-    return HessianBlocks(N=N, M=c.M, n=bp.n,
-                         A=K[:hd, :hd], B=K[:hd, hd:], D=K[hd:, hd:])
+    return blocks_at(system, N * bp.n, system.flatten(c.coeffs))
 
 
 def _system(bp: BoundaryProblem, c: SinePath, quad_points: int | None) -> MechanicalSystem:

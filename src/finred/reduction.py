@@ -13,12 +13,19 @@ fixed-point iteration contracts at rate 1 - mu, and solving the original
 problem is exactly equivalent to finding the roots of the reduced head
 gradient.  The reduced Hessian used as the Newton Jacobian is the Schur
 complement of the tail block and carries the full Morse data.
+
+The multistart -> dedup -> refine -> report pipeline (``solve_system``) is
+shared by the mechanical and the Dirichlet problem.  It works against the
+system surface documented in ``core``: ``eigenvalues``, ``n``,
+``residual``, ``hessian_matrix``, ``action``, ``refined`` and ``embed``.
+``solve_reduced`` and ``dirichlet.solve_dirichlet`` are thin front ends
+that build their system, pick their default radius and call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,7 +33,7 @@ import numpy as np
 from . import core
 from .core import MechanicalSystem, TailStats
 from .fourier import BoundaryProblem, SinePath
-from .functional import HessianBlocks
+from .functional import blocks_at
 from .morse import index_full, index_schur
 
 __all__ = [
@@ -39,6 +46,7 @@ __all__ = [
     "reduced_gradient",
     "reduced_hessian_matrix",
     "solve_reduced",
+    "solve_system",
     "DEFAULT_MULTISTART_SEED",
 ]
 
@@ -81,7 +89,11 @@ class ReductionPlan:
 
 @dataclass
 class SolutionReport:
-    """One stationary path with residuals, Morse data and provenance."""
+    """One stationary path with residuals, Morse data and provenance.
+
+    ``path`` and ``tail`` are whatever the system's ``embed`` returns: a
+    SinePath for mechanical problems, a DirichletField for Dirichlet ones.
+    """
 
     head: np.ndarray
     tail: SinePath
@@ -109,6 +121,19 @@ def monotonicity_constant(C: float, T: float, N: int) -> float:
     return 1.0 - C * T * T / (math.pi * (N + 1)) ** 2
 
 
+def curvature_bound(pot, allow_uncertified: bool) -> float:
+    """The potential's bound C; it must be finite, and certified unless opted out."""
+    C = pot.c_bound
+    if not math.isfinite(C):
+        raise ValueError("potential curvature bound must be finite")
+    if not pot.certified and not allow_uncertified:
+        raise UncertifiedPotentialError(
+            "potential curvature bound is not certified "
+            f"(source={pot.c_source!r}, unbounded_warning={pot.unbounded_warning}); "
+            "pass allow_uncertified=True to proceed at your own risk")
+    return C
+
+
 def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None,
               quad_points: int | None = None, tail_tol: float = 1e-10,
               head_tol: float = 1e-9, allow_uncertified: bool = False) -> ReductionPlan:
@@ -120,14 +145,7 @@ def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None
     curvature) requires ``allow_uncertified=True``.
     """
     pot = bp.potential
-    C = pot.c_bound
-    if not math.isfinite(C):
-        raise ValueError("potential curvature bound must be finite")
-    if not pot.certified and not allow_uncertified:
-        raise UncertifiedPotentialError(
-            "potential curvature bound is not certified "
-            f"(source={pot.c_source!r}, unbounded_warning={pot.unbounded_warning}); "
-            "pass allow_uncertified=True to proceed at your own risk")
+    C = curvature_bound(pot, allow_uncertified)
     n_min = cutoff_formula(C, bp.T)
     if N is None:
         N = n_min
@@ -175,11 +193,6 @@ def _system_for(bp: BoundaryProblem, plan: ReductionPlan) -> MechanicalSystem:
     return MechanicalSystem(bp, plan.M, plan.quad_points or None)
 
 
-def _tail_path(system: MechanicalSystem, plan: ReductionPlan, v: np.ndarray) -> SinePath:
-    flat = np.concatenate([np.zeros(plan.N * system.n), v])
-    return SinePath(system.T, system.unflatten(flat))
-
-
 def solve_tail(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
                v0: SinePath | None = None, method: str = "newton") -> tuple[SinePath, TailStats]:
     """Tail coefficients v(u) with residual below plan.tail_tol (H10 dual norm).
@@ -196,7 +209,7 @@ def solve_tail(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
         v_start = system.flatten(v0.coeffs)[head_dim:]
     v, stats = core.solve_tail(system, head_dim, u, v0=v_start,
                                tol=plan.tail_tol, method=method)
-    return _tail_path(system, plan, v), stats
+    return system.embed(np.concatenate([np.zeros(head_dim), v])), stats
 
 
 def reduced_gradient(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
@@ -221,44 +234,8 @@ def reduced_hessian_matrix(bp: BoundaryProblem, plan: ReductionPlan,
     head_dim = plan.N * system.n
     u = np.asarray(u, dtype=float).reshape(head_dim)
     v, _ = core.solve_tail(system, head_dim, u, tol=plan.tail_tol)
-    K = system.hessian_matrix(np.concatenate([u, v]))
-    A, B, D = core.split_blocks(K, head_dim)
-    return core.schur_matrix(A, B, D)
-
-
-def _blocks_at(system: MechanicalSystem, plan: ReductionPlan, c_flat: np.ndarray) -> HessianBlocks:
-    K = system.hessian_matrix(c_flat)
-    hd = plan.N * system.n
-    return HessianBlocks(N=plan.N, M=plan.M, n=system.n,
-                         A=K[:hd, :hd], B=K[:hd, hd:], D=K[hd:, hd:])
-
-
-def _build_report(bp: BoundaryProblem, plan: ReductionPlan, system: MechanicalSystem,
-                  res: core.ReducedResult, seed_index: int,
-                  with_oracles: bool) -> SolutionReport:
-    c_flat = np.concatenate([res.u, res.v])
-    blocks = _blocks_at(system, plan, c_flat)
-    idx = index_schur(blocks)
-    oracle = None
-    if with_oracles:
-        oracle = index_full(blocks).index
-    return SolutionReport(
-        head=res.u.copy(),
-        tail=_tail_path(system, plan, res.v),
-        path=SinePath(system.T, system.unflatten(c_flat)),
-        action=system.action(c_flat),
-        head_residual=res.head_residual,
-        tail_residual=res.tail_residual,
-        index=idx.index,
-        nullity=idx.nullity,
-        certified=plan.certified,
-        converged=res.converged,
-        newton_iterations=res.iterations,
-        tail_iterations=res.tail_iterations,
-        oracle_index=oracle,
-        seed_index=seed_index,
-        residual_history=list(res.head_history),
-    )
+    b = blocks_at(system, head_dim, np.concatenate([u, v]))
+    return core.schur_matrix(b.A, b.B, b.D)
 
 
 def default_radius(bp: BoundaryProblem) -> float:
@@ -279,63 +256,96 @@ def solve_reduced(bp: BoundaryProblem, plan: ReductionPlan,
 
     Seeds default to a multistart draw: the origin plus ``count - 1``
     points uniform in the radius ball (radius 2 (1 + |qT - q0|) unless
-    given), from a fixed-seed generator.  Converged roots are
-    deduplicated on head distance and each is expanded to a full report;
-    with ``refine=True`` every root is re-solved at doubled truncation
-    and must reproduce its head to 1e-7 (else the truncation escalates).
-    Reports are sorted by action value, then lexicographic head.  When a
-    list is passed as ``seed_records`` it receives the raw per-seed solve
-    results in seed order (for convergence logging).
+    given), from a fixed-seed generator.  With ``refine=True`` every root
+    is re-solved at doubled truncation.  ``workers`` is accepted and
+    ignored: seeds are solved in order.  See ``solve_system`` for the rest.
     """
-    system = _system_for(bp, plan)
+    return solve_system(_system_for(bp, plan), plan, seeds, count=count,
+                        radius=default_radius(bp) if radius is None else float(radius),
+                        seed=seed, method=method, refine=refine,
+                        with_oracles=with_oracles, seed_records=seed_records)
+
+
+def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
+                 count: int, radius: float, seed: int, method: str,
+                 refine: bool, with_oracles: bool, seed_records: list | None,
+                 report: type = SolutionReport) -> list[SolutionReport]:
+    """Multistart reduced Newton on one system, shared by both problem kinds.
+
+    ``plan`` supplies the head size ``N`` (in modes), the tolerances and
+    the certification flag.  Without explicit ``seeds`` the origin plus
+    ``count - 1`` points uniform in the ``radius`` ball are drawn from
+    ``seed``; the radius must be finite and positive.  Seeds are solved in
+    order; converged roots are deduplicated on head distance, and with
+    ``refine=True`` each is re-solved on ``system.refined()`` until its
+    head moves by at most 1e-7 (at most twice).  Reports (of type
+    ``report``) are sorted by action value, then lexicographic head.  When
+    a list is passed as ``seed_records`` it receives the raw per-seed
+    solve results in seed order (for convergence logging).
+    """
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"multistart radius must be a positive real, got {radius}")
     head_dim = plan.N * system.n
     if seeds is None:
-        r = default_radius(bp) if radius is None else float(radius)
-        seeds = core.draw_seeds(head_dim, count, r, seed)
+        seeds = core.draw_seeds(head_dim, count, radius, seed)
     else:
         seeds = [np.asarray(s, dtype=float).reshape(head_dim) for s in seeds]
-
-    results = core.run_seeds(system, head_dim, seeds, workers=workers,
-                             head_tol=plan.head_tol, tail_tol=plan.tail_tol,
-                             tail_method=method)
-    for i, res in enumerate(results):
-        res.seed_index = i  # type: ignore[attr-defined]
+    newton = dict(head_tol=plan.head_tol, tail_tol=plan.tail_tol, tail_method=method)
+    results = []
+    for i, u0 in enumerate(seeds):
+        res = core.reduced_newton(system, head_dim, u0, **newton)
+        res.seed_index = i
+        results.append(res)
     if seed_records is not None:
         seed_records.extend(results)
-    roots = core.dedup_roots(results, tol=DEDUP_TOL)
 
-    reports = []
-    for res in roots:
-        seed_index = getattr(res, "seed_index", -1)
-        use_plan, use_system, use_res, drift = plan, system, res, None
-        if refine:
-            use_plan, use_system, use_res, drift = _refine_root(bp, plan, res, method)
-        report = _build_report(bp, use_plan, use_system, use_res, seed_index, with_oracles)
-        report.truncation_drift = drift
-        reports.append(report)
-
+    reports = [_root_report(system, plan, root, newton, refine, with_oracles, report)
+               for root in core.dedup_roots(results, tol=DEDUP_TOL)]
     reports.sort(key=lambda rep: (rep.action, tuple(rep.head)))
     return reports
 
 
-def _refine_root(bp: BoundaryProblem, plan: ReductionPlan, res: core.ReducedResult,
-                 method: str, max_refinements: int = 2):
-    """Double M until the re-solved head moves less than the drift tolerance."""
-    cur_plan, cur_res = plan, res
-    cur_system = _system_for(bp, plan)
+def _root_report(system, plan, root: core.ReducedResult, newton: dict, refine: bool,
+                 with_oracles: bool, report: type) -> SolutionReport:
+    """Refine one deduplicated root if asked, then expand it to a full report."""
+    head_dim = plan.N * system.n
+    res, drift = root, None
+    if refine:
+        system, res, drift = _refine_root(system, head_dim, root, newton)
+    c = np.concatenate([res.u, res.v])
+    blocks = blocks_at(system, head_dim, c)
+    idx = index_schur(blocks)
+    return report(
+        head=res.u.copy(),
+        tail=system.embed(np.concatenate([np.zeros(head_dim), res.v])),
+        path=system.embed(c),
+        action=system.action(c),
+        head_residual=res.head_residual,
+        tail_residual=res.tail_residual,
+        index=idx.index,
+        nullity=idx.nullity,
+        certified=plan.certified,
+        converged=res.converged,
+        newton_iterations=res.iterations,
+        tail_iterations=res.tail_iterations,
+        oracle_index=index_full(blocks).index if with_oracles else None,
+        seed_index=root.seed_index,  # the refined result carries no seed
+        truncation_drift=drift,
+        residual_history=list(res.head_history),
+    )
+
+
+def _refine_root(system, head_dim: int, res: core.ReducedResult, newton: dict,
+                 max_refinements: int = 2):
+    """Refine the system until the re-solved head moves less than the drift tolerance."""
     drift = None
     for _ in range(max_refinements):
-        fine_plan = replace(cur_plan, M=2 * cur_plan.M, quad_points=2 * (2 * cur_plan.M) + 1)
-        fine_system = _system_for(bp, fine_plan)
-        head_dim = fine_plan.N * fine_system.n
-        fine_res = core.reduced_newton(fine_system, head_dim, cur_res.u,
-                                       head_tol=fine_plan.head_tol,
-                                       tail_tol=fine_plan.tail_tol,
-                                       tail_method=method)
-        drift = float(np.linalg.norm(fine_res.u - cur_res.u))
+        fine = system.refined()
+        fine_res = core.reduced_newton(fine, head_dim, res.u, **newton)
+        drift = float(np.linalg.norm(fine_res.u - res.u))
         if not fine_res.converged:
             break
-        cur_plan, cur_system, cur_res = fine_plan, fine_system, fine_res
+        system, res = fine, fine_res
         if drift <= REFINE_DRIFT_TOL:
             break
-    return cur_plan, cur_system, cur_res, drift
+    return system, res, drift

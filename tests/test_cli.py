@@ -198,6 +198,34 @@ def test_convergence_log_has_per_seed_records(tmp_path):
     assert "solution 000" in log
 
 
+@pytest.mark.parametrize("template", [PENDULUM_CFG, DIRICHLET_CFG], ids=["mechanical", "dirichlet"])
+def test_convergence_log_names_the_seed_of_every_solution(tmp_path, template):
+    cfg, out = write_cfg(tmp_path, template)  # refine defaults to true
+    assert main(["solve", "--config", str(cfg)]) == 0
+    lines = (out / "convergence.log").read_text().splitlines()
+    seeds = {int(line.split()[1]): line for line in lines if line.startswith("seed ")}
+    solutions = [line for line in lines if line.startswith("solution ")]
+    assert solutions
+    for line in solutions:
+        assert " seed=-1 " not in line
+        seed = int(line.split(" seed=")[1].split()[0])
+        assert " converged=true " in seeds[seed]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_bad_multistart_radius_is_config_error(tmp_path, capsys, value):
+    for template in (PENDULUM_CFG, DIRICHLET_CFG):
+        text = template.replace("[multistart]\n", f"[multistart]\nradius = {value}\n")
+        line = text.splitlines().index(f"radius = {value}") + 1
+        with pytest.raises(ConfigError, match=f"line {line}: radius must be a positive real"):
+            load_config(text.format(out=tmp_path / "out"))
+        cfg, out = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: line {line}: radius must be a positive real, got {float(value)}"]
+        assert not out.exists()
+
+
 def test_solve_deterministic_bytes(tmp_path):
     cfg, out = write_cfg(tmp_path, PENDULUM_CFG)
     assert main(["solve", "--config", str(cfg)]) == 0

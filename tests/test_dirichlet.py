@@ -55,8 +55,12 @@ def test_enumerate_modes_against_lattice_scan():
 
 
 def enumerate_modes_reference(dom, lambda_max):
-    """The mode list by a plain double loop over the kmax box, then sorted."""
-    kmax = [int(math.floor(L * math.sqrt(lambda_max) / math.pi)) for L in dom.lengths]
+    """The mode list by a plain double loop over the kmax box, then sorted.
+
+    The box reaches one past floor(L sqrt(lambda_max) / pi), which can round
+    below a boundary-exact k; the eigenvalue test trims the extra term.
+    """
+    kmax = [int(math.floor(L * math.sqrt(lambda_max) / math.pi)) + 1 for L in dom.lengths]
     modes = []
     if dom.m == 1:
         for k in range(1, kmax[0] + 1):
@@ -85,6 +89,7 @@ def test_enumerate_modes_matches_double_loop(lengths, indices):
     for lam in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
                 0.5 * edge, 3.7 * edge, 1e-3):
         ref = enumerate_modes_reference(dom, lam)
+        assert len(ref) == lattice_scan(dom, lam)
         got = enumerate_modes(dom, lam)
         assert got == ref
         assert all(type(m.lam) is float and all(type(k) is int for k in m.indices)
@@ -93,6 +98,13 @@ def test_enumerate_modes_matches_double_loop(lengths, indices):
             assert enumerate_modes(dom, lam, cap=len(ref)) == ref
             with pytest.raises(ValueError, match=f"would hold {len(ref)} entries"):
                 enumerate_modes(dom, lam, cap=len(ref) - 1)
+
+
+def test_enumerate_modes_keeps_boundary_exact_top_mode():
+    # floor(L sqrt(lambda_k) / pi) rounds to k - 1 for some k (k = 11 is one)
+    dom = RectangleDomain((1.0,))
+    for k in range(1, 201):
+        assert len(enumerate_modes(dom, mode_eigenvalue(dom, (k,)))) == k
 
 
 def test_enumerate_modes_cap():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import root
 
-from finred import (BoundaryProblem, SinePath, UncertifiedPotentialError, action_value,
-                    builtin_potential, fixed_point_cutoff, gradient, make_plan,
-                    parse_potential, project_tail, reduced_gradient, solve_reduced,
-                    solve_tail)
+from finred import (BoundaryProblem, DirichletField, RectangleDomain,
+                    SinePath, UncertifiedPotentialError, action_value, builtin_potential,
+                    dirichlet_plan, fixed_point_cutoff, gradient, make_plan,
+                    parse_potential, project_tail, reduced_gradient, solve_dirichlet,
+                    solve_reduced, solve_tail)
 from finred.core import MechanicalSystem
+from finred.dirichlet import DirichletSystem
 from finred.fourier import h1_inner, mode_eigenvalues
 from finred.reduction import default_radius, reduced_hessian_matrix
 from tests.conftest import random_builtin_problem, random_pendulum_problem
@@ -412,3 +414,75 @@ def test_empty_result_surfaces_for_insoluble_problem():
     plan = make_plan(bp)
     reports = solve_reduced(bp, plan, count=4, refine=False)
     assert reports == []
+
+
+# ---------------------------------------------------------------------------
+# the solve loop shared by mechanical and Dirichlet problems
+
+def pendulum_solver():
+    """solve(refine, records, **kw) for a pendulum problem with two roots."""
+    bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3 * np.pi, [0.0], [0.9])
+    plan = make_plan(bp)
+    return lambda refine, records, **kw: solve_reduced(
+        bp, plan, count=kw.pop("count", 10), refine=refine, seed_records=records, **kw)
+
+
+def dirichlet_solver():
+    """The same for -55 cos(phi) on the unit square (several roots)."""
+    dom = RectangleDomain((1.0, 1.0))
+    pot = parse_potential("-55*cos(q1)", 1, c_bound=55.0)
+    plan = dirichlet_plan(dom, pot)
+    return lambda refine, records, **kw: solve_dirichlet(
+        dom, pot, plan, count=kw.pop("count", 6), refine=refine, seed_records=records, **kw)
+
+
+@pytest.mark.parametrize("make_solver", [pendulum_solver, dirichlet_solver])
+def test_seed_index_survives_refinement(make_solver):
+    solve = make_solver()
+    coarse_heads = {}
+    for refine in (False, True):
+        records = []
+        reports = solve(refine, records)
+        assert len(reports) >= 2
+        for rep in reports:
+            assert 0 <= rep.seed_index < len(records)
+            source = records[rep.seed_index]
+            assert source.converged and source.seed_index == rep.seed_index
+            if not refine:
+                assert np.linalg.norm(source.u - rep.head) <= 1e-6  # the dedup tolerance
+                coarse_heads[rep.seed_index] = rep.head
+            else:
+                # refinement moves the head by the truncation error only, so the
+                # nearest unrefined root must carry the same seed
+                nearest = min(coarse_heads,
+                              key=lambda i: np.linalg.norm(coarse_heads[i] - rep.head))
+                assert nearest == rep.seed_index
+        assert sorted(r.seed_index for r in reports) == sorted(coarse_heads)
+
+
+@pytest.mark.parametrize("make_solver", [pendulum_solver, dirichlet_solver])
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+def test_solvers_reject_bad_radius(make_solver, radius):
+    solve = make_solver()
+    records = []
+    with pytest.raises(ValueError, match="radius must be a positive real"):
+        solve(False, records, count=4, radius=radius)
+    assert records == []
+
+
+def test_refined_systems():
+    bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3.0, [0.0], [0.5])
+    fine = MechanicalSystem(bp, 8, quad_points=40).refined()
+    assert (fine.M, fine.P) == (16, 33)
+    dom = RectangleDomain((1.0, 1.3))
+    pot = parse_potential("-30*cos(q1)", 1, c_bound=30.0)
+    plan = dirichlet_plan(dom, pot)
+    fine = DirichletSystem(dom, pot, plan).refined()
+    assert fine.plan.lambda_cut == 4.0 * plan.lambda_cut
+    assert (fine.plan.N, fine.plan.tail_tol, fine.plan.head_tol) == (plan.N, plan.tail_tol,
+                                                                     plan.head_tol)
+    assert fine.n == 1 and len(fine.eigenvalues) > len(plan.modes)
+    c = np.arange(len(fine.modes), dtype=float)
+    field = fine.embed(c)
+    assert isinstance(field, DirichletField) and field.modes == fine.modes
+    assert np.array_equal(field.coeffs, c)
