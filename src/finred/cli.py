@@ -115,19 +115,17 @@ def _field_csv(sol: DirichletSolution, points: int) -> str:
     dom = sol.field.domain
     if dom.m == 1:
         xs = np.linspace(0.0, dom.lengths[0], points)
-        vals = sol.field.evaluate(xs[:, None])
-        rows = ["x,phi"]
-        for x, v in zip(xs, vals):
-            rows.append(f"{_fmt(x)},{_fmt(v)}")
+        columns = (xs, sol.field.evaluate(xs[:, None]))
+        header = "x,phi"
     else:
         xs = np.linspace(0.0, dom.lengths[0], points)
         ys = np.linspace(0.0, dom.lengths[1], points)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        vals = sol.field.evaluate(pts)
-        rows = ["x,y,phi"]
-        for (x, y), v in zip(pts, vals):
-            rows.append(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}")
+        columns = (pts[:, 0], pts[:, 1], sol.field.evaluate(pts))
+        header = "x,y,phi"
+    row = ",".join(["{:" + FLOAT_FMT + "}"] * len(columns)).format
+    rows = [header] + [row(*values) for values in zip(*(col.tolist() for col in columns))]
     return "\n".join(rows) + "\n"
 
 

@@ -267,12 +267,13 @@ def load_config(text: str) -> RunConfig:
     value, line = _get(sections, "output", "directory")
     if value is not None:
         cfg.directory = value
-    value, line = _get(sections, "output", "trajectory_points")
-    if value is not None:
-        cfg.trajectory_points = _parse_int(value, line, "trajectory_points")
-    value, line = _get(sections, "output", "field_points")
-    if value is not None:
-        cfg.field_points = _parse_int(value, line, "field_points")
+    for key in ("trajectory_points", "field_points"):
+        value, line = _get(sections, "output", key)
+        if value is not None:
+            points = _parse_int(value, line, key)
+            if points < 2:
+                raise ConfigError(f"{key} must be at least 2, got {points}", line)
+            setattr(cfg, key, points)
 
     return cfg
 

@@ -12,6 +12,22 @@ tail constant is mu = 1 - C / lambda_{N+1}, and the reduced Hessian is the
 Schur complement of the tail block.  Dimensions m in {1, 2} are supported.
 DirichletSystem provides the system surface of ``core``, so solves run
 through the same solve loop as mechanical problems (``reduction.solve_system``).
+
+The curvature matrix needs no dense sine table.  On each axis the grid
+x_p = p L/(P+1) obeys the identity of the mechanical assembly,
+
+    2 sin(k pi p/(P+1)) sin(l pi p/(P+1))
+        = cos((k-l) pi p/(P+1)) - cos((k+l) pi p/(P+1)),
+
+so with C[m1, m2] the 2-D cosine transform of the sampled V'' (one DCT-I
+of the zero-padded grid, taken as two small matrix products),
+
+    W[(k1,k2),(l1,l2)] = (C[|k1-l1|,|k2-l2|] - C[k1+l1,|k2-l2|]
+                          - C[|k1-l1|,k2+l2] + C[k1+l1,k2+l2]) / ((P1+1)(P2+1)),
+
+and W[k, l] = (C[|k-l|] - C[k+l]) / (P+1) in 1-D.  The indices reach
+k + l <= 2 kbox, which the grid rule P >= 2 kbox + 1 keeps inside the
+transform.
 """
 
 from __future__ import annotations
@@ -234,10 +250,15 @@ class DirichletField:
         """Field values at points of shape (S, m)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(points.shape[0])
+        rows = {}  # (axis, k) -> sqrt(2/L) sin(k pi x/L) at the points, shared by modes
         for em, cm in zip(self.modes, self.coeffs):
-            basis = np.ones(points.shape[0])
+            basis = None
             for axis, (k, L) in enumerate(zip(em.indices, self.domain.lengths)):
-                basis *= math.sqrt(2.0 / L) * np.sin(k * math.pi * points[:, axis] / L)
+                row = rows.get((axis, k))
+                if row is None:
+                    row = math.sqrt(2.0 / L) * np.sin(k * math.pi * points[:, axis] / L)
+                    rows[axis, k] = row
+                basis = row if basis is None else basis * row
             out += cm * basis
         return out
 
@@ -263,13 +284,10 @@ class DirichletSystem:
             if self.P[axis] < 2 * self.kbox[axis] + 1:
                 raise ValueError(
                     f"grid axis {axis} needs at least {2 * self.kbox[axis] + 1} points, got {self.P[axis]}")
-        self.axes = [np.arange(1, P + 1) * L / (P + 1)
-                     for P, L in zip(self.P, dom.lengths)]
         # flat scatter/gather between the mode list and the coefficient box
         self._box_index = np.array(
             [np.ravel_multi_index(tuple(k - 1 for k in em.indices), tuple(self.kbox))
              for em in self.modes])
-        self._sine = None
         self._const_coeffs = self._constant_coeffs()
 
     def _constant_coeffs(self) -> np.ndarray:
@@ -334,32 +352,58 @@ class DirichletSystem:
         return self.eigenvalues * c - self.nonlinear_coeffs(c)
 
     # -- curvature -------------------------------------------------------------
-    def _sine_table(self) -> np.ndarray:
-        if self._sine is None:
-            weight = 1.0
-            axis_tables = []
-            for axis in range(self.m):
-                L, P = self.dom.lengths[axis], self.P[axis]
-                h = L / (P + 1)
-                weight *= h
-                k = np.arange(1, self.kbox[axis] + 1)
-                axis_tables.append(np.sqrt(2.0 / L) * np.sin(np.outer(self.axes[axis], k) * math.pi / L))
-            if self.m == 1:
-                table = axis_tables[0]
-            else:
-                table = np.einsum("pa,qb->pqab", axis_tables[0], axis_tables[1])
-                table = table.reshape(self.P[0] * self.P[1], self.kbox[0] * self.kbox[1])
-            self._sine = math.sqrt(weight) * table[:, self._box_index]
-        return self._sine
+    @cached_property
+    def _cosines(self) -> list[np.ndarray]:
+        """Per axis, cos(m pi p/(P+1)) / (P+1) for m = 0..2 kbox and p = 1..P."""
+        return [np.cos(np.outer(np.arange(2 * K + 1), np.arange(1, P + 1)) * (math.pi / (P + 1)))
+                / (P + 1) for K, P in zip(self.kbox, self.P)]
+
+    @cached_property
+    def _gather(self):
+        """Toeplitz and Hankel index pairs of the identity, one pair per axis.
+
+        In 2-D the first pair, (K1, K1) arrays of |k1-l1| and k1+l1, picks
+        rows of C and leaves E[k1-1, l1-1, m2]; in 1-D it is None.  The
+        last pair holds flat (D, D) positions of m = |k-l| and m = k+l on
+        the last axis, in C (1-D) or in E (2-D).
+        """
+        k = np.array([em.indices for em in self.modes])
+        first, base = None, 0
+        if self.m == 2:
+            k1 = np.arange(1, self.kbox[0] + 1)
+            first = (np.abs(k1[:, None] - k1[None, :]), k1[:, None] + k1[None, :])
+            rows = k[:, 0] - 1
+            base = (rows[:, None] * self.kbox[0] + rows[None, :]) * (2 * self.kbox[1] + 1)
+        last = k[:, -1]
+        return (first, base + np.abs(last[:, None] - last[None, :]),
+                base + last[:, None] + last[None, :])
 
     def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
+        """W[a, b] = grid quadrature of V''(phi) phi_a phi_b.
+
+        Toeplitz-minus-Hankel on each axis: with C[m1, m2] = sum_{p,q}
+        V''(x_p, y_q) cos(m1 pi p/(P1+1)) cos(m2 pi q/(P2+1)),
+        W[(k1,k2),(l1,l2)] = (C[|k1-l1|,|k2-l2|] - C[k1+l1,|k2-l2|]
+        - C[|k1-l1|,k2+l2] + C[k1+l1,k2+l2]) / ((P1+1)(P2+1)), and in 1-D
+        W[k, l] = (C[|k-l|] - C[k+l]) / (P+1).  Every index m <= 2 kbox lies
+        inside the transform because P >= 2 kbox + 1 on each axis.
+        """
         Dn = len(self.modes)
         if self.pot.is_linear():
             return np.zeros((Dn, Dn))
         phi = self.sample(c)
-        H = self.pot.hess(phi[..., None])[..., 0, 0].reshape(-1)
-        S = self._sine_table()
-        return (S * H[:, None]).T @ S
+        H = self.pot.hess(phi[..., None])[..., 0, 0]
+        cos = self._cosines
+        first, toeplitz, hankel = self._gather
+        if self.m == 1:
+            C = cos[0] @ H
+        else:
+            C = cos[0] @ H @ cos[1].T
+            C = C[first[0]] - C[first[1]]
+        C = C.ravel()
+        W = C[toeplitz]
+        W -= C[hankel]
+        return W
 
     def hessian_matrix(self, c: np.ndarray) -> np.ndarray:
         K = -self.curvature_matrix(c)

@@ -278,7 +278,8 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
     ``seed``; the radius must be finite and positive.  Seeds are solved in
     order; converged roots are deduplicated on head distance, and with
     ``refine=True`` each is re-solved on ``system.refined()`` until its
-    head moves by at most 1e-7 (at most twice).  Reports (of type
+    head moves by at most 1e-7 (at most twice); each refinement level is
+    built once per solve and shared by the roots.  Reports (of type
     ``report``) are sorted by action value, then lexicographic head.  When
     a list is passed as ``seed_records`` it receives the raw per-seed
     solve results in seed order (for convergence logging).
@@ -299,19 +300,21 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
     if seed_records is not None:
         seed_records.extend(results)
 
-    reports = [_root_report(system, plan, root, newton, refine, with_oracles, report)
+    levels = [system]  # levels[j] is the system refined j times, shared by all roots
+    reports = [_root_report(levels, plan, root, newton, refine, with_oracles, report)
                for root in core.dedup_roots(results, tol=DEDUP_TOL)]
     reports.sort(key=lambda rep: (rep.action, tuple(rep.head)))
     return reports
 
 
-def _root_report(system, plan, root: core.ReducedResult, newton: dict, refine: bool,
+def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, refine: bool,
                  with_oracles: bool, report: type) -> SolutionReport:
     """Refine one deduplicated root if asked, then expand it to a full report."""
+    system = levels[0]
     head_dim = plan.N * system.n
     res, drift = root, None
     if refine:
-        system, res, drift = _refine_root(system, head_dim, root, newton)
+        system, res, drift = _refine_root(levels, head_dim, root, newton)
     c = np.concatenate([res.u, res.v])
     blocks = blocks_at(system, head_dim, c)
     idx = index_schur(blocks)
@@ -335,12 +338,18 @@ def _root_report(system, plan, root: core.ReducedResult, newton: dict, refine: b
     )
 
 
-def _refine_root(system, head_dim: int, res: core.ReducedResult, newton: dict,
+def _refine_root(levels: list, head_dim: int, res: core.ReducedResult, newton: dict,
                  max_refinements: int = 2):
-    """Refine the system until the re-solved head moves less than the drift tolerance."""
-    drift = None
-    for _ in range(max_refinements):
-        fine = system.refined()
+    """Refine the system until the re-solved head moves less than the drift tolerance.
+
+    ``levels[j]`` is the system refined j times; a level is built (and
+    appended) when a root first needs it, so each is built once per solve.
+    """
+    system, drift = levels[0], None
+    for j in range(1, max_refinements + 1):
+        if len(levels) == j:
+            levels.append(levels[-1].refined())
+        fine = levels[j]
         fine_res = core.reduced_newton(fine, head_dim, res.u, **newton)
         drift = float(np.linalg.norm(fine_res.u - res.u))
         if not fine_res.converged:

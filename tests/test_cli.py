@@ -1,10 +1,13 @@
 """CLI commands, config validation, artifact determinism."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from finred.cli import main
+from finred.cli import _field_csv, main
 from finred.config import ConfigError, load_config, render_config
+from finred.dirichlet import DirichletField, RectangleDomain, enumerate_modes
 
 PENDULUM_CFG = """
 [problem]
@@ -224,6 +227,51 @@ def test_bad_multistart_radius_is_config_error(tmp_path, capsys, value):
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: line {line}: radius must be a positive real, got {float(value)}"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("field_points", -3), ("field_points", 0),
+                                       ("field_points", 1), ("trajectory_points", -2),
+                                       ("trajectory_points", 1)])
+def test_output_points_below_two_is_config_error(tmp_path, capsys, key, value):
+    for template in (PENDULUM_CFG, DIRICHLET_CFG):
+        text = template.replace("[output]\n", f"[output]\n{key} = {value}\n")
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        message = f"line {line}: {key} must be at least 2, got {value}"
+        with pytest.raises(ConfigError, match=message):
+            load_config(text.format(out=tmp_path / "out"))
+        cfg, out = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+
+def field_csv_reference(sol, points):
+    """The per-point formatting loop that cli._field_csv replaces."""
+    fmt = lambda x: format(float(x), ".16e")  # noqa: E731
+    dom = sol.field.domain
+    if dom.m == 1:
+        xs = np.linspace(0.0, dom.lengths[0], points)
+        vals = sol.field.evaluate(xs[:, None])
+        rows = ["x,phi"] + [f"{fmt(x)},{fmt(v)}" for x, v in zip(xs, vals)]
+    else:
+        xs = np.linspace(0.0, dom.lengths[0], points)
+        ys = np.linspace(0.0, dom.lengths[1], points)
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+        vals = sol.field.evaluate(pts)
+        rows = ["x,y,phi"] + [f"{fmt(x)},{fmt(y)},{fmt(v)}" for (x, y), v in zip(pts, vals)]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("lengths", [(1.3,), (1.0, 1.0), (0.9, 1.6)])
+def test_field_csv_bytes_match_the_formatting_loop(lengths):
+    rng = np.random.default_rng(11)
+    dom = RectangleDomain(lengths)
+    modes = tuple(enumerate_modes(dom, 2000.0))
+    coeffs = rng.normal(size=len(modes)) * 10.0 ** rng.integers(-12, 3, len(modes))
+    sol = SimpleNamespace(field=DirichletField(dom, modes, coeffs))
+    for points in (2, 17, 65):
+        assert _field_csv(sol, points) == field_csv_reference(sol, points)
 
 
 def test_solve_deterministic_bytes(tmp_path):

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finred import (BoundaryProblem, RectangleDomain, builtin_potential,
                     dirichlet_plan, enumerate_modes, make_plan, parse_potential,
                     solve_dirichlet, solve_reduced, weyl_estimate)
-from finred.dirichlet import (DirichletSystem, EigenMode, blocks_at, index_full,
-                              index_schur, mode_eigenvalue)
+from finred.dirichlet import (DirichletField, DirichletSystem, EigenMode, blocks_at,
+                              index_full, index_schur, mode_eigenvalue)
 from finred.reduction import UncertifiedPotentialError
 
 
@@ -319,3 +321,112 @@ def test_mechanical_and_dirichlet_agree_on_linear_source():
     mech_vals = mech.path.evaluate(xs)[:, 0]
     diri_vals = diri.field.evaluate(xs[:, None])
     assert np.max(np.abs(mech_vals - diri_vals)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# structured curvature assembly against the dense sine-table product
+
+def dense_curvature(system, c):
+    """(S * H[:, None]).T @ S with S the dense (P1 P2, D) sine table on the grid."""
+    weight = 1.0
+    tables = []
+    for L, P, K in zip(system.dom.lengths, system.P, system.kbox):
+        x = np.arange(1, P + 1) * L / (P + 1)
+        weight *= L / (P + 1)
+        tables.append(np.sqrt(2.0 / L) * np.sin(np.outer(x, np.arange(1, K + 1)) * math.pi / L))
+    if system.m == 1:
+        table = tables[0]
+    else:
+        table = np.einsum("pa,qb->pqab", *tables).reshape(
+            system.P[0] * system.P[1], system.kbox[0] * system.kbox[1])
+    columns = [np.ravel_multi_index(tuple(k - 1 for k in em.indices), tuple(system.kbox))
+               for em in system.modes]
+    S = math.sqrt(weight) * table[:, columns]
+    H = system.pot.hess(system.sample(c)[..., None])[..., 0, 0].reshape(-1)
+    return (S * H[:, None]).T @ S
+
+
+def curvature_potential(family, g):
+    if family == "pendulum":
+        return builtin_potential("pendulum", (g,), dim=1)
+    if family == "harmonic":
+        return builtin_potential("harmonic", (math.sqrt(g),), dim=1)
+    return parse_potential(f"-{g!r}*cos(q1) + 0.25*sin(q1)", 1, c_bound=g + 0.25)
+
+
+def assert_structured_equals_dense(system, seed):
+    c = np.random.default_rng(seed).normal(size=len(system.modes))
+    c *= 2.0 / np.sqrt(system.eigenvalues / system.eigenvalues[0])  # fields of size O(1)
+    W = system.curvature_matrix(c)
+    ref = dense_curvature(system, c)
+    assert W.shape == ref.shape == (len(system.modes),) * 2
+    assert np.max(np.abs(W - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.floats(0.5, 1.3), min_size=1, max_size=2),
+       family=st.sampled_from(["pendulum", "harmonic", "parsed"]),
+       g=st.floats(5.0, 60.0), level=st.integers(0, 2),
+       extra=st.lists(st.integers(0, 4), min_size=2, max_size=2),
+       seed=st.integers(0, 2**31 - 1))
+def test_curvature_matches_dense_sine_table(lengths, family, g, level, extra, seed):
+    dom = RectangleDomain(tuple(lengths))
+    pot = curvature_potential(family, g)
+    plan = dirichlet_plan(dom, pot)
+    # the refinement levels of a solve, on a grid at or above the minimum 2 kbox + 1
+    plan = dirichlet_plan(dom, pot, lambda_cut=4.0 ** level * plan.lambda_cut)
+    grid = tuple(P + e for P, e in zip(plan.grid_shape, extra))
+    plan = dirichlet_plan(dom, pot, lambda_cut=plan.lambda_cut, grid_shape=grid)
+    assert_structured_equals_dense(DirichletSystem(dom, pot, plan), seed)
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 0.7), (0.9, 1.6), (2.3,)])
+def test_curvature_matches_dense_on_refinement_levels(lengths):
+    # the coarse, lambda_cut x 4 and x 16 systems of a solve at g = 56.49
+    dom = RectangleDomain(lengths)
+    pot = parse_potential("-56.49*cos(q1)", 1, c_bound=56.49)
+    system = DirichletSystem(dom, pot, dirichlet_plan(dom, pot))
+    sizes = []
+    for level in range(3):
+        assert_structured_equals_dense(system, level)
+        sizes.append(len(system.modes))
+        system = system.refined()
+    if lengths == (1.0, 1.0):
+        assert sizes == [20, 90, 380]
+
+
+@pytest.mark.parametrize("lengths", [(1.7,), (1.0, 0.6)])
+def test_curvature_of_linear_potential_is_zero(lengths):
+    dom = RectangleDomain(lengths)
+    for pot in (parse_potential("2.5*q1 - 1", 1, c_bound=0.0), builtin_potential("zero")):
+        assert pot.is_linear()
+        system = DirichletSystem(dom, pot, dirichlet_plan(dom, pot, lambda_cut=400.0))
+        c = np.random.default_rng(3).normal(size=len(system.modes))
+        W = system.curvature_matrix(c)
+        assert W.shape == (len(system.modes),) * 2 and not W.any()
+        assert not dense_curvature(system, c).any()
+
+
+# ---------------------------------------------------------------------------
+# field evaluation
+
+def evaluate_reference(field, points):
+    """The per-mode, per-axis sine loop that DirichletField.evaluate replaces."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros(points.shape[0])
+    for em, cm in zip(field.modes, field.coeffs):
+        basis = np.ones(points.shape[0])
+        for axis, (k, L) in enumerate(zip(em.indices, field.domain.lengths)):
+            basis *= math.sqrt(2.0 / L) * np.sin(k * math.pi * points[:, axis] / L)
+        out += cm * basis
+    return out
+
+
+@pytest.mark.parametrize("lengths", [(1.3,), (1.0, 1.0), (0.9, 1.6)])
+def test_field_evaluate_is_bitwise_the_mode_loop(lengths):
+    rng = np.random.default_rng(7)
+    dom = RectangleDomain(lengths)
+    modes = tuple(enumerate_modes(dom, 3000.0))
+    field = DirichletField(dom, modes, rng.normal(size=len(modes)))
+    points = rng.uniform(0.0, 1.0, (500, dom.m)) * np.array(dom.lengths)
+    assert np.array_equal(field.evaluate(points), evaluate_reference(field, points))

@@ -11,6 +11,7 @@ from finred import (BoundaryProblem, DirichletField, RectangleDomain,
                     dirichlet_plan, fixed_point_cutoff, gradient, make_plan,
                     parse_potential, project_tail, reduced_gradient, solve_dirichlet,
                     solve_reduced, solve_tail)
+from finred import reduction
 from finred.core import MechanicalSystem
 from finred.dirichlet import DirichletSystem
 from finred.fourier import h1_inner, mode_eigenvalues
@@ -458,6 +459,35 @@ def test_seed_index_survives_refinement(make_solver):
                               key=lambda i: np.linalg.norm(coarse_heads[i] - rep.head))
                 assert nearest == rep.seed_index
         assert sorted(r.seed_index for r in reports) == sorted(coarse_heads)
+
+
+@pytest.mark.parametrize("make_solver,cls", [(pendulum_solver, MechanicalSystem),
+                                             (dirichlet_solver, DirichletSystem)])
+def test_each_refinement_level_is_built_once_per_solve(monkeypatch, make_solver, cls):
+    solve = make_solver()
+    with monkeypatch.context() as patch:
+        # the reference builds its own levels for every root
+        root_report = reduction._root_report
+        patch.setattr(reduction, "_root_report",
+                      lambda levels, *args: root_report(levels[:1], *args))
+        reference = solve(True, [])
+    built = []
+    refined = cls.refined
+
+    def counting(self):
+        built.append(len(self.eigenvalues))
+        return refined(self)
+
+    monkeypatch.setattr(cls, "refined", counting)
+    reports = solve(True, [])
+    assert len(reports) >= 2  # several roots share the levels
+    # one build per level, each from the one before (at most two refinements)
+    assert 1 <= len(built) <= 2 and built == sorted(set(built))
+    for rep, ref in zip(reports, reference, strict=True):  # bitwise the same roots
+        assert np.array_equal(rep.head, ref.head) and np.array_equal(rep.path.coeffs,
+                                                                     ref.path.coeffs)
+        assert (rep.action, rep.index, rep.truncation_drift) == (ref.action, ref.index,
+                                                                 ref.truncation_drift)
 
 
 @pytest.mark.parametrize("make_solver", [pendulum_solver, dirichlet_solver])
