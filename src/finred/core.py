@@ -14,19 +14,11 @@ The surface is
     refined()            the same problem at a finer truncation
     embed(c)             the path or field that c stands for
 
-and both MechanicalSystem and dirichlet.DirichletSystem provide it, so
-one solve loop (reduction.solve_system) serves both problem kinds.
-
-The mechanical curvature matrix is Toeplitz-minus-Hankel in the mode
-indices.  On the DST-I nodes t_j = j T/(P+1),
-
-    2 sin(k pi j/(P+1)) sin(l pi j/(P+1))
-        = cos((k-l) pi j/(P+1)) - cos((k+l) pi j/(P+1)),
-
-so the quadrature of V''(path) phi_k phi_l is (C[|k-l|] - C[k+l])/(P+1)
-with C one DCT-I of the sampled V''.  The frequencies needed reach
-k + l <= 2M, which the anti-aliasing rule P >= 2M+1 keeps below the
-DCT-I length P+2.
+and both MechanicalSystem and dirichlet.DirichletSystem provide it (the
+first two through GalerkinSystem), so one solve loop
+(reduction.solve_system) serves both problem kinds.  Their grid
+transforms and curvature matrices come from one engine, fourier.SineGrid:
+a path is its one-axis case with n components.
 """
 
 from __future__ import annotations
@@ -36,11 +28,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dct
 from scipy.linalg import cho_factor, cho_solve
 
-from .fourier import (BoundaryProblem, SinePath, affine_coeffs, analyze_values,
-                      grid_points, mode_eigenvalues, synthesize_coeffs)
+from .fourier import (BoundaryProblem, SineGrid, SinePath, affine_coeffs, grid_points,
+                      mode_eigenvalues)
 
 log = logging.getLogger(__name__)
 
@@ -74,15 +65,28 @@ class ReducedResult:
     seed_index: int = -1  # position in the multistart list; set by solve_system
 
 
-class MechanicalSystem:
+class GalerkinSystem:
+    """``residual`` and ``hessian_matrix`` of the system surface, from a
+    subclass's ``eigenvalues``, ``nonlinear_coeffs`` and ``curvature_matrix``."""
+
+    def residual(self, c: np.ndarray) -> np.ndarray:
+        return self.eigenvalues * c - self.nonlinear_coeffs(c)
+
+    def hessian_matrix(self, c: np.ndarray) -> np.ndarray:
+        K = self.curvature_matrix(c)  # a fresh array, so negated in place
+        np.negative(K, out=K)
+        K[np.diag_indices_from(K)] += self.eigenvalues
+        return K
+
+
+class MechanicalSystem(GalerkinSystem):
     """Sine-Galerkin discretization of the fixed-endpoint action problem."""
 
     def __init__(self, bp: BoundaryProblem, M: int, quad_points: int | None = None):
         if M < 1:
             raise ValueError(f"truncation must be positive, got {M}")
         P = 2 * M + 1 if quad_points is None else int(quad_points)
-        if P < 2 * M + 1:
-            raise ValueError(f"quadrature needs P >= 2M+1 = {2 * M + 1}, got {P}")
+        self.grid = SineGrid((bp.T,), (M,), (P,), bp.n)
         self.bp = bp
         self.n = bp.n
         self.M = M
@@ -97,7 +101,6 @@ class MechanicalSystem:
         a1 = bp.potential.grad(bp.qT)
         self._affine_values = a0[None, :] + np.outer(self.t / self.T, a1 - a0)
         self._affine_coeffs = affine_coeffs(self.T, M, a0, (a1 - a0) / self.T)
-        self._gather = None  # (D, D) index pair into the DCT-I of V'', built on demand
 
     # -- flat <-> (M, n) ---------------------------------------------------
     def unflatten(self, c: np.ndarray) -> np.ndarray:
@@ -115,7 +118,7 @@ class MechanicalSystem:
 
     # -- transforms ---------------------------------------------------------
     def sample(self, c: np.ndarray) -> np.ndarray:
-        return synthesize_coeffs(self.unflatten(c), self.P, self.T)
+        return self.grid.synthesize(self.unflatten(c))
 
     def path_values(self, c: np.ndarray) -> np.ndarray:
         return self.drift_values + self.sample(c)
@@ -123,51 +126,16 @@ class MechanicalSystem:
     def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Sine coefficients of t -> V'(path(t)), affine part handled exactly."""
         F = self.bp.potential.grad(self.path_values(c))  # (P, n)
-        g = analyze_values(F - self._affine_values, self.T, self.M) + self._affine_coeffs
+        g = self.grid.analyze(F - self._affine_values) + self._affine_coeffs
         return self.flatten(g)
 
-    def residual(self, c: np.ndarray) -> np.ndarray:
-        return self.eigenvalues * c - self.nonlinear_coeffs(c)
-
-    # -- curvature -----------------------------------------------------------
-    def _gather_index(self):
-        """Flat positions of C[|k-l|, i, j] and C[k+l, i, j] in the (P+2, n, n)
-        transform, for W[a, b] with a = (k, i), b = (l, j) in mode-major order."""
-        if self._gather is None:
-            n = self.n
-            k = np.repeat(np.arange(1, self.M + 1), n)
-            i = np.tile(np.arange(n), self.M)
-            block = i[:, None] * n + i[None, :]
-            self._gather = (np.abs(k[:, None] - k[None, :]) * n * n + block,
-                            (k[:, None] + k[None, :]) * n * n + block)
-        return self._gather
-
     def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
-        """W[a, b] = quadrature of V''(path)_{ij} phi_k phi_l, flat indexing.
-
-        Toeplitz-minus-Hankel in (k, l): W[k,i,l,j] = (C[|k-l|,i,j] -
-        C[k+l,i,j]) / (P+1), with C[m] = sum_j cos(m pi j/(P+1)) V''(t_j)
-        from one DCT-I of the zero-padded samples.  Every index m <= 2M
-        lies inside the transform because P >= 2M+1.
-        """
+        """W[a, b] = quadrature of V''(path)_{ij} phi_k phi_l, flat indexing;
+        Toeplitz-minus-Hankel in (k, l), see fourier.SineGrid."""
         D = self.M * self.n
         if self.bp.potential.is_linear():
             return np.zeros((D, D))
-        H = self.bp.potential.hess(self.path_values(c))  # (P, n, n)
-        H = 0.5 * (H + np.swapaxes(H, -1, -2))
-        pad = np.zeros((self.P + 2,) + H.shape[1:])
-        pad[1:-1] = H
-        # scipy's DCT-I doubles the interior sum, hence 0.5
-        C = dct(pad, type=1, axis=0).ravel() * (0.5 / (self.P + 1))
-        toeplitz, hankel = self._gather_index()
-        W = C[toeplitz]
-        W -= C[hankel]
-        return W
-
-    def hessian_matrix(self, c: np.ndarray) -> np.ndarray:
-        K = -self.curvature_matrix(c)
-        K[np.diag_indices_from(K)] += self.eigenvalues
-        return K
+        return self.grid.curvature(self.bp.potential.hess(self.path_values(c)))
 
     # -- action ----------------------------------------------------------------
     @cached_property

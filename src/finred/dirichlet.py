@@ -13,21 +13,9 @@ Schur complement of the tail block.  Dimensions m in {1, 2} are supported.
 DirichletSystem provides the system surface of ``core``, so solves run
 through the same solve loop as mechanical problems (``reduction.solve_system``).
 
-The curvature matrix needs no dense sine table.  On each axis the grid
-x_p = p L/(P+1) obeys the identity of the mechanical assembly,
-
-    2 sin(k pi p/(P+1)) sin(l pi p/(P+1))
-        = cos((k-l) pi p/(P+1)) - cos((k+l) pi p/(P+1)),
-
-so with C[m1, m2] the 2-D cosine transform of the sampled V'' (one DCT-I
-of the zero-padded grid, taken as two small matrix products),
-
-    W[(k1,k2),(l1,l2)] = (C[|k1-l1|,|k2-l2|] - C[k1+l1,|k2-l2|]
-                          - C[|k1-l1|,k2+l2] + C[k1+l1,k2+l2]) / ((P1+1)(P2+1)),
-
-and W[k, l] = (C[|k-l|] - C[k+l]) / (P+1) in 1-D.  The indices reach
-k + l <= 2 kbox, which the grid rule P >= 2 kbox + 1 keeps inside the
-transform.
+Grid transforms and the curvature matrix come from fourier.SineGrid, the
+engine of the mechanical system too: a field is its m-axis case with one
+component, and the grid rule P_i >= 2 kbox_i + 1 holds on every axis.
 """
 
 from __future__ import annotations
@@ -37,9 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import dst
 
-from .core import gauss_sine_rule
+from .core import GalerkinSystem, gauss_sine_rule
+from .fourier import SineGrid, affine_coeffs
 from .functional import blocks_at
 from .morse import index_full, index_schur  # noqa: F401  (callers import them from here)
 from .potentials import Potential
@@ -267,7 +255,7 @@ class DirichletField:
         return float(np.sqrt(np.sum(lams * self.coeffs ** 2)))
 
 
-class DirichletSystem:
+class DirichletSystem(GalerkinSystem):
     """Tensor sine-Galerkin discretization of the semilinear Dirichlet problem."""
 
     def __init__(self, dom: RectangleDomain, pot: Potential, plan: DirichletPlan):
@@ -280,24 +268,16 @@ class DirichletSystem:
         self.eigenvalues = np.array([em.lam for em in self.modes])
         self.kbox = _box_extents(self.modes, self.m)
         self.P = tuple(plan.grid_shape)
-        for axis in range(self.m):
-            if self.P[axis] < 2 * self.kbox[axis] + 1:
-                raise ValueError(
-                    f"grid axis {axis} needs at least {2 * self.kbox[axis] + 1} points, got {self.P[axis]}")
+        k = np.array([em.indices for em in self.modes])
+        self.grid = SineGrid(dom.lengths, self.kbox, self.P, 1, k)
         # flat scatter/gather between the mode list and the coefficient box
-        self._box_index = np.array(
-            [np.ravel_multi_index(tuple(k - 1 for k in em.indices), tuple(self.kbox))
-             for em in self.modes])
-        self._const_coeffs = self._constant_coeffs()
+        self._box_index = np.ravel_multi_index(tuple((k - 1).T), tuple(self.kbox))
+        self._const_coeffs = self._constant_coeffs(k)
 
-    def _constant_coeffs(self) -> np.ndarray:
-        out = np.empty(len(self.modes))
-        for i, em in enumerate(self.modes):
-            val = 1.0
-            for k, L in zip(em.indices, self.dom.lengths):
-                val *= math.sqrt(2.0 * L) * (1.0 - (-1.0) ** k) / (k * math.pi)
-            out[i] = val
-        return out
+    def _constant_coeffs(self, k: np.ndarray) -> np.ndarray:
+        """Exact coefficients of the constant 1: a product of 1-D ones per axis."""
+        rows = [affine_coeffs(L, K, 1.0, 0.0)[:, 0] for L, K in zip(self.dom.lengths, self.kbox)]
+        return math.prod(row[k[:, axis] - 1] for axis, row in enumerate(rows))
 
     def embed(self, c: np.ndarray) -> DirichletField:
         return DirichletField(self.dom, self.modes, c)
@@ -318,97 +298,22 @@ class DirichletSystem:
 
     def sample(self, c: np.ndarray) -> np.ndarray:
         """Field values on the tensor grid, shape self.P."""
-        box = self._scatter(c)
-        values = box
-        for axis in range(self.m):
-            pad_shape = list(values.shape)
-            pad_shape[axis] = self.P[axis]
-            padded = np.zeros(pad_shape)
-            sl = [slice(None)] * self.m
-            sl[axis] = slice(0, values.shape[axis])
-            padded[tuple(sl)] = values
-            values = 0.5 * math.sqrt(2.0 / self.dom.lengths[axis]) * dst(padded, type=1, axis=axis)
-        return values
-
-    def analyze(self, values: np.ndarray) -> np.ndarray:
-        box = values
-        for axis in range(self.m):
-            L = self.dom.lengths[axis]
-            P = self.P[axis]
-            box = dst(box, type=1, axis=axis) * (math.sqrt(2.0 * L) / (2.0 * (P + 1)))
-            sl = [slice(None)] * self.m
-            sl[axis] = slice(0, self.kbox[axis])
-            box = box[tuple(sl)]
-        return box.reshape(-1)[self._box_index]
+        return self.grid.synthesize(self._scatter(c))
 
     def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Coefficients of V'(phi); the constant boundary part added exactly."""
-        phi = self.sample(c)
-        F = self.pot.grad(phi[..., None])[..., 0]
+        F = self.pot.grad(self.sample(c)[..., None])[..., 0]
         v0 = float(self.pot.grad(np.zeros(1))[0])
-        return self.analyze(F - v0) + v0 * self._const_coeffs
-
-    def residual(self, c: np.ndarray) -> np.ndarray:
-        return self.eigenvalues * c - self.nonlinear_coeffs(c)
-
-    # -- curvature -------------------------------------------------------------
-    @cached_property
-    def _cosines(self) -> list[np.ndarray]:
-        """Per axis, cos(m pi p/(P+1)) / (P+1) for m = 0..2 kbox and p = 1..P."""
-        return [np.cos(np.outer(np.arange(2 * K + 1), np.arange(1, P + 1)) * (math.pi / (P + 1)))
-                / (P + 1) for K, P in zip(self.kbox, self.P)]
-
-    @cached_property
-    def _gather(self):
-        """Toeplitz and Hankel index pairs of the identity, one pair per axis.
-
-        In 2-D the first pair, (K1, K1) arrays of |k1-l1| and k1+l1, picks
-        rows of C and leaves E[k1-1, l1-1, m2]; in 1-D it is None.  The
-        last pair holds flat (D, D) positions of m = |k-l| and m = k+l on
-        the last axis, in C (1-D) or in E (2-D).
-        """
-        k = np.array([em.indices for em in self.modes])
-        first, base = None, 0
-        if self.m == 2:
-            k1 = np.arange(1, self.kbox[0] + 1)
-            first = (np.abs(k1[:, None] - k1[None, :]), k1[:, None] + k1[None, :])
-            rows = k[:, 0] - 1
-            base = (rows[:, None] * self.kbox[0] + rows[None, :]) * (2 * self.kbox[1] + 1)
-        last = k[:, -1]
-        return (first, base + np.abs(last[:, None] - last[None, :]),
-                base + last[:, None] + last[None, :])
+        return (self.grid.analyze(F - v0).reshape(-1)[self._box_index]
+                + v0 * self._const_coeffs)
 
     def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
-        """W[a, b] = grid quadrature of V''(phi) phi_a phi_b.
-
-        Toeplitz-minus-Hankel on each axis: with C[m1, m2] = sum_{p,q}
-        V''(x_p, y_q) cos(m1 pi p/(P1+1)) cos(m2 pi q/(P2+1)),
-        W[(k1,k2),(l1,l2)] = (C[|k1-l1|,|k2-l2|] - C[k1+l1,|k2-l2|]
-        - C[|k1-l1|,k2+l2] + C[k1+l1,k2+l2]) / ((P1+1)(P2+1)), and in 1-D
-        W[k, l] = (C[|k-l|] - C[k+l]) / (P+1).  Every index m <= 2 kbox lies
-        inside the transform because P >= 2 kbox + 1 on each axis.
-        """
+        """W[a, b] = grid quadrature of V''(phi) phi_a phi_b, Toeplitz-minus-Hankel
+        on each axis; see fourier.SineGrid."""
         Dn = len(self.modes)
         if self.pot.is_linear():
             return np.zeros((Dn, Dn))
-        phi = self.sample(c)
-        H = self.pot.hess(phi[..., None])[..., 0, 0]
-        cos = self._cosines
-        first, toeplitz, hankel = self._gather
-        if self.m == 1:
-            C = cos[0] @ H
-        else:
-            C = cos[0] @ H @ cos[1].T
-            C = C[first[0]] - C[first[1]]
-        C = C.ravel()
-        W = C[toeplitz]
-        W -= C[hankel]
-        return W
-
-    def hessian_matrix(self, c: np.ndarray) -> np.ndarray:
-        K = -self.curvature_matrix(c)
-        K[np.diag_indices_from(K)] += self.eigenvalues
-        return K
+        return self.grid.curvature(self.pot.hess(self.sample(c)[..., None]))
 
     # -- action -------------------------------------------------------------------
     @cached_property

@@ -6,15 +6,17 @@ L^2([0, T]).  A path c(t) = sum_k c^(k) phi_k(t) then satisfies
     ||c||_{L2}^2  = sum_k |c^(k)|^2
     ||c||_{H10}^2 = int |c'|^2 = sum_k (pi k / T)^2 |c^(k)|^2
 
-Grid transforms use the type-I discrete sine transform on the interior
-nodes t_j = j T / (P+1), j = 1..P, which is exactly orthogonal for modes
-k <= P; the default anti-aliasing rule P >= 2M+1 keeps products of two
-band-limited factors alias-free.
+Grid transforms and the curvature matrix of a sampled V'' go through
+one engine, ``SineGrid``, for paths (one axis, n components) and for
+fields on rectangles (m axes, one component); its docstring states the
+DST-I scaling, the grid rule and the Toeplitz-minus-Hankel identity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst
@@ -23,6 +25,7 @@ from .potentials import Potential
 
 __all__ = [
     "SinePath",
+    "SineGrid",
     "BoundaryProblem",
     "zero_path",
     "path_from_coeffs",
@@ -143,9 +146,7 @@ def affine_embed(bp: BoundaryProblem, c: SinePath, t) -> np.ndarray:
 
 def sample_on_grid(c: SinePath, P: int) -> np.ndarray:
     """Values of c at the P interior nodes; requires P >= 2M+1."""
-    if P < 2 * c.M + 1:
-        raise ValueError(f"anti-aliasing rule requires P >= 2M+1 = {2 * c.M + 1}, got {P}")
-    return synthesize_coeffs(c.coeffs, P, c.T)
+    return SineGrid((c.T,), (c.M,), (P,), c.n).synthesize(c.coeffs)
 
 
 def analyze_on_grid(values: np.ndarray, T: float, M: int) -> SinePath:
@@ -153,26 +154,127 @@ def analyze_on_grid(values: np.ndarray, T: float, M: int) -> SinePath:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.ndim != 2:
         raise ValueError(f"values must be a (P, n) array, got shape {values.shape}")
-    P = values.shape[0]
-    if P < 2 * M + 1:
-        raise ValueError(f"anti-aliasing rule requires P >= 2M+1 = {2 * M + 1}, got {P}")
-    return SinePath(T, analyze_values(values, T, M))
+    P, n = values.shape
+    return SinePath(T, SineGrid((T,), (M,), (P,), n).analyze(values))
 
 
-def synthesize_coeffs(coeffs: np.ndarray, P: int, T: float) -> np.ndarray:
-    """Raw synthesis: (M, n) coefficients -> values on the P interior nodes."""
-    # DST-I of zero-padded coefficients; see module docstring for scaling
-    M, n = coeffs.shape
-    pad = np.zeros((P, n))
-    pad[:M] = coeffs
-    return 0.5 * np.sqrt(2.0 / T) * dst(pad, type=1, axis=0)
+class SineGrid:
+    """Sine coefficients <-> grid values, and the curvature matrix of V''.
 
+    Axis i of m in {1, 2} has length L_i, modes k = 1..K_i of the
+    orthonormal basis sqrt(2/L_i) sin(k pi x/L_i), and interior nodes
+    x_p = p L_i/(P_i+1), p = 1..P_i; every field has n components (a path
+    in R^n on one axis, a scalar field with n = 1 on a rectangle).
+    Coefficient boxes have shape K and grid values shape P on their
+    leading axes; any further axes (a path's n components) ride along.
 
-def analyze_values(values: np.ndarray, T: float, M: int) -> np.ndarray:
-    """Raw analysis: values on P interior nodes -> first M coefficients."""
-    P = values.shape[0]
-    full = dst(values, type=1, axis=0) * (np.sqrt(2.0 * T) / (2.0 * (P + 1)))
-    return full[:M]
+    DST-I scaling: scipy's unnormalised DST-I is exactly orthogonal for
+    modes k <= P and is its own inverse up to 2(P+1).  Per axis, synthesis
+    zero-pads the coefficients to P and takes 0.5 sqrt(2/L) DST-I; analysis
+    takes sqrt(2L)/(2(P+1)) DST-I and keeps the first K.  So there is one
+    scipy DST call per axis per transform.
+
+    Grid rule: P_i >= 2 K_i + 1 on every axis (checked here), so products
+    of two band-limited factors are alias-free and every cosine index
+    below lies inside the transform.
+
+    Curvature: W[a, b] is the grid quadrature of V''_ij phi_k phi_l, for
+    flat indices a = (k, i), b = (l, j) in ``modes`` order, mode-major
+    (k a multi-index).  On each axis the nodes obey
+
+        2 sin(k pi p/(P+1)) sin(l pi p/(P+1))
+            = cos((k-l) pi p/(P+1)) - cos((k+l) pi p/(P+1)),
+
+    so with C the cosine transform of the sampled V'', C[m] =
+    sum_p V''(x_p) cos(m pi p/(P+1)) / (P+1) on each axis (a product of
+    cached (2K+1, P) cosine rows), W is Toeplitz-minus-Hankel per axis:
+
+        W[k, l] = C[|k-l|] - C[k+l]                                (1-D)
+        W[(k1,k2),(l1,l2)] = C[|k1-l1|,|k2-l2|] - C[k1+l1,|k2-l2|]
+                             - C[|k1-l1|,k2+l2] + C[k1+l1,k2+l2]  (2-D)
+
+    per component pair (i, j); indices reach k + l <= 2K < P + 1.
+    """
+
+    def __init__(self, lengths, K, P, n: int, modes=None):
+        """``modes``: one-based multi-indices, shape (modes, m), in the
+        caller's flat order; the whole box in C order by default."""
+        self.lengths = tuple(float(L) for L in lengths)
+        self.K = tuple(int(k) for k in K)
+        self.P = tuple(int(p) for p in P)
+        self.n = int(n)
+        for axis, (k, p) in enumerate(zip(self.K, self.P)):
+            if p < 2 * k + 1:
+                raise ValueError(f"anti-aliasing rule requires P >= 2K+1 = {2 * k + 1} "
+                                 f"on axis {axis}, got {p}")
+        self.modes = (np.indices(self.K).reshape(len(self.K), -1).T + 1 if modes is None
+                      else np.asarray(modes))
+
+    def synthesize(self, box: np.ndarray) -> np.ndarray:
+        """Grid values, shape P + rest, of a coefficient box of shape K + rest."""
+        values = box
+        for axis, (L, P) in enumerate(zip(self.lengths, self.P)):
+            pad = np.zeros(values.shape[:axis] + (P,) + values.shape[axis + 1:])
+            pad[(slice(None),) * axis + (slice(0, values.shape[axis]),)] = values
+            values = 0.5 * math.sqrt(2.0 / L) * dst(pad, type=1, axis=axis)
+        return values
+
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Coefficient box, shape K + rest, of grid values of shape P + rest."""
+        box = values
+        for axis, (L, P, K) in enumerate(zip(self.lengths, self.P, self.K)):
+            box = dst(box, type=1, axis=axis) * (math.sqrt(2.0 * L) / (2.0 * (P + 1)))
+            box = box[(slice(None),) * axis + (slice(0, K),)]
+        return box
+
+    def curvature(self, H: np.ndarray) -> np.ndarray:
+        """The (D, D) matrix W, D = n * len(modes), of V'' samples H of
+        shape P + (n, n); a fresh array on every call."""
+        n, m = self.n, len(self.P)
+        H = 0.5 * (H + np.swapaxes(H, -1, -2))
+        C = H.transpose((m, m + 1) + tuple(range(m))).reshape((n * n,) + self.P)
+        cos = self._cosines
+        pair, toeplitz, hankel = self._gather
+        if m == 1:
+            C = C @ cos[0].T
+        else:
+            C = cos[0] @ C @ cos[1].T
+            C = C[:, pair[0]] - C[:, pair[1]]
+        C = C.ravel()
+        W = C[toeplitz]
+        W -= C[hankel]
+        return W
+
+    @cached_property
+    def _cosines(self) -> list[np.ndarray]:
+        """Per axis, cos(m pi p/(P+1)) / (P+1) for m = 0..2K and p = 1..P."""
+        return [np.cos(np.outer(np.arange(2 * K + 1), np.arange(1, P + 1)) * (math.pi / (P + 1)))
+                / (P + 1) for K, P in zip(self.K, self.P)]
+
+    @cached_property
+    def _gather(self):
+        """Index arrays of the identity into C, whose layout is (n n,) + (2K+1 per axis).
+
+        In 2-D, ``pair`` holds (K1, K1) arrays of |k1-l1| and k1+l1; they
+        pick the first axis of C and leave E[i n + j, k1-1, l1-1, m2].  In
+        1-D it is None.  ``toeplitz`` and ``hankel`` hold the flat (D, D)
+        positions of m = |k-l| and m = k+l on the last axis, in C (1-D) or
+        E (2-D), for W[a, b] with a = (k, i) and b = (l, j).
+        """
+        n = self.n
+        k = np.repeat(self.modes, n, axis=0)
+        i = np.tile(np.arange(n), len(self.modes))
+        base = i[:, None] * n + i[None, :]
+        pair = None
+        if len(self.K) == 2:
+            k1 = np.arange(1, self.K[0] + 1)
+            pair = (np.abs(k1[:, None] - k1[None, :]), k1[:, None] + k1[None, :])
+            rows = k[:, 0] - 1
+            base = (base * self.K[0] + rows[:, None]) * self.K[0] + rows[None, :]
+        base = base * (2 * self.K[-1] + 1)
+        last = k[:, -1]
+        return (pair, base + np.abs(last[:, None] - last[None, :]),
+                base + last[:, None] + last[None, :])
 
 
 def project_head(c: SinePath, N: int) -> SinePath:

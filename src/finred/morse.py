@@ -18,10 +18,10 @@ Because Y' = A(t) Y is linear, each step is one 2n x 2n transfer matrix
 built from V'' at the step's start, midpoint and end; all of them are
 built in one batched pass and applied in sequence.  The RK4 half-grid
 t_j = j T / (2 steps) is the DST-I grid with P + 1 = 2 steps, so the path
-is sampled there by one transform, with modes above P folded onto their
-aliases (exact at the nodes).  Conjugate times are then refined by a
-fixed 40-step bisection and counted by the rank drop of J (singular values
-below JACOBI_RANK_TOL max ||J||).
+is sampled there by one transform (on a grid r times finer when the path
+has M >= steps modes).  Conjugate times are then refined by a fixed
+40-step bisection and counted by the rank drop of J (singular values below
+JACOBI_RANK_TOL max ||J||).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import schur_matrix
-from .fourier import BoundaryProblem, SinePath, synthesize_coeffs
+from .fourier import BoundaryProblem, SineGrid, SinePath
 from .functional import HessianBlocks
 
 __all__ = ["IndexReport", "reduced_hessian", "index_schur", "index_full", "index_jacobi"]
@@ -83,9 +83,9 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
     h = T / steps is multiplication by a fixed 2n x 2n matrix (see
     ``_step_matrices``).  All ``steps`` matrices are built at once from V''
     on the RK4 half-grid t_j = j T / (2 steps); that grid is the DST-I grid
-    with P + 1 = 2 steps, so the path is sampled by one transform, with
-    modes above P folded onto their aliases.  The matrices are applied in
-    sequence from Y(0) = [0; I], and det J is taken at every node at once.
+    with P + 1 = 2 steps, so the path is sampled by one transform (see
+    ``_half_grid_path``).  The matrices are applied in sequence from
+    Y(0) = [0; I], and det J is taken at every node at once.
 
     Zeros of det J in (0, T) are located from sign changes plus near-zero
     dips of |det J| (parabola vertex below 1e-6 max |det J|), refined by
@@ -153,23 +153,14 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
 def _half_grid_path(bp: BoundaryProblem, c: SinePath, steps: int) -> np.ndarray:
     """Path at t_j = j T / (2 steps), j = 0..2 steps, shape (2 steps + 1, n).
 
-    The interior nodes are the DST-I grid with P = 2 steps - 1.  There,
-    sin(k pi t_j / T) repeats with period 2(P+1) in k, and mode
-    2(P+1) - k equals minus mode k; modes 0 and P+1 vanish.  Folding every
-    mode onto its alias in 1..P is exact at the nodes, so one transform
-    serves any number of modes M.
+    The interior nodes are every r-th node of the DST-I grid with
+    P + 1 = 2 r steps, where r is the least factor whose grid holds the M
+    modes (P >= 2M + 1); r = 1, the half-grid itself, unless M >= steps.
     """
-    P = 2 * steps - 1
-    period = 2 * (P + 1)
-    k = np.arange(1, c.M + 1) % period
-    mirrored = k > P + 1
-    k = np.where(mirrored, period - k, k)
-    sign = np.where(mirrored, -1.0, 1.0)
-    keep = (k != 0) & (k != P + 1)
-    folded = np.zeros((P, c.n))
-    np.add.at(folded, k[keep] - 1, sign[keep, None] * c.coeffs[keep])
+    r = -(-(c.M + 1) // steps)
+    P = 2 * r * steps - 1
     path = bp.drift(np.linspace(0.0, bp.T, 2 * steps + 1))
-    path[1:-1] += synthesize_coeffs(folded, P, c.T)
+    path[1:-1] += SineGrid((c.T,), (c.M,), (P,), c.n).synthesize(c.coeffs)[r - 1::r]
     return path
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from finred import (BoundaryProblem, RectangleDomain, builtin_potential,
                     dirichlet_plan, enumerate_modes, make_plan, parse_potential,
                     solve_dirichlet, solve_reduced, weyl_estimate)
+from finred.core import MechanicalSystem
 from finred.dirichlet import (DirichletField, DirichletSystem, EigenMode, blocks_at,
                               index_full, index_schur, mode_eigenvalue)
 from finred.reduction import UncertifiedPotentialError
@@ -321,6 +322,28 @@ def test_mechanical_and_dirichlet_agree_on_linear_source():
     mech_vals = mech.path.evaluate(xs)[:, 0]
     diri_vals = diri.field.evaluate(xs[:, None])
     assert np.max(np.abs(mech_vals - diri_vals)) < 1e-8
+
+
+@pytest.mark.parametrize("family", ["pendulum", "harmonic", "parsed"])
+@pytest.mark.parametrize("T", [1.3, 3 * math.pi, 7.5])
+def test_one_dimensional_systems_agree(family, T):
+    # a 1-D Dirichlet system on (0, T) and the mechanical system with zero
+    # endpoints on the same grid are one Galerkin system
+    pot = curvature_potential(family, 4.0)
+    dom = RectangleDomain((T,))
+    diri = DirichletSystem(dom, pot, dirichlet_plan(dom, pot))
+    mech = MechanicalSystem(BoundaryProblem(pot, T, [0.0], [0.0]), diri.kbox[0])
+    assert mech.P == diri.P[0]
+    assert np.array_equal(mech.eigenvalues, diri.eigenvalues)
+    rng = np.random.default_rng(int(T * 100))
+    for _ in range(3):
+        # smooth fields, c_k ~ 1/k^2: on rough ones (c_k ~ 1/k) the Dirichlet
+        # action rule, 8 Gauss panels against 16, is off by up to 1e-11
+        c = rng.normal(size=len(diri.modes)) / np.arange(1, len(diri.modes) + 1) ** 2
+        assert np.array_equal(mech.residual(c), diri.residual(c))
+        assert np.array_equal(mech.curvature_matrix(c), diri.curvature_matrix(c))
+        assert np.array_equal(mech.hessian_matrix(c), diri.hessian_matrix(c))
+        assert mech.action(c) == pytest.approx(diri.action(c), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -167,3 +167,37 @@ def test_mode_eigenvalues():
     T = 2.0
     eig = mode_eigenvalues(T, 3)
     assert np.allclose(eig, [(np.pi / 2) ** 2, np.pi**2, (3 * np.pi / 2) ** 2])
+
+
+# ---------------------------------------------------------------------------
+# what the benchmark's tracer relies on: per-class methods and one DST binding
+
+def test_dst_binding_and_per_class_methods(monkeypatch):
+    import scipy.fft
+
+    from finred import RectangleDomain, dirichlet_plan, fourier
+    from finred.core import MechanicalSystem
+    from finred.dirichlet import DirichletSystem
+
+    for cls in (MechanicalSystem, DirichletSystem):
+        for name in ("nonlinear_coeffs", "curvature_matrix", "action"):
+            assert name in vars(cls), (cls.__name__, name)
+    assert fourier.dst is scipy.fft.dst
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return scipy.fft.dst(*args, **kwargs)
+
+    monkeypatch.setattr(fourier, "dst", counting)
+    pend = builtin_potential("pendulum", (2.0,), dim=1)
+    bp = BoundaryProblem(pend, 2.0, [0.1], [0.7])
+    systems = [(MechanicalSystem(bp, 9), 2)]
+    for lengths in ((1.3,), (1.0, 0.7)):
+        dom = RectangleDomain(lengths)
+        systems.append((DirichletSystem(dom, pend, dirichlet_plan(dom, pend)), 2 * dom.m))
+    for system, expected in systems:
+        calls.clear()
+        system.residual(np.full(len(system.eigenvalues), 0.1))
+        assert len(calls) == expected

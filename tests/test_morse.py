@@ -241,7 +241,7 @@ def test_transfer_matrices_match_stepwise_rk4(n, steps, T, data):
 
 @pytest.mark.parametrize("M", [3, 15, 16, 17, 32, 40, 100])
 def test_half_grid_samples_fold_aliased_modes(rng, M):
-    # steps = 8: P = 15 interior nodes, so M > 15 exercises the fold
+    # steps = 8: P = 15 interior nodes, so M >= 8 samples on a finer grid
     steps, T = 8, 2.5
     pot = builtin_potential("harmonic", (1.0, 2.0))
     bp = BoundaryProblem(pot, T, [0.3, -0.2], [1.0, 0.5])
