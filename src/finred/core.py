@@ -8,17 +8,28 @@ The surface is
 
     eigenvalues          flat diagonal stiffness, head block first
     n                    components per mode (1 for Dirichlet fields)
-    residual(c)          eigenvalues * c - nonlinear_coeffs(c)
+    vprime(c)            nonlinear_coeffs(c), the coefficients of V'
+    residual(c)          eigenvalues * c - vprime(c)
     hessian_matrix(c)    diag(eigenvalues) - curvature_matrix(c)
     action(c)            value of the functional
     refined()            the same problem at a finer truncation
     embed(c)             the path or field that c stands for
 
 and both MechanicalSystem and dirichlet.DirichletSystem provide it (the
-first two through GalerkinSystem), so one solve loop
+three evaluations through GalerkinSystem), so one solve loop
 (reduction.solve_system) serves both problem kinds.  Their grid
 transforms and curvature matrices come from one engine, fourier.SineGrid:
 a path is its one-axis case with n components.
+
+Each system keeps a one-entry memo of the last state it evaluated: a
+private read-only copy of c, its grid values, the coefficients of V'
+(``vprime``) and the residual.  A call at a c with the same bit pattern
+(so -0.0 is not 0.0, and a NaN matches itself) reuses them, so a repeated
+``residual(c)`` does no work and ``hessian_matrix(c)`` after
+``residual(c)`` synthesizes no grid values.  The arrays the memo hands out
+are read-only and stay valid after the memo moves on; ``nonlinear_coeffs``
+and ``curvature_matrix`` are the real work, done once per state.  One
+state per system, so a system is not for concurrent use.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .fourier import (BoundaryProblem, SineGrid, SinePath, affine_coeffs, grid_p
 log = logging.getLogger(__name__)
 
 GAUSS_NODES_PER_PANEL = 8
+GAUSS_MIN_PANELS = 16
 
 
 class TruncationError(RuntimeError):
@@ -65,12 +77,58 @@ class ReducedResult:
     seed_index: int = -1  # position in the multistart list; set by solve_system
 
 
+class _State:
+    """The memo entry: a read-only copy of one c, keyed by its bit pattern,
+    and what has been derived from it so far."""
+
+    __slots__ = ("key", "c", "values", "vprime", "residual")
+
+    def __init__(self, c: np.ndarray):
+        self.key = c.tobytes()
+        self.c = np.frombuffer(self.key).reshape(c.shape)  # read-only, as bytes are
+        self.values = self.vprime = self.residual = None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class GalerkinSystem:
     """``residual`` and ``hessian_matrix`` of the system surface, from a
-    subclass's ``eigenvalues``, ``nonlinear_coeffs`` and ``curvature_matrix``."""
+    subclass's ``eigenvalues``, ``nonlinear_coeffs`` and ``curvature_matrix``,
+    through the one-entry state memo; ``_synthesize(c)`` gives the grid
+    values that V' and V'' are sampled at."""
+
+    _memo: _State | None = None
+
+    def _state(self, c) -> _State:
+        c = np.asarray(c, dtype=float)
+        memo = self._memo
+        if memo is None or memo.c.shape != c.shape or memo.key != c.tobytes():
+            memo = self._memo = _State(c)
+        return memo
+
+    def grid_values(self, c: np.ndarray) -> np.ndarray:
+        """Grid values at c, read-only, synthesized once per state."""
+        state = self._state(c)
+        if state.values is None:
+            state.values = _read_only(self._synthesize(state.c))
+        return state.values
+
+    def vprime(self, c: np.ndarray) -> np.ndarray:
+        """``nonlinear_coeffs(c)``, read-only, evaluated once per state."""
+        state = self._state(c)
+        if state.vprime is None:
+            state.vprime = _read_only(self.nonlinear_coeffs(state.c))
+        return state.vprime
 
     def residual(self, c: np.ndarray) -> np.ndarray:
-        return self.eigenvalues * c - self.nonlinear_coeffs(c)
+        """eigenvalues * c - vprime(c), read-only, evaluated once per state."""
+        state = self._state(c)
+        if state.residual is None:
+            state.residual = _read_only(self.eigenvalues * state.c - self.vprime(state.c))
+        return state.residual
 
     def hessian_matrix(self, c: np.ndarray) -> np.ndarray:
         K = self.curvature_matrix(c)  # a fresh array, so negated in place
@@ -123,9 +181,11 @@ class MechanicalSystem(GalerkinSystem):
     def path_values(self, c: np.ndarray) -> np.ndarray:
         return self.drift_values + self.sample(c)
 
+    _synthesize = path_values
+
     def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Sine coefficients of t -> V'(path(t)), affine part handled exactly."""
-        F = self.bp.potential.grad(self.path_values(c))  # (P, n)
+        F = self.bp.potential.grad(self.grid_values(c))  # (P, n)
         g = self.grid.analyze(F - self._affine_values) + self._affine_coeffs
         return self.flatten(g)
 
@@ -135,12 +195,12 @@ class MechanicalSystem(GalerkinSystem):
         D = self.M * self.n
         if self.bp.potential.is_linear():
             return np.zeros((D, D))
-        return self.grid.curvature(self.bp.potential.hess(self.path_values(c)))
+        return self.grid.curvature(self.bp.potential.hess(self.grid_values(c)))
 
     # -- action ----------------------------------------------------------------
     @cached_property
     def _gauss(self):
-        return gauss_sine_rule(self.T, self.M, min_panels=16)
+        return gauss_sine_rule(self.T, self.M)
 
     def action(self, c: np.ndarray) -> float:
         """Kinetic part exact in coefficients; potential part by composite Gauss."""
@@ -152,10 +212,11 @@ class MechanicalSystem(GalerkinSystem):
         return kinetic - potential
 
 
-def gauss_sine_rule(L: float, K: int, min_panels: int):
+def gauss_sine_rule(L: float, K: int):
     """Composite Gauss nodes and weights on [0, L], and the first K
-    orthonormal sine modes at the nodes (one panel per three modes)."""
-    panels = max(min_panels, int(np.ceil(K / 3)))
+    orthonormal sine modes at the nodes (one panel per three modes, at
+    least GAUSS_MIN_PANELS); the action rule of both problem kinds."""
+    panels = max(GAUSS_MIN_PANELS, int(np.ceil(K / 3)))
     x, w = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_PANEL)
     edges = np.linspace(0.0, L, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -219,8 +280,8 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
             stats.converged = True
             return v, stats
         stats.iterations += 1
+        g = system.vprime(c)  # held here: the trial step below moves the memo on
         if method == "picard":
-            g = system.nonlinear_coeffs(c)
             v_new = g[head_dim:] / eig_tail
             stats.increments.append(tail_h1_norm(system, v_new - v, head_dim))
             v = v_new
@@ -237,7 +298,6 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
             continue
         # contraction step is always safe
         stats.fallbacks += 1
-        g = system.nonlinear_coeffs(c)
         v = g[head_dim:] / eig_tail
     # cap exceeded: report best effort
     c = np.concatenate([u, v])

@@ -273,6 +273,7 @@ class DirichletSystem(GalerkinSystem):
         # flat scatter/gather between the mode list and the coefficient box
         self._box_index = np.ravel_multi_index(tuple((k - 1).T), tuple(self.kbox))
         self._const_coeffs = self._constant_coeffs(k)
+        self._v0 = float(pot.grad(np.zeros(1))[0])  # V'(0), the boundary value
 
     def _constant_coeffs(self, k: np.ndarray) -> np.ndarray:
         """Exact coefficients of the constant 1: a product of 1-D ones per axis."""
@@ -300,12 +301,13 @@ class DirichletSystem(GalerkinSystem):
         """Field values on the tensor grid, shape self.P."""
         return self.grid.synthesize(self._scatter(c))
 
+    _synthesize = sample
+
     def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Coefficients of V'(phi); the constant boundary part added exactly."""
-        F = self.pot.grad(self.sample(c)[..., None])[..., 0]
-        v0 = float(self.pot.grad(np.zeros(1))[0])
-        return (self.grid.analyze(F - v0).reshape(-1)[self._box_index]
-                + v0 * self._const_coeffs)
+        F = self.pot.grad(self.grid_values(c)[..., None])[..., 0]
+        return (self.grid.analyze(F - self._v0).reshape(-1)[self._box_index]
+                + self._v0 * self._const_coeffs)
 
     def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
         """W[a, b] = grid quadrature of V''(phi) phi_a phi_b, Toeplitz-minus-Hankel
@@ -313,12 +315,12 @@ class DirichletSystem(GalerkinSystem):
         Dn = len(self.modes)
         if self.pot.is_linear():
             return np.zeros((Dn, Dn))
-        return self.grid.curvature(self.pot.hess(self.sample(c)[..., None]))
+        return self.grid.curvature(self.pot.hess(self.grid_values(c)[..., None]))
 
     # -- action -------------------------------------------------------------------
     @cached_property
     def _gauss(self):
-        return [gauss_sine_rule(L, K, min_panels=8) for L, K in zip(self.dom.lengths, self.kbox)]
+        return [gauss_sine_rule(L, K) for L, K in zip(self.dom.lengths, self.kbox)]
 
     def action(self, c: np.ndarray) -> float:
         """1/2 sum lambda c^2 minus the Gauss-quadrature integral of V(phi)."""

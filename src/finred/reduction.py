@@ -224,7 +224,7 @@ def reduced_gradient(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
             f"tail solve did not reach tolerance {plan.tail_tol} "
             f"(best residual {stats.residuals[-1]:.3e})")
     r = system.residual(np.concatenate([u, v]))
-    return r[:head_dim]
+    return r[:head_dim].copy()  # the residual is the memo's, read-only
 
 
 def reduced_hessian_matrix(bp: BoundaryProblem, plan: ReductionPlan,

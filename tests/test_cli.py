@@ -93,6 +93,25 @@ directory = {out}
 """
 
 
+DIRICHLET_2D_CFG = """
+[problem]
+kind = dirichlet
+
+[potential]
+expr = -30*cos(q1)
+c_bound = 30
+
+[geometry]
+lengths = 1.0, 1.3
+
+[multistart]
+count = 4
+
+[output]
+directory = {out}
+"""
+
+
 # the curvature bound 0.5 is wrong: V'' reaches 5, so the tail block is indefinite
 WRONG_BOUND_CFG = """
 [problem]
@@ -274,8 +293,11 @@ def test_field_csv_bytes_match_the_formatting_loop(lengths):
         assert _field_csv(sol, points) == field_csv_reference(sol, points)
 
 
-def test_solve_deterministic_bytes(tmp_path):
-    cfg, out = write_cfg(tmp_path, PENDULUM_CFG)
+@pytest.mark.parametrize("template", [PENDULUM_CFG, DIRICHLET_2D_CFG],
+                         ids=["mechanical", "dirichlet-2d"])
+def test_solve_deterministic_bytes(tmp_path, template):
+    # two solves in one process: nothing carried between them changes a byte
+    cfg, out = write_cfg(tmp_path, template)
     assert main(["solve", "--config", str(cfg)]) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(["solve", "--config", str(cfg)]) == 0

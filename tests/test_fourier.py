@@ -198,6 +198,15 @@ def test_dst_binding_and_per_class_methods(monkeypatch):
         dom = RectangleDomain(lengths)
         systems.append((DirichletSystem(dom, pend, dirichlet_plan(dom, pend)), 2 * dom.m))
     for system, expected in systems:
+        c = np.full(len(system.eigenvalues), 0.1)
         calls.clear()
-        system.residual(np.full(len(system.eigenvalues), 0.1))
+        system.residual(c)
         assert len(calls) == expected
+        # the state memo: the same state again costs no transform, and the
+        # Hessian there reuses the residual's grid values
+        system.residual(c.copy())
+        system.hessian_matrix(c)
+        assert len(calls) == expected
+        # at a new state the Hessian synthesizes once: one transform per axis
+        system.hessian_matrix(c + 0.1)
+        assert len(calls) == expected + expected // 2

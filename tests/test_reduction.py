@@ -516,3 +516,96 @@ def test_refined_systems():
     field = fine.embed(c)
     assert isinstance(field, DirichletField) and field.modes == fine.modes
     assert np.array_equal(field.coeffs, c)
+
+
+# ---------------------------------------------------------------------------
+# the one-entry state memo
+
+def memo_system(kind):
+    """A fresh system: mechanical with n = 2 and a drift, or Dirichlet in 2-D."""
+    if kind == "mechanical":
+        pot = builtin_potential("coupled_pendula", (1.5, 0.5), dim=2)
+        return MechanicalSystem(BoundaryProblem(pot, 4.0, [0.2, -0.3], [0.9, 0.4]), 12)
+    dom = RectangleDomain((1.0, 1.3))
+    pot = builtin_potential("pendulum", (30.0,), dim=1)
+    return DirichletSystem(dom, pot, dirichlet_plan(dom, pot))
+
+
+def evaluated(system, c):
+    """Bit patterns of everything the memo serves at c, then the Hessian."""
+    return [a.tobytes() for a in (system.grid_values(c), system.vprime(c),
+                                  system.residual(c), system.hessian_matrix(c))]
+
+
+@pytest.mark.parametrize("kind", ["mechanical", "dirichlet"])
+def test_state_memo_is_bitwise_a_fresh_system(kind):
+    system = memo_system(kind)
+    D = len(system.eigenvalues)
+    rng = np.random.default_rng(17)
+    c1, c2 = (rng.normal(size=D) / np.arange(1, D + 1) for _ in range(2))
+
+    def fresh(c):
+        return evaluated(memo_system(kind), c)
+
+    # the memo keeps its own copy of c: a caller mutating its array after a
+    # call changes neither what is derived later at the old state nor the
+    # arrays handed out before
+    c = c1.copy()
+    values = system.grid_values(c)  # the state holds its grid values only
+    c[:] = c2
+    assert evaluated(system, c1) == fresh(c1)
+    assert evaluated(system, c) == fresh(c2)
+    assert values.tobytes() == fresh(c1)[0]
+    for c in (c1, c2, c1, c1):  # alternate two states, then repeat one
+        assert evaluated(system, c) == fresh(c)
+    # keys are bit patterns: -0.0 is a state of its own, and a NaN matches itself
+    zero = np.zeros(D)
+    for c in (zero, -zero, zero):
+        assert evaluated(system, c) == fresh(c)
+    if kind == "dirichlet":  # V'(0) = 0, so the sign of zero reaches the residual
+        assert fresh(-zero)[2] != fresh(zero)[2]
+    nan = c1.copy()
+    nan[[0, D // 2]] = np.nan
+    assert evaluated(system, nan) == fresh(nan)
+    assert system.residual(nan) is system.residual(nan.copy())
+    for a in (system.grid_values(c1), system.vprime(c1), system.residual(c1)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def count_states(system):
+    """Record the bit pattern of every state that nonlinear_coeffs evaluates."""
+    states = []
+    nonlinear = system.nonlinear_coeffs
+
+    def counting(c):
+        states.append(np.asarray(c, dtype=float).tobytes())
+        return nonlinear(c)
+
+    system.nonlinear_coeffs = counting
+    return states
+
+
+def test_newton_and_picard_evaluate_each_state_once():
+    from finred import core
+
+    dom = RectangleDomain((1.0, 1.0))
+    pot = parse_potential("-56.49*cos(q1)", 1, c_bound=56.49)
+    plan = dirichlet_plan(dom, pot)
+    system = DirichletSystem(dom, pot, plan)
+    states = count_states(system)
+    u0 = core.draw_seeds(plan.N, 8, 2.0, 0)[4]
+    res = core.reduced_newton(system, plan.N, u0, head_tol=plan.head_tol,
+                              tail_tol=plan.tail_tol)
+    assert res.converged and res.iterations >= 5
+    assert len(states) > res.tail_iterations and len(set(states)) == len(states)
+
+    bp = BoundaryProblem(builtin_potential("pendulum", (2.0,)), 6.0, [0.0], [1.0])
+    plan = make_plan(bp)
+    system = MechanicalSystem(bp, plan.M, plan.quad_points)
+    states = count_states(system)
+    u = np.linspace(-0.5, 0.5, plan.N)
+    v, stats = core.solve_tail(system, plan.N, u, tol=plan.tail_tol, method="picard")
+    assert stats.converged and stats.iterations > 10
+    # one state per iteration plus the converged one, each evaluated once
+    assert len(states) == len(stats.residuals) == len(set(states))
