@@ -30,11 +30,30 @@ private read-only copy of c, its grid values, the coefficients of V'
 are read-only and stay valid after the memo moves on; ``nonlinear_coeffs``
 and ``curvature_matrix`` are the real work, done once per state.  One
 state per system, so a system is not for concurrent use.
+
+Certified early rejection.  The line search of ``reduced_newton`` solves
+the tail at every trial head, only to compare the head residual with the
+current one, hnorm.  Let C bound the spectral norm of V'' and lam_t be the
+lowest tail eigenvalue, mu = 1 - C/lam_t > 0.  With P >= K grid points
+per axis synthesis is an isometry and analysis a contraction of the
+coefficient L2 norm, so |vprime(c) - vprime(c')|_2 <= C |c - c'|_2.  Hence
+(1) the tail operator F(v) = eig_t v - vprime_t(u, v) is strongly monotone
+in H1: <F(v) - F(w), v - w> >= |v - w|_H1^2 - C |v - w|_2^2
+>= mu |v - w|_H1^2, so |v - v*|_H1 <= res(v) / mu with res the dual norm
+``tail_residual_norm`` and v* the exact tail; and (2) the head residual
+moves by |r_h(v) - r_h(v*)| <= C |v - v*|_2 <= C |v - v*|_H1 / sqrt(lam_t).
+Together, | |r_h(v)| - |r_h(v*)| | <= kappa res(v), kappa = C/(mu sqrt(lam_t))
+(``rejection_slope``).  A converged full tail solve stops at some v_f with
+res(v_f) <= tol, so |r_h(v_f)| >= |r_h(v)| - kappa (res(v) + tol): once
+that reaches hnorm at any iterate v, the trial would be rejected after the
+full solve too, and ``solve_tail(reject=(hnorm, kappa))`` stops there.
+So the screen changes no iterate, only the tail work, unless a full solve
+would have run out of iterations short of tol.  It needs a certified C
+(``reduction.solve_system`` passes one only for certified plans).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,8 +62,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .fourier import (BoundaryProblem, SineGrid, SinePath, affine_coeffs, grid_points,
                       mode_eigenvalues)
-
-log = logging.getLogger(__name__)
 
 GAUSS_NODES_PER_PANEL = 8
 GAUSS_MIN_PANELS = 16
@@ -60,6 +77,7 @@ class TailStats:
     iterations: int = 0
     fallbacks: int = 0
     converged: bool = False
+    rejected: bool = False  # stopped by the certified rejection test
     residuals: list = field(default_factory=list)
     increments: list = field(default_factory=list)  # H1 sizes of Picard steps
 
@@ -75,6 +93,8 @@ class ReducedResult:
     head_history: list
     tail_iterations: int
     seed_index: int = -1  # position in the multistart list; set by solve_system
+    rejected_trials: int = 0  # line-search trials stopped by the tail certificate
+    tail_fallbacks: int = 0  # Picard fallbacks of the tail Newton solves
 
 
 class _State:
@@ -133,7 +153,7 @@ class GalerkinSystem:
     def hessian_matrix(self, c: np.ndarray) -> np.ndarray:
         K = self.curvature_matrix(c)  # a fresh array, so negated in place
         np.negative(K, out=K)
-        K[np.diag_indices_from(K)] += self.eigenvalues
+        K.flat[::K.shape[0] + 1] += self.eigenvalues  # the diagonal, strided
         return K
 
 
@@ -250,13 +270,20 @@ def tail_h1_norm(system, v: np.ndarray, head_dim: int) -> float:
 
 def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = None,
                tol: float = 1e-10, method: str = "newton",
-               max_newton: int = 50, max_picard: int = 5000) -> tuple[np.ndarray, TailStats]:
+               max_newton: int = 50, max_picard: int = 5000,
+               reject: tuple[float, float] | None = None) -> tuple[np.ndarray, TailStats]:
     """Solve the tail stationarity equations at frozen head u.
 
     ``picard`` iterates the contraction v <- g_tail / eig_tail (guaranteed
     rate 1 - mu); ``newton`` uses the tail curvature block as Jacobian and
     falls back to a Picard step whenever a Newton step fails to decrease
     the residual.  Starts from v0 = 0 unless a warm start is given.
+
+    ``reject=(hnorm, kappa)`` screens a line-search trial: the solve stops
+    early, with ``stats.rejected``, at the first unconverged iterate where
+    |r_head| - kappa (res + tol) >= hnorm, which certifies that the head
+    residual after a full solve would not fall below hnorm (see
+    ``rejection_slope``).
     """
     if method not in ("newton", "picard"):
         raise ValueError(f"unknown tail method {method!r}")
@@ -279,6 +306,11 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
         if res <= tol:
             stats.converged = True
             return v, stats
+        if reject is not None:
+            hnorm, kappa = reject
+            if head_residual_norm(r, head_dim) - kappa * (res + tol) >= hnorm:
+                stats.rejected = True
+                return v, stats
         stats.iterations += 1
         g = system.vprime(c)  # held here: the trial step below moves the memo on
         if method == "picard":
@@ -329,54 +361,82 @@ def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def rejection_slope(system, head_dim: int, c_bound: float) -> float | None:
+    """kappa = C / (mu sqrt(lam_t)), the certified rate at which |r_head| can
+    move per unit of tail residual: | |r_head(v)| - |r_head(v*)| | <= kappa res(v).
+    None when there is no tail or C does not make the tail monotone."""
+    eig_tail = system.eigenvalues[head_dim:]
+    if eig_tail.size == 0:
+        return None
+    lam_t = float(np.min(eig_tail))
+    mu = 1.0 - c_bound / lam_t
+    if not mu > 0.0:
+        return None
+    return c_bound / (mu * np.sqrt(lam_t))
+
+
 def reduced_newton(system, head_dim: int, u0: np.ndarray,
                    head_tol: float = 1e-9, tail_tol: float = 1e-10,
                    tail_method: str = "newton", max_iter: int = 60,
-                   max_halvings: int = 30) -> ReducedResult:
-    """Damped Newton on the reduced gradient, Jacobian = Schur complement."""
+                   max_halvings: int = 30, c_bound: float | None = None) -> ReducedResult:
+    """Damped Newton on the reduced gradient, Jacobian = Schur complement.
+
+    With a certified curvature bound ``c_bound`` the line search stops the
+    tail solve of a trial as soon as the rejection test of ``solve_tail``
+    proves the trial will be rejected; iterates, roots and histories are
+    the same as without it, only tail iterations are saved.
+    """
+    kappa = None if c_bound is None else rejection_slope(system, head_dim, c_bound)
     u = np.array(u0, dtype=float)
     v = None
     history = []
-    tail_total = 0
+    tail_total = fallbacks = rejected = 0
     hnorm = np.inf
     tstats = TailStats(method=tail_method, converged=True)
     for it in range(max_iter + 1):
         v, tstats = solve_tail(system, head_dim, u, v0=v, tol=tail_tol, method=tail_method)
         tail_total += tstats.iterations
+        fallbacks += tstats.fallbacks
         c = np.concatenate([u, v])
         r = system.residual(c)
         hnorm = head_residual_norm(r, head_dim)
         history.append(hnorm)
         if hnorm <= head_tol and tstats.converged:
             return ReducedResult(u, v, True, it, hnorm,
-                                 tail_residual_norm(system, r, head_dim), history, tail_total)
+                                 tail_residual_norm(system, r, head_dim), history, tail_total,
+                                 rejected_trials=rejected, tail_fallbacks=fallbacks)
         if it == max_iter or head_dim == 0:
             break
         K = system.hessian_matrix(c)
         S = schur_matrix(K[:head_dim, :head_dim], K[:head_dim, head_dim:],
                          K[head_dim:, head_dim:])
         step = np.linalg.solve(S, r[:head_dim])
+        reject = None if kappa is None else (hnorm, kappa)
         lam = 1.0
         accepted = False
         v_trial = v
         for _ in range(max_halvings + 1):
             u_try = u - lam * step
-            v_try, ts = solve_tail(system, head_dim, u_try, v0=v, tol=tail_tol, method=tail_method)
+            v_try, ts = solve_tail(system, head_dim, u_try, v0=v, tol=tail_tol,
+                                   method=tail_method, reject=reject)
             tail_total += ts.iterations
-            r_try = system.residual(np.concatenate([u_try, v_try]))
-            if head_residual_norm(r_try, head_dim) < hnorm:
+            fallbacks += ts.fallbacks
+            if ts.rejected:
+                rejected += 1
+            elif head_residual_norm(system.residual(np.concatenate([u_try, v_try])),
+                                    head_dim) < hnorm:
                 u, v_trial = u_try, v_try
                 accepted = True
                 break
             lam *= 0.5
         if not accepted:
-            log.debug("reduced Newton stalled at residual %.3e", hnorm)
             break
         v = v_trial
     c = np.concatenate([u, v])
     r = system.residual(c)
     return ReducedResult(u, v, False, len(history) - 1, head_residual_norm(r, head_dim),
-                         tail_residual_norm(system, r, head_dim), history, tail_total)
+                         tail_residual_norm(system, r, head_dim), history, tail_total,
+                         rejected_trials=rejected, tail_fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ that build their system, pick their default radius and call it.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -55,6 +56,9 @@ DEFAULT_MULTISTART_SEED = 0xAC21
 DEFAULT_MULTISTART_COUNT = 64
 DEDUP_TOL = 1e-6
 REFINE_DRIFT_TOL = 1e-7
+ACTION_TIE_RTOL = 1e-10  # actions this close (relative) are ordered by head
+
+log = logging.getLogger(__name__)
 
 
 class UncertifiedPotentialError(ValueError):
@@ -280,9 +284,13 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
     ``refine=True`` each is re-solved on ``system.refined()`` until its
     head moves by at most 1e-7 (at most twice); each refinement level is
     built once per solve and shared by the roots.  Reports (of type
-    ``report``) are sorted by action value, then lexicographic head.  When
-    a list is passed as ``seed_records`` it receives the raw per-seed
-    solve results in seed order (for convergence logging).
+    ``report``) are sorted by action value, then lexicographic head (to
+    DEDUP_TOL) among actions that agree to ACTION_TIE_RTOL
+    (``order_reports``).  With a certified plan the line search screens
+    trials with the tail certificate (``core.solve_tail``); the roots are
+    the same either way.  When a list is passed as ``seed_records`` it
+    receives the raw per-seed solve results in seed order (for
+    convergence logging).
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"multistart radius must be a positive real, got {radius}")
@@ -291,20 +299,48 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
         seeds = core.draw_seeds(head_dim, count, radius, seed)
     else:
         seeds = [np.asarray(s, dtype=float).reshape(head_dim) for s in seeds]
-    newton = dict(head_tol=plan.head_tol, tail_tol=plan.tail_tol, tail_method=method)
+    newton = dict(head_tol=plan.head_tol, tail_tol=plan.tail_tol, tail_method=method,
+                  c_bound=plan.c_bound if plan.certified else None)
     results = []
     for i, u0 in enumerate(seeds):
         res = core.reduced_newton(system, head_dim, u0, **newton)
         res.seed_index = i
         results.append(res)
+        if not res.converged:
+            log.debug("seed %d stopped unconverged after %d Newton iterations at head "
+                      "residual %.3e: %d line-search trials rejected by the tail "
+                      "certificate, %d tail Picard fallbacks", i, res.iterations,
+                      res.head_residual, res.rejected_trials, res.tail_fallbacks)
     if seed_records is not None:
         seed_records.extend(results)
 
     levels = [system]  # levels[j] is the system refined j times, shared by all roots
     reports = [_root_report(levels, plan, root, newton, refine, with_oracles, report)
                for root in core.dedup_roots(results, tol=DEDUP_TOL)]
-    reports.sort(key=lambda rep: (rep.action, tuple(rep.head)))
-    return reports
+    return order_reports(reports)
+
+
+def order_reports(reports: list) -> list:
+    """Sort by action, then lexicographic head among actions that tie.
+
+    Actions tie when each lies within ACTION_TIE_RTOL (relative to
+    max(|action|, 1)) of the smallest one of its run; heads compare
+    rounded to multiples of DEDUP_TOL, since a mirror root's zero
+    components are solver noise of either sign.  So roots whose actions
+    and heads differ only by noise keep one order, whatever their last
+    digits.
+    """
+    def by_head(run):
+        return sorted(run, key=lambda rep: tuple(np.round(rep.head / DEDUP_TOL)))
+
+    ranked = sorted(reports, key=lambda rep: rep.action)
+    ordered, run = [], []
+    for rep in ranked:
+        if run and rep.action - run[0].action > ACTION_TIE_RTOL * max(abs(run[0].action), 1.0):
+            ordered += by_head(run)
+            run = []
+        run.append(rep)
+    return ordered + by_head(run)
 
 
 def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, refine: bool,

@@ -1,9 +1,15 @@
 """Plan formulas, tail solvers, reduced system, multistart behavior."""
 
+import dataclasses
+import logging
 import math
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import root
 
 from finred import (BoundaryProblem, DirichletField, RectangleDomain,
@@ -11,7 +17,7 @@ from finred import (BoundaryProblem, DirichletField, RectangleDomain,
                     dirichlet_plan, fixed_point_cutoff, gradient, make_plan,
                     parse_potential, project_tail, reduced_gradient, solve_dirichlet,
                     solve_reduced, solve_tail)
-from finred import reduction
+from finred import core, reduction
 from finred.core import MechanicalSystem
 from finred.dirichlet import DirichletSystem
 from finred.fourier import h1_inner, mode_eigenvalues
@@ -609,3 +615,201 @@ def test_newton_and_picard_evaluate_each_state_once():
     assert stats.converged and stats.iterations > 10
     # one state per iteration plus the converged one, each evaluated once
     assert len(states) == len(stats.residuals) == len(set(states))
+
+
+# ---------------------------------------------------------------------------
+# certified early rejection of line-search trials
+
+@cache
+def certificate_system(kind):
+    """(system, head_dim, C) of a certified problem of each kind."""
+    if kind == "pendulum":
+        bp = BoundaryProblem(builtin_potential("pendulum", (2.0,)), 6.0, [0.0], [1.0])
+    elif kind == "chain":
+        pot = builtin_potential("coupled_pendula", (1.0, 0.5), dim=4)
+        bp = BoundaryProblem(pot, 4.0, np.zeros(4), 0.5 * np.array([1, 1 / 3, -1 / 3, -1]))
+    if kind in ("pendulum", "chain"):
+        plan = make_plan(bp)
+        system = MechanicalSystem(bp, plan.M, plan.quad_points)
+    else:
+        dom, expr, C = {"dirichlet-1d": (RectangleDomain((3.0,)), "-20*cos(q1)", 20.0),
+                        "dirichlet-2d": (RectangleDomain((1.0, 1.0)), "-56.49*cos(q1)", 56.49)}[kind]
+        pot = parse_potential(expr, 1, c_bound=C)
+        plan = dirichlet_plan(dom, pot)
+        system = DirichletSystem(dom, pot, plan)
+    assert plan.certified and plan.N > 0
+    return system, plan.N * system.n, plan.c_bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["pendulum", "chain", "dirichlet-1d", "dirichlet-2d"]),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 3.0), near=st.booleans())
+def test_rejection_slope_is_sound(kind, seed, scale, near):
+    """| |r_h(v)| - |r_h(v*)| | <= kappa res(v), and |v - v*|_H1 <= res(v) / mu,
+    up to the residual left in the computed v*.  ``near`` states differ from
+    v* in the lowest tail modes only, where the H1 bound is nearly attained."""
+    system, head_dim, C = certificate_system(kind)
+    eig = system.eigenvalues
+    lam_t = eig[head_dim]
+    kappa = core.rejection_slope(system, head_dim, C)
+    assert kappa == C / ((1.0 - C / lam_t) * math.sqrt(lam_t))
+    rng = np.random.default_rng(seed)
+    u = scale * rng.standard_normal(head_dim)
+
+    def norms(v):
+        r = system.residual(np.concatenate([u, v]))
+        return core.head_residual_norm(r, head_dim), core.tail_residual_norm(system, r, head_dim)
+
+    v_star, stats = core.solve_tail(system, head_dim, u)
+    assert stats.converged
+    if near:
+        v = v_star + scale * np.where(eig[head_dim:] == lam_t,
+                                      rng.standard_normal(len(eig) - head_dim), 0.0)
+    else:
+        v = scale * rng.standard_normal(len(eig) - head_dim) / np.sqrt(eig[head_dim:])
+    (h, res), (h_star, res_star) = norms(v), norms(v_star)
+    slack = 1e-12 * (1.0 + h + h_star)
+    assert abs(h - h_star) <= kappa * (res + res_star) + slack
+    mu = 1.0 - C / lam_t
+    assert core.tail_h1_norm(system, v - v_star, head_dim) <= (res + res_star) / mu + slack
+
+
+def test_tail_rejection_rule_is_exact():
+    """solve_tail stops at the first iterate with |r_h| - kappa (res + tol) >= hnorm,
+    and not before."""
+    system, head_dim, C = certificate_system("dirichlet-2d")
+    kappa = core.rejection_slope(system, head_dim, C)
+    u = np.array([1.5, -0.5, 0.25])
+    v0 = core.solve_tail(system, head_dim, u)[0]
+    v0[0] += 1e-3  # off the tail solution along the lowest tail mode
+    r = system.residual(np.concatenate([u, v0]))
+    edge = (core.head_residual_norm(r, head_dim)
+            - kappa * (core.tail_residual_norm(system, r, head_dim) + 1e-10))
+    full = core.solve_tail(system, head_dim, u, v0=v0)[1]
+    at = core.solve_tail(system, head_dim, u, v0=v0, reject=(edge, kappa))[1]
+    above = core.solve_tail(system, head_dim, u, v0=v0,
+                            reject=(np.nextafter(edge, np.inf), kappa))[1]
+    assert edge > 0 and full.converged and full.iterations >= 1 and not full.rejected
+    assert at.rejected and at.iterations == 0 and not at.converged
+    assert above.iterations >= 1 and above.residuals[0] == full.residuals[0]
+
+
+def stalled_dirichlet():
+    """The g = 56.49 unit-square problem and its multistart draw (seeds 1 and 3 stall)."""
+    dom = RectangleDomain((1.0, 1.0))
+    pot = parse_potential("-56.49*cos(q1)", 1, c_bound=56.49)
+    plan = dirichlet_plan(dom, pot)
+    seeds = core.draw_seeds(plan.N, 4, 2.0, reduction.DEFAULT_MULTISTART_SEED)
+    return dom, pot, plan, seeds
+
+
+def test_certified_rejection_is_bitwise_the_full_line_search():
+    dom, pot, plan, seeds = stalled_dirichlet()
+    system = DirichletSystem(dom, pot, plan)
+    for i in (1, 3):
+        runs = [core.reduced_newton(system, plan.N, seeds[i], head_tol=plan.head_tol,
+                                    tail_tol=plan.tail_tol, c_bound=c_bound)
+                for c_bound in (None, plan.c_bound)]
+        plain, screened = runs
+        assert not plain.converged and plain.rejected_trials == 0
+        assert screened.rejected_trials > 0
+        assert screened.tail_iterations < plain.tail_iterations
+        assert screened.u.tobytes() == plain.u.tobytes()
+        assert screened.v.tobytes() == plain.v.tobytes()
+        fields = ("converged", "iterations", "head_history", "head_residual", "tail_residual")
+        assert [getattr(screened, f) for f in fields] == [getattr(plain, f) for f in fields]
+
+
+def test_reduced_result_sums_tail_fallbacks(monkeypatch):
+    system, head_dim, _ = certificate_system("pendulum")
+    solve_tail_, calls = core.solve_tail, []
+
+    def one_fallback_each(*args, **kwargs):
+        v, stats = solve_tail_(*args, **kwargs)
+        stats.fallbacks += 1
+        calls.append(stats)
+        return v, stats
+
+    monkeypatch.setattr(core, "solve_tail", one_fallback_each)
+    res = core.reduced_newton(system, head_dim, np.full(head_dim, 0.7))
+    assert res.converged and res.iterations >= 2
+    assert res.tail_fallbacks == len(calls) > res.iterations
+
+
+def test_only_certified_plans_screen(monkeypatch, caplog):
+    """solve_system hands c_bound to every Newton solve, refinement included,
+    only for a certified plan; the roots are the same either way."""
+    dom, pot, plan, seeds = stalled_dirichlet()
+    uncertified = dataclasses.replace(pot, c_source="sampled_estimate")
+    calls = []
+    newton = core.reduced_newton
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["c_bound"])
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(core, "reduced_newton", recording)
+    runs = []
+    for p in (pot, uncertified):
+        records = []
+        with caplog.at_level(logging.DEBUG, logger="finred.reduction"):
+            caplog.clear()
+            reports = solve_dirichlet(dom, p, dirichlet_plan(dom, p, allow_uncertified=True),
+                                      seeds, refine=True, seed_records=records)
+        stalled = [r.getMessage() for r in caplog.records if r.name == "finred.reduction"]
+        runs.append((reports, records, stalled, calls[:]))
+        calls.clear()
+    (reports, records, stalled, c_bounds), (reports_u, records_u, stalled_u, c_bounds_u) = runs
+    assert len(c_bounds) > len(seeds)  # refinement solves too
+    assert c_bounds == [plan.c_bound] * len(c_bounds)
+    assert c_bounds_u == [None] * len(c_bounds_u)
+    assert [r.rejected_trials for r in records_u] == [0] * len(seeds)
+    assert records[1].rejected_trials > 0 and records[3].rejected_trials > 0
+    assert [r.u.tobytes() for r in records] == [r.u.tobytes() for r in records_u]
+    assert [(r.action, r.index, r.head.tobytes()) for r in reports] == \
+        [(r.action, r.index, r.head.tobytes()) for r in reports_u]
+    # one debug line per stalled seed, with its counts
+    for lines, recs in ((stalled, records), (stalled_u, records_u)):
+        assert len(lines) == 2
+        for line, i in zip(lines, (1, 3)):
+            assert line.startswith(f"seed {i} stopped unconverged")
+            assert f"{recs[i].rejected_trials} line-search trials rejected" in line
+
+
+def test_report_order_ignores_rounding():
+    base = 12.5
+    for noise in (4e-14, -4e-14):
+        tiny = 3e-17 * np.sign(noise)  # a zero component, as rounding leaves it
+        reps = [SimpleNamespace(action=base * (1 + noise), head=np.array([tiny, 0.3, 0.1])),
+                SimpleNamespace(action=base, head=np.array([-tiny, -0.3, 0.1])),
+                SimpleNamespace(action=base + 1e-6, head=np.array([0.0, -1.0, 0.0])),
+                SimpleNamespace(action=1e-17 * np.sign(noise), head=np.array([0.5, 0.0, 0.0])),
+                SimpleNamespace(action=-1e-17 * np.sign(noise), head=np.array([0.4, 0.0, 0.0]))]
+        ordered = reduction.order_reports(reps)
+        assert [r.head[1:].tolist() for r in ordered] == \
+            [[0.0, 0.0], [0.0, 0.0], [-0.3, 0.1], [0.3, 0.1], [-1.0, 0.0]]
+        assert ordered[0].head[0] == 0.4
+
+
+def test_mirror_roots_are_ordered_by_head():
+    """-51.3 cos(phi) on the unit square has two mirror pairs whose actions
+    and zero head components differ in the last digits only."""
+    dom = RectangleDomain((1.0, 1.0))
+    pot = parse_potential("-51.3*cos(q1)", 1, c_bound=51.3)
+    reports = solve_dirichlet(dom, pot, dirichlet_plan(dom, pot), count=8, refine=False)
+    heads = [np.round(r.head, 6).tolist() for r in reports]
+    assert heads[:4] == [[-1.588766, 0.0, 0.0], [1.588766, 0.0, 0.0],
+                         [0.0, -0.322092, 0.0], [0.0, 0.0, -0.322092]]
+    assert reports[0].action != reports[1].action and reports[2].action != reports[3].action
+    # a plain (action, head) sort orders both pairs by rounding noise
+    plain = sorted(reports, key=lambda rep: (rep.action, tuple(rep.head)))
+    assert [r.seed_index for r in plain] != [r.seed_index for r in reports]
+
+
+@pytest.mark.parametrize("kind", ["chain", "dirichlet-2d"])
+def test_hessian_matrix_adds_the_stiffness_diagonal(kind):
+    system, _, _ = certificate_system(kind)
+    c = np.random.default_rng(3).normal(size=len(system.eigenvalues)) * 0.3
+    expected = -system.curvature_matrix(c)
+    expected[np.diag_indices_from(expected)] += system.eigenvalues
+    assert system.hessian_matrix(c).tobytes() == expected.tobytes()
