@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="path to the config file")
         p.add_argument("--out", help="override [output] directory")
-        p.add_argument("--seeds", type=int, help="override [multistart] count")
+        p.add_argument("--seeds", help="override [multistart] count")
         p.add_argument("--seed", help="override [multistart] seed (accepts hex, e.g. 0xAC21)")
         p.add_argument("--method", choices=("newton", "picard"), help="override tail solver")
 
@@ -309,15 +309,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(Path(args.config).read_text(encoding="utf-8"))
-        if args.out:
-            cfg.directory = args.out
-        if args.seeds:
-            cfg.count = args.seeds
-        if args.seed:
-            cfg.seed = int(args.seed, 0)
-        if args.method:
-            cfg.method = args.method
+        overrides = {("output", "directory"): args.out, ("multistart", "count"): args.seeds,
+                     ("multistart", "seed"): args.seed, ("multistart", "method"): args.method}
+        cfg = load_config(Path(args.config).read_text(encoding="utf-8"),
+                          {key: text for key, text in overrides.items() if text is not None})
 
         if args.command == "plan":
             return cmd_plan(cfg)

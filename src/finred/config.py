@@ -1,10 +1,14 @@
 """Run configuration: a flat, sectioned key=value text format.
 
 Lines are ``[section]`` headers, ``key = value`` pairs, blank lines, or
-comments starting with '#'.  Unknown sections/keys and type errors are
-rejected with line-anchored messages.  After validation every defaulted
-field is filled in, and :func:`render_config` emits the resolved file so
-a run can be reproduced exactly from its echo.
+comments starting with '#'.  ``_SCHEMA`` is the one statement of the
+format: a table from section to key to parser.  Loading is one loop over
+that table, followed by the rules that tie keys together; the echo
+(:func:`render_config`) walks the same table, so a run can be reproduced
+exactly from it.  Overrides (the CLI's ``--out``, ``--seeds``, ...) are
+text for a ``(section, key)`` and go through the same parsers and checks
+as file keys.  Unknown sections/keys, type errors and rule violations
+are rejected with line-anchored messages.
 
 Schema (see README for the full description):
 
@@ -19,7 +23,7 @@ Schema (see README for the full description):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +43,79 @@ class ConfigError(ValueError):
         self.line = line
 
 
+# A parser takes the value text and returns the typed value, or raises
+# ValueError("<rule>, got <value>"); the loader prefixes the key and line.
+
+def typed(convert, rule: str):
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{rule}, got {text!r}") from None
+    return parse
+
+
+def checked(parse, ok, rule: str):
+    def parse_checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"{rule}, got {value}")
+        return value
+    return parse_checked
+
+
+def choice(*options: str):
+    return typed(dict(zip(options, options)).__getitem__,
+                 f"must be {' or '.join(map(repr, options))}")
+
+
+_BOOLEANS = dict.fromkeys(("true", "yes", "1", "on"), True) | \
+    dict.fromkeys(("false", "no", "0", "off"), False)
+
+real = typed(float, "must be a real number")
+integer = typed(lambda text: int(text, 0), "must be an integer")
+boolean = typed(lambda text: _BOOLEANS[text.lower()], "must be true or false")
+vector = typed(lambda text: tuple(map(float, text.split(","))),
+               "must be a comma-separated list of reals")
+positive_real = checked(real, lambda x: math.isfinite(x) and x > 0, "must be a positive real")
+positive_int = checked(integer, lambda n: n >= 1, "must be positive")
+points = checked(integer, lambda n: n >= 2, "must be at least 2")
+
 _SCHEMA = {
-    "problem": ("kind",),
-    "potential": ("builtin", "params", "expr", "c_bound", "dim", "allow_uncertified"),
-    "geometry": ("T", "q0", "qT", "lengths"),
-    "plan": ("N", "M", "quad_points", "lambda_cut", "tail_tol", "head_tol", "refine"),
-    "multistart": ("count", "radius", "seed", "method", "workers"),
-    "output": ("directory", "trajectory_points", "field_points"),
+    "problem": {"kind": choice("mechanical", "dirichlet")},
+    "potential": {
+        "builtin": str,
+        "params": vector,
+        "expr": str,
+        "c_bound": checked(real, lambda x: math.isfinite(x) and x >= 0,
+                           "must be finite and nonnegative"),
+        "dim": positive_int,
+        "allow_uncertified": boolean,
+    },
+    "geometry": {"T": positive_real, "q0": vector, "qT": vector, "lengths": vector},
+    "plan": {
+        "N": integer,
+        "M": integer,
+        "quad_points": integer,
+        "lambda_cut": positive_real,
+        "tail_tol": positive_real,
+        "head_tol": positive_real,
+        "refine": boolean,
+    },
+    "multistart": {
+        "count": positive_int,
+        "radius": positive_real,
+        "seed": checked(integer, lambda n: n >= 0, "must be at least 0"),
+        "method": choice("newton", "picard"),
+        "workers": integer,
+    },
+    "output": {"directory": str, "trajectory_points": points, "field_points": points},
 }
+
+# keys read by one problem kind or one potential form only; the echo leaves
+# out those of the other kind
+_ONLY_FOR = {"T": "mechanical", "q0": "mechanical", "qT": "mechanical",
+             "lengths": "dirichlet", "params": "builtin", "c_bound": "expr"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -76,39 +145,6 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"unknown key {key!r} in [{current_name}]", lineno)
         sections[current_name][key] = (value.strip(), lineno)
     return sections
-
-
-def _get(sections, section, key, default=None):
-    return sections.get(section, {}).get(key, (default, None))
-
-
-def _parse_float(value, line, key):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a real number, got {value!r}", line)
-
-
-def _parse_int(value, line, key):
-    try:
-        return int(value, 0) if isinstance(value, str) else int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}", line)
-
-
-def _parse_bool(value, line, key):
-    if isinstance(value, str) and value.lower() in ("true", "yes", "1", "on"):
-        return True
-    if isinstance(value, str) and value.lower() in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key} must be true or false, got {value!r}", line)
-
-
-def _parse_vector(value, line, key):
-    try:
-        return tuple(float(p) for p in str(value).split(","))
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated list of reals, got {value!r}", line)
 
 
 @dataclass
@@ -168,113 +204,50 @@ class RunConfig:
                               head_tol=self.head_tol, allow_uncertified=self.allow_uncertified)
 
 
-def load_config(text: str) -> RunConfig:
-    """Parse, type-check and resolve a configuration file."""
+def load_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse, check and resolve a configuration file.
+
+    ``overrides`` maps ``(section, key)`` to value text; it replaces the
+    file's value and is parsed and checked like it, without a line number.
+    """
     sections = parse_config_text(text)
+    for (section, key), value in (overrides or {}).items():
+        if key not in _SCHEMA.get(section, {}):
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+        sections.setdefault(section, {})[key] = (value, None)
+
     cfg = RunConfig()
+    given: dict = {}  # key -> source line (None for an override)
+    for section, parsers in _SCHEMA.items():
+        for key, parse in parsers.items():
+            if key in sections.get(section, {}):
+                value, given[key] = sections[section][key]
+                try:
+                    setattr(cfg, key, parse(value))
+                except ValueError as exc:
+                    raise ConfigError(f"{key} {exc}", given[key]) from None
 
-    value, line = _get(sections, "problem", "kind", "mechanical")
-    if value not in ("mechanical", "dirichlet"):
-        raise ConfigError(f"kind must be 'mechanical' or 'dirichlet', got {value!r}", line)
-    cfg.kind = value
-
-    value, line = _get(sections, "potential", "builtin")
-    cfg.builtin = value
-    value, line = _get(sections, "potential", "params")
-    if value is not None:
-        cfg.params = _parse_vector(value, line, "params")
-    value, line = _get(sections, "potential", "expr")
-    cfg.expr = value
     if cfg.builtin is not None and cfg.expr is not None:
-        raise ConfigError("give either 'builtin' or 'expr', not both", line)
+        raise ConfigError("give either 'builtin' or 'expr', not both", given["expr"])
     if cfg.builtin is None and cfg.expr is None:
-        raise ConfigError("section [potential] needs 'builtin' or 'expr'", None)
-    value, line = _get(sections, "potential", "c_bound")
-    if value is not None:
-        cfg.c_bound = _parse_float(value, line, "c_bound")
-    value, line = _get(sections, "potential", "dim")
-    if value is not None:
-        cfg.dim = _parse_int(value, line, "dim")
-        if cfg.dim < 1:
-            raise ConfigError(f"dim must be positive, got {cfg.dim}", line)
-    value, line = _get(sections, "potential", "allow_uncertified")
-    if value is not None:
-        cfg.allow_uncertified = _parse_bool(value, line, "allow_uncertified")
-
+        raise ConfigError("section [potential] needs 'builtin' or 'expr'")
     if cfg.kind == "mechanical":
-        value, line = _get(sections, "geometry", "T")
-        if value is None:
-            raise ConfigError("mechanical problems need geometry key 'T'", None)
-        cfg.T = _parse_float(value, line, "T")
-        if cfg.T <= 0 or not math.isfinite(cfg.T):
-            raise ConfigError(f"T must be a positive real, got {cfg.T}", line)
-        value, line = _get(sections, "geometry", "q0", "0")
-        cfg.q0 = _parse_vector(value, line, "q0")
-        value, line = _get(sections, "geometry", "qT", "0")
-        cfg.qT = _parse_vector(value, line, "qT")
-        if len(cfg.q0) == 1 and cfg.dim > 1:
-            cfg.q0 = cfg.q0 * cfg.dim
-        if len(cfg.qT) == 1 and cfg.dim > 1:
-            cfg.qT = cfg.qT * cfg.dim
+        if "T" not in given:
+            raise ConfigError("mechanical problems need geometry key 'T'")
+        cfg.q0, cfg.qT = (q * cfg.dim if len(q) == 1 else q for q in (cfg.q0, cfg.qT))
         if len(cfg.q0) != cfg.dim or len(cfg.qT) != cfg.dim:
-            raise ConfigError(
-                f"endpoints must have dim = {cfg.dim} entries, got {len(cfg.q0)} and {len(cfg.qT)}", line)
+            raise ConfigError(f"endpoints must have dim = {cfg.dim} entries, "
+                              f"got {len(cfg.q0)} and {len(cfg.qT)}", given.get("qT"))
     else:
-        value, line = _get(sections, "geometry", "lengths")
-        if value is None:
-            raise ConfigError("dirichlet problems need geometry key 'lengths'", None)
-        cfg.lengths = _parse_vector(value, line, "lengths")
-        if len(cfg.lengths) not in (1, 2) or any(L <= 0 for L in cfg.lengths):
-            raise ConfigError(f"lengths must be 1 or 2 positive reals, got {cfg.lengths}", line)
+        if "lengths" not in given:
+            raise ConfigError("dirichlet problems need geometry key 'lengths'")
+        if len(cfg.lengths) not in (1, 2) or not all(
+                math.isfinite(L) and L > 0 for L in cfg.lengths):
+            raise ConfigError(f"lengths must be 1 or 2 positive reals, got {cfg.lengths}",
+                              given["lengths"])
         if cfg.dim != 1:
-            raise ConfigError("dirichlet problems take scalar potentials (dim = 1)", line)
-
-    for key, parser, attr in (
-        ("N", _parse_int, "N"), ("M", _parse_int, "M"),
-        ("quad_points", _parse_int, "quad_points"),
-        ("lambda_cut", _parse_float, "lambda_cut"),
-        ("tail_tol", _parse_float, "tail_tol"), ("head_tol", _parse_float, "head_tol"),
-    ):
-        value, line = _get(sections, "plan", key)
-        if value is not None:
-            setattr(cfg, attr, parser(value, line, key))
-    value, line = _get(sections, "plan", "refine")
-    if value is not None:
-        cfg.refine = _parse_bool(value, line, "refine")
-
-    value, line = _get(sections, "multistart", "count")
-    if value is not None:
-        cfg.count = _parse_int(value, line, "count")
-        if cfg.count < 1:
-            raise ConfigError(f"count must be positive, got {cfg.count}", line)
-    value, line = _get(sections, "multistart", "radius")
-    if value is not None:
-        cfg.radius = _parse_float(value, line, "radius")
-        if not (math.isfinite(cfg.radius) and cfg.radius > 0):
-            raise ConfigError(f"radius must be a positive real, got {cfg.radius}", line)
-    value, line = _get(sections, "multistart", "seed")
-    if value is not None:
-        cfg.seed = _parse_int(value, line, "seed")
-    value, line = _get(sections, "multistart", "method")
-    if value is not None:
-        if value not in ("newton", "picard"):
-            raise ConfigError(f"method must be 'newton' or 'picard', got {value!r}", line)
-        cfg.method = value
-    value, line = _get(sections, "multistart", "workers")
-    if value is not None:
-        cfg.workers = _parse_int(value, line, "workers")
-
-    value, line = _get(sections, "output", "directory")
-    if value is not None:
-        cfg.directory = value
-    for key in ("trajectory_points", "field_points"):
-        value, line = _get(sections, "output", key)
-        if value is not None:
-            points = _parse_int(value, line, key)
-            if points < 2:
-                raise ConfigError(f"{key} must be at least 2, got {points}", line)
-            setattr(cfg, key, points)
-
+            raise ConfigError("dirichlet problems take scalar potentials (dim = 1)",
+                              given["dim"])
     return cfg
 
 
@@ -290,46 +263,14 @@ def _fmt(value) -> str:
 
 def render_config(cfg: RunConfig) -> str:
     """Resolved-configuration echo; reloading it reproduces the run."""
-    lines = ["[problem]", f"kind = {cfg.kind}", "", "[potential]"]
-    if cfg.expr is not None:
-        lines.append(f"expr = {cfg.expr}")
-        if cfg.c_bound is not None:
-            lines.append(f"c_bound = {_fmt(cfg.c_bound)}")
-    else:
-        lines.append(f"builtin = {cfg.builtin}")
-        if cfg.params:
-            lines.append(f"params = {_fmt(cfg.params)}")
-    lines.append(f"dim = {cfg.dim}")
-    lines.append(f"allow_uncertified = {_fmt(cfg.allow_uncertified)}")
-    lines.append("")
-    lines.append("[geometry]")
-    if cfg.kind == "mechanical":
-        lines.append(f"T = {_fmt(cfg.T)}")
-        lines.append(f"q0 = {_fmt(cfg.q0)}")
-        lines.append(f"qT = {_fmt(cfg.qT)}")
-    else:
-        lines.append(f"lengths = {_fmt(cfg.lengths)}")
-    lines.append("")
-    lines.append("[plan]")
-    for key in ("N", "M", "quad_points", "lambda_cut"):
-        value = getattr(cfg, key)
-        if value is not None:
-            lines.append(f"{key} = {_fmt(value)}")
-    lines.append(f"tail_tol = {_fmt(cfg.tail_tol)}")
-    lines.append(f"head_tol = {_fmt(cfg.head_tol)}")
-    lines.append(f"refine = {_fmt(cfg.refine)}")
-    lines.append("")
-    lines.append("[multistart]")
-    lines.append(f"count = {cfg.count}")
-    if cfg.radius is not None:
-        lines.append(f"radius = {_fmt(cfg.radius)}")
-    lines.append(f"seed = 0x{cfg.seed:X}")
-    lines.append(f"method = {cfg.method}")
-    lines.append(f"workers = {cfg.workers}")
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"directory = {cfg.directory}")
-    lines.append(f"trajectory_points = {cfg.trajectory_points}")
-    lines.append(f"field_points = {cfg.field_points}")
-    lines.append("")
+    kinds = (cfg.kind, "builtin" if cfg.expr is None else "expr")
+    lines = []
+    for section, parsers in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key in parsers:
+            value = getattr(cfg, key)
+            if value is None or value == () or _ONLY_FOR.get(key, cfg.kind) not in kinds:
+                continue
+            lines.append(f"{key} = 0x{value:X}" if key == "seed" else f"{key} = {_fmt(value)}")
+        lines.append("")
     return "\n".join(lines)

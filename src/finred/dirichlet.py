@@ -61,8 +61,8 @@ class RectangleDomain:
         lengths = tuple(float(L) for L in np.atleast_1d(self.lengths))
         if len(lengths) not in (1, 2):
             raise ValueError(f"only 1- and 2-dimensional rectangles are supported, got m={len(lengths)}")
-        if any(L <= 0 for L in lengths):
-            raise ValueError(f"side lengths must be positive, got {lengths}")
+        if not all(math.isfinite(L) and L > 0 for L in lengths):
+            raise ValueError(f"side lengths must be finite and positive, got {lengths}")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -90,14 +90,17 @@ def enumerate_modes(dom: RectangleDomain, lambda_max: float,
                     cap: int = MODE_CAP) -> list[EigenMode]:
     """All modes with eigenvalue <= lambda_max, ascending, ties lexicographic.
 
-    The modes are counted row by row (one row per k1) before any list is
-    built, so a ``cap`` violation is raised without allocating the lattice.
+    The modes are counted row by row (one row per k1) before the mode list
+    is built, and no per-axis list holds more than ``cap + 1`` terms: a
+    longer axis would put more than ``cap`` modes in the first row or
+    column.  So a ``cap`` violation is raised without allocating the lattice.
     """
-    if lambda_max <= 0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max}")
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError(f"lambda_max must be finite and positive, got {lambda_max}")
     # one past the floor-sqrt bound, which can round below a boundary-exact k;
     # the float test below trims the extra term
-    kmax = [int(math.floor(L * math.sqrt(lambda_max) / math.pi)) + 1 for L in dom.lengths]
+    kmax = [min(int(math.floor(L * math.sqrt(lambda_max) / math.pi)) + 1, cap + 1)
+            for L in dom.lengths]
     # per-axis terms (pi k / L)^2, computed exactly as mode_eigenvalue does
     squares = [np.array([(math.pi * k / L) ** 2 for k in range(1, km + 1)])
                for km, L in zip(kmax, dom.lengths)]
@@ -107,7 +110,11 @@ def enumerate_modes(dom: RectangleDomain, lambda_max: float,
         counts = _row_counts(*squares, lambda_max, dom.lengths[1])
     total = int(np.sum(counts))
     if total > cap:
-        raise ValueError(f"mode list would hold {total} entries, above the cap {cap}")
+        # modes past a cut axis are not counted: then the count is a lower bound
+        past = any(mode_eigenvalue(dom, tuple(cap + 2 if i == j else 1 for i in range(dom.m)))
+                   <= lambda_max for j in range(dom.m))
+        raise ValueError(f"mode list would hold {'more than ' if past else ''}{total} entries, "
+                         f"above the cap {cap}")
     if dom.m == 1:
         return [EigenMode(lam, (k,)) for k, lam in enumerate(squares[0][:total].tolist(), start=1)]
     first, second = squares
@@ -127,7 +134,7 @@ def _row_counts(first: np.ndarray, second: np.ndarray, lambda_max: float,
     sum is monotone in k2, so the admissible k2 form a prefix of the row.
     """
     budget = np.maximum(lambda_max - first, 0.0)
-    counts = np.clip(np.floor(L2 * np.sqrt(budget) / math.pi).astype(int), 0, len(second))
+    counts = np.floor(np.minimum(L2 * np.sqrt(budget) / math.pi, len(second))).astype(int)
     while True:
         up = counts < len(second)
         up[up] = first[up] + second[counts[up]] <= lambda_max
@@ -144,8 +151,8 @@ def weyl_estimate(dom: RectangleDomain, C: float) -> tuple[int, float, float]:
     Returns (exact_count, weyl_count, relative_error) with
     weyl_count = vol(B_m) (2 pi)^{-m} vol(domain) C^{m/2}.
     """
-    if C <= 0:
-        raise ValueError(f"threshold must be positive, got {C}")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"threshold must be finite and positive, got {C}")
     exact = len(enumerate_modes(dom, C))
     ball = 2.0 if dom.m == 1 else math.pi
     weyl = ball * (2.0 * math.pi) ** (-dom.m) * dom.volume * C ** (dom.m / 2.0)

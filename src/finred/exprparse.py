@@ -229,7 +229,7 @@ def _render(node: Node, parent_prec: int) -> str:
 
 def to_sympy(node: Node, symbols: list[sp.Symbol]) -> sp.Expr:
     if isinstance(node, Num):
-        return sp.Float(node.value)
+        return sp.Float(node.value, 17)  # 17 digits: lambdify prints every bit of the double
     if isinstance(node, Var):
         return symbols[node.index]
     if isinstance(node, Neg):

@@ -1,12 +1,13 @@
 """CLI commands, config validation, artifact determinism."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from finred.cli import _field_csv, main
-from finred.config import ConfigError, load_config, render_config
+from finred.config import _SCHEMA, ConfigError, RunConfig, load_config, render_config
 from finred.dirichlet import DirichletField, RectangleDomain, enumerate_modes
 
 PENDULUM_CFG = """
@@ -377,6 +378,14 @@ def test_weyl_requires_dirichlet(tmp_path, capsys):
     assert "dirichlet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_weyl_bad_threshold_is_clean_error(tmp_path, capsys, value):
+    cfg, _ = write_cfg(tmp_path, DIRICHLET_CFG)
+    assert main(["weyl", "--config", str(cfg), "--c-values", f"100,{value}"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: threshold must be finite and positive, got {float(value)}"]
+
+
 def test_cli_overrides(tmp_path):
     cfg, out = write_cfg(tmp_path, PENDULUM_CFG)
     alt = tmp_path / "alt"
@@ -425,3 +434,109 @@ def test_render_parse_roundtrip():
     cfg2 = load_config(text)
     assert render_config(cfg2) == text
     assert cfg2.T == cfg.T and cfg2.count == cfg.count and cfg2.seed == cfg.seed
+
+
+def test_schema_keys_are_the_run_config_fields():
+    assert [key for keys in _SCHEMA.values() for key in keys] == \
+        [f.name for f in fields(RunConfig)]
+
+
+def with_key(template, section, key, value):
+    """The template with ``key = value`` in place of the key's line, or else
+    first in [section] (added if missing)."""
+    lines = template.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(f"{key} = "):
+            lines[i] = f"{key} = {value}"
+            return "\n".join(lines) + "\n"
+    header = f"[{section}]\n"
+    if header not in template:
+        template += "\n" + header
+    return template.replace(header, f"{header}{key} = {value}\n")
+
+
+RULES = (
+    [(section, key, value, f"{key} must be a positive real, got {float(value)}")
+     for section, key in (("plan", "tail_tol"), ("plan", "head_tol"), ("plan", "lambda_cut"))
+     for value in ("nan", "inf", "0", "-1")]
+    + [("potential", "c_bound", value, f"c_bound must be finite and nonnegative, got {float(value)}")
+       for value in ("nan", "inf", "-1")]
+    + [("multistart", "seed", "-5", "seed must be at least 0, got -5"),
+       ("multistart", "seed", "abc", "seed must be an integer, got 'abc'"),
+       ("multistart", "count", "0", "count must be positive, got 0"),
+       ("multistart", "count", "-3", "count must be positive, got -3"),
+       ("multistart", "count", "abc", "count must be an integer, got 'abc'")]
+)
+FLAGS = {"seed": "--seed", "count": "--seeds"}
+
+
+@pytest.mark.parametrize("section,key,value,message", RULES,
+                         ids=[f"{key}={value}" for _, key, value, _ in RULES])
+@pytest.mark.parametrize("template", [PENDULUM_CFG, DIRICHLET_2D_CFG],
+                         ids=["mechanical", "dirichlet-2d"])
+def test_config_rules_hold_for_file_keys_and_overrides(tmp_path, capsys, template,
+                                                       section, key, value, message):
+    # from the file: a line-anchored ConfigError, one error line, exit 1, no output
+    text = with_key(template, section, key, value)
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    with pytest.raises(ConfigError, match=f"^line {line}: {message}$"):
+        load_config(text.format(out=tmp_path / "out"))
+    cfg, out = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: line {line}: {message}"]
+    assert not out.exists()
+    # from an override: the same rule, without a line
+    good, out = write_cfg(tmp_path, template, name="good.cfg")
+    with pytest.raises(ConfigError, match=f"^{message}$") as caught:
+        load_config(good.read_text(), {(section, key): value})
+    assert caught.value.line is None
+    if key in FLAGS:
+        assert main(["solve", "--config", str(good), FLAGS[key], value]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+
+def test_overrides_replace_file_values():
+    text = PENDULUM_CFG.format(out="out")
+    cfg = load_config(text, {("multistart", "count"): "9", ("multistart", "seed"): "0x1F",
+                             ("output", "directory"): "elsewhere"})
+    assert (cfg.count, cfg.seed, cfg.directory) == (9, 31, "elsewhere")
+    with pytest.raises(ConfigError, match="unknown key 'bogus' in \\[plan\\]"):
+        load_config(text, {("plan", "bogus"): "1"})
+
+
+def test_keys_of_the_other_kind_are_checked_but_not_echoed():
+    for template, key, other in ((DIRICHLET_2D_CFG, "T", "2.5"), (PENDULUM_CFG, "lengths", "2, 3")):
+        text = with_key(template, "geometry", key, "abc").format(out="out")
+        with pytest.raises(ConfigError, match=f"^line [0-9]+: {key} must be"):
+            load_config(text)
+        text = with_key(template, "geometry", key, other).format(out="out")
+        assert render_config(load_config(text)) == \
+            render_config(load_config(template.format(out="out")))
+
+
+@pytest.mark.parametrize("lengths", ["nan, 1", "1, inf", "0", "1, 2, 3"])
+def test_dirichlet_lengths_rule(lengths):
+    text = DIRICHLET_2D_CFG.replace("lengths = 1.0, 1.3", f"lengths = {lengths}")
+    line = text.splitlines().index(f"lengths = {lengths}") + 1
+    with pytest.raises(ConfigError, match=f"^line {line}: lengths must be 1 or 2 positive reals"):
+        load_config(text.format(out="out"))
+
+
+@pytest.mark.parametrize("template", [PENDULUM_CFG, DIRICHLET_2D_CFG],
+                         ids=["mechanical", "dirichlet-2d"])
+def test_resolved_config_reproduces_an_overridden_run(tmp_path, template):
+    cfg, out = write_cfg(tmp_path, template)
+    assert main(["solve", "--config", str(cfg), "--seeds", "3", "--seed", "0xBEEF",
+                 "--method", "picard"]) == 0
+    out2 = tmp_path / "out2"
+    assert main(["solve", "--config", str(out / "resolved.cfg"), "--out", str(out2)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    second = {p.name: p.read_bytes() for p in out2.iterdir()}
+    echo1 = first.pop("resolved.cfg").decode().splitlines()
+    echo2 = second.pop("resolved.cfg").decode().splitlines()
+    assert [(a, b) for a, b in zip(echo1, echo2) if a != b] == \
+        [(f"directory = {out}", f"directory = {out2}")]
+    assert len(echo1) == len(echo2)
+    assert {"count = 3", "seed = 0xBEEF", "method = picard"} <= set(echo1)
+    assert first == second

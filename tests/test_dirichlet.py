@@ -116,11 +116,38 @@ def test_enumerate_modes_cap():
         enumerate_modes(dom, 1e7, cap=100)
 
 
+@pytest.mark.parametrize("lambda_max", [math.inf, math.nan, 0.0, -1.0])
+def test_enumerate_modes_rejects_bad_threshold(lambda_max):
+    for lengths in ((1.0,), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="lambda_max must be finite and positive"):
+            enumerate_modes(RectangleDomain(lengths), lambda_max)
+    with pytest.raises(ValueError, match="threshold must be finite and positive"):
+        weyl_estimate(RectangleDomain((1.0, 1.0)), lambda_max)
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.0), (0.01, 100.0), (100.0, 0.01)])
+def test_enumerate_modes_cap_bounds_the_axis_lists(lengths, monkeypatch):
+    # the per-axis lists stop at cap + 1 terms, so a huge threshold is cheap
+    # to reject, and the count in the message is marked as a lower bound
+    built = []
+    real_array = np.array
+    monkeypatch.setattr(np, "array", lambda a, *args, **kw: built.append(len(a)) or
+                        real_array(a, *args, **kw))
+    with pytest.raises(ValueError, match="would hold more than [0-9]+ entries, above the cap 10$"):
+        enumerate_modes(RectangleDomain(lengths), 1e13, cap=10)  # ~1e6 terms per unit side
+    assert built and max(built) <= 11
+    for lambda_max in (1e16, 1e300):
+        with pytest.raises(ValueError, match="would hold more than [0-9]+ entries, above the cap"):
+            enumerate_modes(RectangleDomain(lengths), lambda_max)
+    assert max(built) <= 100_001
+
+
 def test_domain_validation():
     with pytest.raises(ValueError, match="1- and 2-dimensional"):
         RectangleDomain((1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="positive"):
-        RectangleDomain((1.0, -2.0))
+    for lengths in ((1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RectangleDomain(lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,19 @@ def test_parse_user_bound():
     assert pot.certified
 
 
+def test_parse_keeps_every_bit_of_a_literal():
+    # a sympy Float prints 15 digits by default, which would round this literal
+    g = 56.491234567890125
+    pot = parse_potential("-56.491234567890125*cos(q1)", 1, c_bound=g)
+    q = np.linspace(-7.0, 7.0, 1001)
+    assert np.array_equal(pot.eval(q[:, None]), -g * np.cos(q))
+    assert np.array_equal(pot.grad(q[:, None])[:, 0], g * np.sin(q))
+    assert np.array_equal(pot.hess(q[:, None])[:, 0, 0], g * np.cos(q))
+    # the log(2)^2 of the Hessian is taken at the literal's full precision
+    hess = parse_potential("2^q1", 1, c_bound=1.0).hess(q[:, None])[:, 0, 0]
+    assert np.max(np.abs(hess / (2.0 ** q * math.log(2.0) ** 2) - 1.0)) <= 4.5e-16
+
+
 def test_parse_unbounded_flag():
     pot = parse_potential("q1^4", 1)
     assert pot.unbounded_warning
