@@ -159,9 +159,9 @@ def _convergence_log(reports, seed_records) -> str:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    plan = cfg.build_plan()
     out = Path(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
-    plan = cfg.build_plan()
 
     seed_records: list = []
     if cfg.kind == "mechanical":

@@ -65,6 +65,15 @@ from .fourier import (BoundaryProblem, SineGrid, SinePath, affine_coeffs, grid_p
 
 GAUSS_NODES_PER_PANEL = 8
 GAUSS_MIN_PANELS = 16
+# the most Dirichlet modes, or mechanical coefficients M n and grid points, of one system
+MODE_CAP = 100_000
+
+
+def check_truncation(M: int, n: int, quad_points: int) -> None:
+    """Reject a mechanical truncation with M n or quad_points above MODE_CAP."""
+    if M * n > MODE_CAP or quad_points > MODE_CAP:
+        raise ValueError(f"truncation M n = {M * n} with quad_points = {quad_points} "
+                         f"is above the cap {MODE_CAP}")
 
 
 class TruncationError(RuntimeError):
@@ -164,6 +173,7 @@ class MechanicalSystem(GalerkinSystem):
         if M < 1:
             raise ValueError(f"truncation must be positive, got {M}")
         P = 2 * M + 1 if quad_points is None else int(quad_points)
+        check_truncation(M, bp.n, P)
         self.grid = SineGrid((bp.T,), (M,), (P,), bp.n)
         self.bp = bp
         self.n = bp.n
@@ -191,7 +201,8 @@ class MechanicalSystem(GalerkinSystem):
         return SinePath(self.T, self.unflatten(c))
 
     def refined(self) -> "MechanicalSystem":
-        """The same problem at doubled truncation, quadrature 2(2M)+1."""
+        """The same problem at doubled truncation, quadrature 2(2M)+1; above
+        MODE_CAP a ValueError, as at plan time."""
         return MechanicalSystem(self.bp, 2 * self.M)
 
     # -- transforms ---------------------------------------------------------

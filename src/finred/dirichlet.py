@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GalerkinSystem, gauss_sine_rule
+from .core import MODE_CAP, GalerkinSystem, gauss_sine_rule
 from .fourier import SineGrid, affine_coeffs
 from .functional import blocks_at
 from .morse import index_full, index_schur  # noqa: F401  (callers import them from here)
@@ -47,7 +47,6 @@ __all__ = [
     "blocks_at",
 ]
 
-MODE_CAP = 100_000
 DEFAULT_MULTISTART_RADIUS = 2.0
 
 

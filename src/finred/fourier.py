@@ -28,7 +28,6 @@ __all__ = [
     "SineGrid",
     "BoundaryProblem",
     "zero_path",
-    "path_from_coeffs",
     "grid_points",
     "mode_eigenvalues",
     "affine_embed",
@@ -82,10 +81,6 @@ def zero_path(T: float, M: int, n: int) -> SinePath:
     return SinePath(T, np.zeros((M, n)))
 
 
-def path_from_coeffs(T: float, coeffs: np.ndarray) -> SinePath:
-    return SinePath(T, np.array(coeffs, dtype=float))
-
-
 @dataclass(frozen=True)
 class BoundaryProblem:
     """Fixed-endpoint problem data: travel from q0 to qT in time T."""
@@ -122,6 +117,13 @@ class BoundaryProblem:
         """Straight-line part q0 + (qT - q0) t / T, shape (len(ts), n)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         return self.q0[None, :] + np.outer(ts / self.T, self.qT - self.q0)
+
+    def check_path(self, c: SinePath) -> None:
+        """Raise ValueError unless c has this problem's components and horizon."""
+        if c.n != self.n:
+            raise ValueError(f"path has {c.n} components but problem has {self.n}")
+        if c.T != self.T:
+            raise ValueError(f"path horizon {c.T} differs from problem horizon {self.T}")
 
 
 def grid_points(T: float, P: int) -> np.ndarray:

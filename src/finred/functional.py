@@ -100,8 +100,5 @@ def hessian_blocks(bp: BoundaryProblem, c: SinePath, N: int,
 
 
 def _system(bp: BoundaryProblem, c: SinePath, quad_points: int | None) -> MechanicalSystem:
-    if c.n != bp.n:
-        raise ValueError(f"path has {c.n} components but problem has {bp.n}")
-    if abs(c.T - bp.T) > 0:
-        raise ValueError(f"path horizon {c.T} differs from problem horizon {bp.T}")
+    bp.check_path(c)
     return MechanicalSystem(bp, c.M, quad_points)

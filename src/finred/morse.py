@@ -19,9 +19,11 @@ built from V'' at the step's start, midpoint and end; all of them are
 built in one batched pass and applied in sequence.  The RK4 half-grid
 t_j = j T / (2 steps) is the DST-I grid with P + 1 = 2 steps, so the path
 is sampled there by one transform (on a grid r times finer when the path
-has M >= steps modes).  Conjugate times are then refined by a fixed
-40-step bisection and counted by the rank drop of J (singular values below
-JACOBI_RANK_TOL max ||J||).
+has M >= steps modes).  The node states [J; J'] fix a cubic Hermite model
+of J on every step, and everything between nodes is read off it: each zero
+of det J is located on the model, and J there gives the rank drop that
+counts the conjugate point (singular values below JACOBI_RANK_TOL max
+||J||).  So V'' is sampled once per call and nothing is integrated twice.
 """
 
 from __future__ import annotations
@@ -78,24 +80,33 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
                  steps: int = JACOBI_DEFAULT_STEPS) -> IndexReport:
     """Count conjugate points along the path by integrating the variation ODE.
 
-    The state Y = [J; J'] obeys the linear ODE Y' = A(t) Y with
-    A = [[0, I], [-V''(t), 0]], so one classical RK4 step of size
-    h = T / steps is multiplication by a fixed 2n x 2n matrix (see
-    ``_step_matrices``).  All ``steps`` matrices are built at once from V''
-    on the RK4 half-grid t_j = j T / (2 steps); that grid is the DST-I grid
-    with P + 1 = 2 steps, so the path is sampled by one transform (see
-    ``_half_grid_path``).  The matrices are applied in sequence from
-    Y(0) = [0; I], and det J is taken at every node at once.
-
-    Zeros of det J in (0, T) are located from sign changes plus near-zero
-    dips of |det J| (parabola vertex below 1e-6 max |det J|), refined by
-    40 bisection steps, merged when closer than 1.5 h, and weighted by the
-    rank drop of J there (singular values below 1e-7 max ||J||).  Zeros
-    within 0.75 h of T are left to the endpoint check: a singular J(T) is
-    reported as nullity.
+    The state Y = [J; J'] obeys Y' = A(t) Y with A = [[0, I], [-V''(t), 0]],
+    so one classical RK4 step of size h = T / steps is multiplication by a
+    fixed 2n x 2n matrix (``_step_matrices``), built from V'' sampled once on
+    the RK4 half-grid (``_half_grid_path``) and applied in sequence from
+    Y(0) = [0; I].  Between nodes J is the cubic Hermite interpolant of the
+    node states (``_hermite``), as accurate as the RK4 nodes themselves.
+    Zeros of det J in (0, T) are located on it: each sign change between
+    nodes by 40 bisection steps, and each near-zero dip of |det J| at the
+    vertex of the parabola through three nodes (vertex below 1e-6 max
+    |det J|).  Zeros closer than 1.5 h are merged, and each is weighted by
+    the rank drop of the interpolated J there (singular values below
+    1e-7 max ||J||).  Zeros within 0.75 h of T are left to the endpoint
+    check: a singular J(T) is reported as nullity.  A path whose components
+    or horizon differ from the problem's is a ValueError.
     """
+    points, end_sv, J_scale = _conjugate_points(bp, c, steps)
+    margin = float(end_sv[-1] / J_scale) if J_scale > 0.0 else np.inf
+    return IndexReport(sum(mult for _, mult in points), int(_rank_drop(end_sv, J_scale)),
+                       "jacobi_oracle", margin)
+
+
+def _conjugate_points(bp: BoundaryProblem, c: SinePath, steps: int):
+    """Interior conjugate points as (time, multiplicity) pairs in time order,
+    the singular values of J(T) and the size scale max ||J|| of J."""
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    bp.check_path(c)
     steps = int(steps)
     n, T = bp.n, bp.T
     h = T / steps
@@ -109,11 +120,16 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
     # size scale of J along the whole trajectory; rank drops are relative to it
     J_scale = float(np.max(np.linalg.norm(Js, axis=(1, 2))))
 
-    crossings: list[float] = []
     i = np.arange(1, steps)
-    sign_change = (dets[i] == 0.0) | (dets[i] * dets[i + 1] < 0.0)
-    for k in i[sign_change].tolist():
-        crossings.append(_bisect_zero(bp, c, Y[k], k * h, (k + 1) * h, dets[k]))
+    k = i[(dets[i] == 0.0) | (dets[i] * dets[i + 1] < 0.0)]
+    # bisection on s in [0, 1] for det J(t_k + s h) = 0, all sign changes at once;
+    # a zero at a node (dets[k] == 0) is kept at s = 0
+    lo, hi = np.zeros(k.size), np.ones(k.size)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        left = dets[k] * np.linalg.det(_hermite(Y, k, mid, h)) <= 0.0
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    candidates = [(k + 0.5 * (lo + hi)) * h]
     # even-order touches: interior dips of |det| without sign change.  The
     # grid may straddle the touch, so candidacy is judged on the vertex of
     # the parabola through the three samples; the rank test downstream is
@@ -129,25 +145,29 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
         shift = np.where(flat, 0.0, -0.5 * h * (nxt - prev) / safe)
         vertex = np.where(flat, cur, cur - (nxt - prev) ** 2 / (8.0 * safe))
         dip &= np.abs(vertex) < 1e-6 * det_scale
-        crossings.extend((i[dip] * h + np.clip(shift[dip], -h, h)).tolist())
+        candidates.append(i[dip] * h + np.clip(shift[dip], -h, h))
 
-    total = 0
-    counted: list[float] = []
-    for t_star in sorted(crossings):
-        if counted and t_star - counted[-1] < 1.5 * h:
-            continue
-        if t_star > T - 0.75 * h:  # belongs to the endpoint check below
-            continue
-        i0 = min(max(int(np.floor(t_star / h + 1e-12)), 0), steps - 1)
-        mult = _rank_drop(_integrate_to(bp, c, Y[i0], i0 * h, t_star), J_scale)
-        if mult > 0:
-            total += mult
-            counted.append(t_star)
+    times = np.sort(np.concatenate(candidates))
+    times = times[times <= T - 0.75 * h]  # later zeros belong to the endpoint check
+    k = np.minimum(np.floor(times / h).astype(int), steps - 1)
+    # one SVD call for J at every candidate and at T
+    sv = np.linalg.svd(np.concatenate([_hermite(Y, k, times / h - k, h), Js[-1:]]),
+                       compute_uv=False)
+    points: list[tuple[float, int]] = []
+    for t_star, mult in zip(times.tolist(), _rank_drop(sv[:-1], J_scale).tolist()):
+        if mult > 0 and not (points and t_star - points[-1][0] < 1.5 * h):
+            points.append((t_star, mult))
+    return points, sv[-1], J_scale
 
-    end_nullity = _rank_drop(Js[steps], J_scale)
-    end_sv = np.linalg.svd(Js[steps], compute_uv=False)
-    margin = float(end_sv[-1] / J_scale) if J_scale > 0.0 else np.inf
-    return IndexReport(total, end_nullity, "jacobi_oracle", margin)
+
+def _hermite(Y: np.ndarray, k: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
+    """J(t_k + s h) = h00(s) J_k + h10(s) h J'_k + h01(s) J_{k+1} + h11(s) h J'_{k+1},
+    the cubic Hermite model of the node states Y[k] = [J_k; J'_k], batched over k, s."""
+    n = Y.shape[-1]
+    a, b = Y[k], Y[k + 1]
+    s = s[:, None, None]
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * a[:, :n] + h * s * (1.0 - s) ** 2 * a[:, n:]
+            + s * s * (3.0 - 2.0 * s) * b[:, :n] - h * s * s * (1.0 - s) * b[:, n:])
 
 
 def _half_grid_path(bp: BoundaryProblem, c: SinePath, steps: int) -> np.ndarray:
@@ -200,34 +220,6 @@ def _propagate(Phi: np.ndarray, Y0: np.ndarray) -> np.ndarray:
     return Y
 
 
-def _integrate_to(bp: BoundaryProblem, c: SinePath, Y0: np.ndarray, t0: float, t1: float,
-                  substeps: int = 8) -> np.ndarray:
-    """J at an interior time t1, re-integrated from the stored state Y0 at t0."""
-    n = bp.n
-    if t1 <= t0:
-        return Y0[:n]
-    h = (t1 - t0) / substeps
-    ts = t0 + h * np.arange(2 * substeps + 1) / 2.0
-    hess = bp.potential.hess(bp.drift(ts) + c.evaluate(ts))
-    return _propagate(_step_matrices(hess, h), Y0)[-1, :n]
-
-
-def _bisect_zero(bp, c, Y0, t_lo, t_hi, det_lo, iterations: int = 40) -> float:
-    lo, hi = t_lo, t_hi
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        det_mid = float(np.linalg.det(_integrate_to(bp, c, Y0, t_lo, mid)))
-        if det_mid == 0.0:
-            return mid
-        if det_lo * det_mid < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _rank_drop(J: np.ndarray, scale: float) -> int:
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv.size == 0 or scale <= 0.0:
-        return 0
-    return int(np.sum(sv < JACOBI_RANK_TOL * scale))
+def _rank_drop(sv: np.ndarray, scale: float) -> np.ndarray:
+    """Singular values below JACOBI_RANK_TOL scale, counted along the last axis."""
+    return np.sum(sv < JACOBI_RANK_TOL * scale, axis=-1)

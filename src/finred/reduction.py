@@ -146,7 +146,10 @@ def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None
     N defaults to floor(T sqrt(C)/pi) and may only be overridden upward
     (mu is recomputed for the override).  M defaults to max(2N+8, 32).
     Planning with an uncertified bound (sampled estimate or unbounded
-    curvature) requires ``allow_uncertified=True``.
+    curvature) requires ``allow_uncertified=True``.  M n and quad_points
+    (default 2M+1) may not exceed ``core.MODE_CAP`` = 100000, the cap on
+    Dirichlet mode lists, else ValueError; each refinement level
+    (``MechanicalSystem.refined``, doubled M) is held to the same cap.
     """
     pot = bp.potential
     C = curvature_bound(pot, allow_uncertified)
@@ -160,6 +163,7 @@ def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None
         M = max(2 * N + 8, 32)
     if quad_points is None:
         quad_points = 2 * M + 1
+    core.check_truncation(M, bp.n, quad_points)
     return ReductionPlan(N=int(N), mu=mu, contraction=1.0 - mu, M=int(M),
                          tail_tol=tail_tol, head_tol=head_tol,
                          certified=pot.certified, c_bound=C,

@@ -48,3 +48,8 @@ def random_combined_path(rng, bp, plan, head_scale=1.0, tail_scale=1.0):
     decay = 1.0 / np.arange(plan.N + 1, plan.M + 1)[:, None] ** 2
     coeffs[plan.N:] = tail_scale * decay * rng.standard_normal((plan.M - plan.N, bp.n))
     return SinePath(bp.T, coeffs)
+
+
+def refuse_grids(*args, **kwargs):
+    """Stand-in for core.SineGrid in size-cap tests: a missing check fails, not allocates."""
+    raise AssertionError("a sine grid was built")

@@ -6,9 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from finred import core
 from finred.cli import _field_csv, main
 from finred.config import _SCHEMA, ConfigError, RunConfig, load_config, render_config
 from finred.dirichlet import DirichletField, RectangleDomain, enumerate_modes
+from tests.conftest import refuse_grids
 
 PENDULUM_CFG = """
 [problem]
@@ -209,6 +211,29 @@ def test_solve_non_finite_endpoint_is_clean_error(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: endpoint qT must be finite, got [nan]"]
+
+
+@pytest.mark.parametrize("command", ["plan", "solve"])
+def test_truncation_above_cap_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(core, "SineGrid", refuse_grids)
+    text = PENDULUM_CFG.replace("[multistart]", "[plan]\nN = 100000\n\n[multistart]")
+    cfg, out = write_cfg(tmp_path, text)
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: truncation M n = 200008 with quad_points = 400017 is above the cap 100000"]
+    assert not out.exists()
+
+
+def test_refined_level_above_cap_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(core, "MODE_CAP", 100)  # the plan (M = 32, 65 points) fits, M = 64 not
+    cfg, _ = write_cfg(tmp_path, PENDULUM_CFG)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: truncation M n = 64 with quad_points = 129 is above the cap 100"]
 
 
 def test_convergence_log_has_per_seed_records(tmp_path):

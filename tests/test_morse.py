@@ -1,5 +1,7 @@
 """Index computations: Schur reduction vs full spectrum vs conjugate points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,45 @@ def test_jacobi_rejects_bad_steps(steps):
 def test_jacobi_accepts_numpy_integer_steps():
     bp, rep = solve_one(builtin_potential("harmonic", (1.0,)), 3 * np.pi / 2, [0.0], [1.0])
     assert index_jacobi(bp, rep.path, steps=np.int64(256)) == index_jacobi(bp, rep.path, steps=256)
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0, 3.0])
+def test_jacobi_conjugate_times_of_harmonic(omega):
+    # J = sin(omega t) / omega: conjugate times k pi / omega, whatever the path
+    T = 3 * np.pi + 0.5
+    bp = BoundaryProblem(builtin_potential("harmonic", (omega,)), T, [0.0], [1.0])
+    points, _, _ = morse._conjugate_points(bp, SinePath(T, np.zeros((32, 1))),
+                                           morse.JACOBI_DEFAULT_STEPS)
+    expected = np.arange(1, int(omega * T / np.pi) + 1) * np.pi / omega
+    assert [mult for _, mult in points] == [1] * len(expected)
+    assert np.max(np.abs(np.array([t for t, _ in points]) - expected)) <= 1e-9 * T
+
+
+@pytest.mark.parametrize("params, T, qT", [((1.0,), 3 * np.pi, [1.0]),  # sign changes
+                                           ((1.0, 1.0), 3 * np.pi / 2, [1.0, 0.5])])  # a touch
+def test_jacobi_samples_hessian_once(params, T, qT):
+    family = "pendulum" if len(params) == 1 else "harmonic"
+    bp, rep = solve_one(builtin_potential(family, params), T, [0.0] * len(qT), qT)
+    calls = []
+
+    def hess(q):
+        calls.append(q.shape)
+        return bp.potential.hess(q)
+
+    counted = BoundaryProblem(dataclasses.replace(bp.potential, hess=hess), T, bp.q0, bp.qT)
+    jac = index_jacobi(counted, rep.path)
+    assert jac.index == rep.index >= 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", [SinePath(7.0, np.zeros((32, 1))),  # one component
+                                  SinePath(3.0, np.zeros((32, 2)))])  # horizon 3
+def test_mismatched_path_is_rejected(path):
+    bp = BoundaryProblem(builtin_potential("harmonic", (1.0, 1.0)), 7.0, [0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="components|horizon"):
+        index_jacobi(bp, path)
+    with pytest.raises(ValueError, match="components|horizon"):
+        hessian_blocks(bp, path, 2)
 
 
 def _rk4_step(J, Jd, h, H0, Hmid, H1):

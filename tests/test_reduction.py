@@ -22,7 +22,7 @@ from finred.core import MechanicalSystem
 from finred.dirichlet import DirichletSystem
 from finred.fourier import h1_inner, mode_eigenvalues
 from finred.reduction import default_radius, reduced_hessian_matrix
-from tests.conftest import random_builtin_problem, random_pendulum_problem
+from tests.conftest import random_builtin_problem, random_pendulum_problem, refuse_grids
 
 
 def bp_with_bound(C, T):
@@ -66,6 +66,28 @@ def test_plan_requires_certification_opt_in():
         make_plan(bp)
     plan = make_plan(bp, allow_uncertified=True)
     assert not plan.certified
+
+
+@pytest.mark.parametrize("dim, kw", [(1, {"N": 100_000}),
+                                     (1, {"M": 50_000}),  # quad_points 100001
+                                     (1, {"M": 100, "quad_points": 100_001}),
+                                     (4, {"M": 25_001})])  # M n = 100004
+def test_plan_rejects_truncation_above_cap(monkeypatch, dim, kw):
+    monkeypatch.setattr(core, "SineGrid", refuse_grids)
+    bp = BoundaryProblem(builtin_potential("harmonic", (1.0,) * dim), math.pi,
+                         [0.0] * dim, [1.0] * dim)
+    with pytest.raises(ValueError, match="above the cap 100000"):
+        make_plan(bp, **kw)
+
+
+def test_plan_at_cap_and_refined_level_above_it(monkeypatch):
+    bp = BoundaryProblem(builtin_potential("harmonic", (1.0,) * 4), math.pi,
+                         [0.0] * 4, [1.0] * 4)
+    assert make_plan(bp, M=25_000).M == 25_000  # M n = 100000, quad_points 50001
+    system = MechanicalSystem(bp_with_bound(1.0, math.pi), 49_999)  # quad_points 99999
+    monkeypatch.setattr(core, "SineGrid", refuse_grids)
+    with pytest.raises(ValueError, match="M n = 99998 with quad_points = 199997 is above"):
+        system.refined()
 
 
 # ---------------------------------------------------------------------------
