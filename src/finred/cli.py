@@ -327,6 +327,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a plan under the mode cap can still outgrow memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

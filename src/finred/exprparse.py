@@ -9,21 +9,26 @@ Grammar (infix, case-sensitive):
     atom   := NUMBER | VARIABLE | FUNC '(' expr ')' | '(' expr ')'
 
 Variables are ``q1`` .. ``qn``; functions are sin, cos, tanh, exp.
-Parsing produces a small AST that can be pretty-printed, differentiated
-exactly (via sympy), and analysed for unbounded curvature.
+Parsing produces a small AST that can be pretty-printed, evaluated with
+numpy, differentiated exactly (the derivative is again an AST), and
+analysed for unbounded curvature.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
-import sympy as sp
+import numpy as np
 
 FUNCTIONS = ("sin", "cos", "tanh", "exp")
 
-_SYMPY_FUNCS = {"sin": sp.sin, "cos": sp.cos, "tanh": sp.tanh, "exp": sp.exp}
+# "log" is not in the grammar: it appears only in derivatives of general powers
+_NUMPY_FUNCS = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp, "log": np.log}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
 
 
 class ExpressionError(ValueError):
@@ -95,9 +100,11 @@ def _tokenize(src: str) -> list[_Token]:
                 j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ExpressionError(f"malformed number '{text}'", i)
+            if not math.isfinite(value):
+                raise ExpressionError(f"number '{text}' is not finite", i)
             tokens.append(_Token("num", text, i))
             i = j
             continue
@@ -227,26 +234,137 @@ def _render(node: Node, parent_prec: int) -> str:
     return f"({s})" if parent_prec > prec else s
 
 
-def to_sympy(node: Node, symbols: list[sp.Symbol]) -> sp.Expr:
+def evaluate(node: Node, q):
+    """Value of ``node`` at the points ``q`` of shape ``(..., n)``, with numpy.
+
+    A subtree without variables evaluates to a numpy scalar, so the result
+    may be one; callers broadcast it to ``q.shape[:-1]``.
+    """
     if isinstance(node, Num):
-        return sp.Float(node.value, 17)  # 17 digits: lambdify prints every bit of the double
+        return np.float64(node.value)
     if isinstance(node, Var):
-        return symbols[node.index]
+        return q[..., node.index]
     if isinstance(node, Neg):
-        return -to_sympy(node.arg, symbols)
+        return -evaluate(node.arg, q)
     if isinstance(node, Call):
-        return _SYMPY_FUNCS[node.func](to_sympy(node.arg, symbols))
-    left = to_sympy(node.left, symbols)
-    right = to_sympy(node.right, symbols)
+        return _NUMPY_FUNCS[node.func](evaluate(node.arg, q))
+    return _OPERATORS[node.op](evaluate(node.left, q), evaluate(node.right, q))
+
+
+def derivative(node: Node, i: int) -> Node:
+    """Exact partial derivative of ``node`` in ``q{i+1}``, as an AST.
+
+    Only exact simplifications are made: zero terms and unit factors are
+    dropped, a sign flip moves into the leading literal of a product or
+    quotient, and subtrees of literals are folded, so ``-g*cos(q1)``
+    differentiates to ``g*sin(q1)``, one multiply.
+    """
+    if isinstance(node, Num):
+        return Num(0.0)
+    if isinstance(node, Var):
+        return Num(1.0 if node.index == i else 0.0)
+    if isinstance(node, Neg):
+        return _neg(derivative(node.arg, i))
+    if isinstance(node, Call):
+        a, da = node.arg, derivative(node.arg, i)
+        if node.func == "sin":
+            return _mul(Call("cos", a), da)
+        if node.func == "cos":
+            return _neg(_mul(Call("sin", a), da))
+        if node.func == "tanh":
+            return _mul(_sub(Num(1.0), _pow(node, Num(2.0))), da)
+        if node.func == "exp":
+            return _mul(node, da)
+        return _div(da, a)  # log, made only by the power rule below
+    a, b = node.left, node.right
+    da, db = derivative(a, i), derivative(b, i)
     if node.op == "+":
-        return left + right
+        return _add(da, db)
     if node.op == "-":
-        return left - right
+        return _sub(da, db)
     if node.op == "*":
-        return left * right
+        return _add(_mul(da, b), _mul(a, db))
     if node.op == "/":
-        return left / right
-    return left ** right
+        return _sub(_div(da, b), _div(_mul(a, db), _pow(b, Num(2.0))))
+    if _is(db, 0.0):  # a^c with c constant in q{i+1}: c a^(c-1) a'
+        return _mul(_mul(b, _pow(a, _sub(b, Num(1.0)))), da)
+    return _mul(node, _add(_mul(db, _fold(Call("log", a))), _div(_mul(b, da), a)))
+
+
+def _is(node: Node, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _fold(node: Node) -> Node:
+    """A node whose children are all literals, folded to one literal."""
+    children = (node.arg,) if isinstance(node, Call) else (node.left, node.right)
+    if all(isinstance(c, Num) for c in children):
+        return Num(float(evaluate(node, None)))
+    return node
+
+
+def _neg(a: Node) -> Node:
+    if isinstance(a, Num):
+        return Num(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    if isinstance(a, BinOp) and a.op in "*/":  # -(x*y) = (-x)*y, where -x folds
+        left = _neg(a.left)
+        if not isinstance(left, Neg):
+            return (_mul if a.op == "*" else _div)(left, a.right)
+    return Neg(a)
+
+
+def _add(a: Node, b: Node) -> Node:
+    if _is(a, 0.0):
+        return b
+    if _is(b, 0.0):
+        return a
+    if isinstance(b, Neg):
+        return _sub(a, b.arg)
+    return _fold(BinOp("+", a, b))
+
+
+def _sub(a: Node, b: Node) -> Node:
+    if _is(b, 0.0):
+        return a
+    if _is(a, 0.0):
+        return _neg(b)
+    if isinstance(b, Neg):
+        return _add(a, b.arg)
+    return _fold(BinOp("-", a, b))
+
+
+def _mul(a: Node, b: Node) -> Node:
+    if _is(a, 0.0) or _is(b, 0.0):
+        return Num(0.0)
+    if _is(a, 1.0):
+        return b
+    if _is(b, 1.0):
+        return a
+    if isinstance(a, Neg):
+        return _neg(_mul(a.arg, b))
+    if isinstance(b, Neg):
+        return _neg(_mul(a, b.arg))
+    if isinstance(b, Num):  # the literal goes first, where _neg can flip it
+        a, b = b, a
+    return _fold(BinOp("*", a, b))
+
+
+def _div(a: Node, b: Node) -> Node:
+    if _is(a, 0.0):
+        return Num(0.0)
+    if _is(b, 1.0):
+        return a
+    return _fold(BinOp("/", a, b))
+
+
+def _pow(a: Node, b: Node) -> Node:
+    if _is(b, 0.0):
+        return Num(1.0)
+    if _is(b, 1.0):
+        return a
+    return _fold(BinOp("^", a, b))
 
 
 def growth_degree(node: Node) -> float:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 from . import exprparse
 from .exprparse import ExpressionError
@@ -254,20 +253,12 @@ def hessian_norms(pot_hess: Callable, points: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(H)), axis=-1)
 
 
-def _batched_scalar(fn: Callable, dim: int) -> Callable:
-    def wrapped(q):
-        q = _as_points(q, dim)
-        cols = [q[..., i] for i in range(dim)]
-        out = fn(*cols)
-        return np.broadcast_to(np.asarray(out, dtype=float), q.shape[:-1]).copy()
-    return wrapped
-
-
 def parse_potential(expr: str, dim: int, c_bound: float | None = None) -> Potential:
     """Build a Potential from an expression in q1..q{dim}.
 
-    Derivatives are exact (symbolic differentiation, then compiled to
-    vectorized numpy).  Without ``c_bound`` the curvature bound is a
+    Derivatives are exact: ``exprparse.derivative`` differentiates the
+    parsed expression, and ``exprparse.evaluate`` evaluates it and its
+    derivatives with numpy.  Without ``c_bound`` the curvature bound is a
     sampled estimate; expressions whose curvature cannot be certified as
     globally bounded (polynomial degree > 2, transcendentals of nonlinear
     arguments) additionally carry ``unbounded_warning``.
@@ -275,23 +266,23 @@ def parse_potential(expr: str, dim: int, c_bound: float | None = None) -> Potent
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     ast = exprparse.parse(expr, dim)
-    symbols = [sp.Symbol(f"q{i + 1}", real=True) for i in range(dim)]
-    sym = exprparse.to_sympy(ast, symbols)
+    grads = [exprparse.derivative(ast, i) for i in range(dim)]
+    hessians = [exprparse.derivative(g, j) for g in grads for j in range(dim)]
 
-    eval_fns = _batched_scalar(sp.lambdify(symbols, sym, modules="numpy"), dim)
-    grad_syms = [sp.diff(sym, s) for s in symbols]
-    grad_fns = [_batched_scalar(sp.lambdify(symbols, g, modules="numpy"), dim) for g in grad_syms]
-    hess_fns = [[_batched_scalar(sp.lambdify(symbols, sp.diff(g, s), modules="numpy"), dim)
-                 for s in symbols] for g in grad_syms]
+    def values(nodes, q):
+        """The nodes at the points q, stacked on a new last axis."""
+        return np.stack([np.broadcast_to(exprparse.evaluate(node, q), q.shape[:-1])
+                         for node in nodes], axis=-1)
+
+    def p_eval(q):
+        return values([ast], _as_points(q, dim))[..., 0]
 
     def p_grad(q):
-        q = _as_points(q, dim)
-        return np.stack([f(q) for f in grad_fns], axis=-1)
+        return values(grads, _as_points(q, dim))
 
     def p_hess(q):
         q = _as_points(q, dim)
-        rows = [np.stack([hess_fns[i][j](q) for j in range(dim)], axis=-1) for i in range(dim)]
-        return np.stack(rows, axis=-2)
+        return values(hessians, q).reshape(q.shape + (dim,))
 
     degree = exprparse.growth_degree(ast)
     unbounded = degree > 2.0
@@ -304,7 +295,7 @@ def parse_potential(expr: str, dim: int, c_bound: float | None = None) -> Potent
         norms = hessian_norms(p_hess, _sample_points(dim))
         bound, source = _SAMPLE_SAFETY * float(np.max(norms)), "sampled_estimate"
 
-    return Potential(dim, eval_fns, p_grad, p_hess,
+    return Potential(dim, p_eval, p_grad, p_hess,
                      c_bound=bound, c_source=source,
                      unbounded_warning=unbounded,
                      label="expression", expression=exprparse.pretty(ast))

@@ -1,11 +1,16 @@
 """CLI commands, config validation, artifact determinism."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import finred
 from finred import core
 from finred.cli import _field_csv, main
 from finred.config import _SCHEMA, ConfigError, RunConfig, load_config, render_config
@@ -234,6 +239,48 @@ def test_refined_level_above_cap_is_one_error_line(tmp_path, capsys, monkeypatch
     assert main(["solve", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: truncation M n = 64 with quad_points = 129 is above the cap 100"]
+
+
+def out_of_memory(*args, **kwargs):
+    """Stand-in for core.SineGrid: fails as the (99999, 99999) cosine table would."""
+    raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (99999, 99999)")
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(core, "SineGrid", out_of_memory)
+    text = PENDULUM_CFG.replace("[multistart]", "[plan]\nM = 49999\n\n[multistart]")
+    cfg, _ = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (99999, 99999)"]
+
+
+@pytest.mark.parametrize("command", ["plan", "solve"])
+def test_non_finite_literal_is_one_error_line(tmp_path, capsys, command):
+    text = DIRICHLET_CFG.replace("expr = cos(q1)", "expr = 1e400*cos(q1)").replace(
+        "c_bound = 5.0", "c_bound = 1")
+    cfg, out = write_cfg(tmp_path, text)
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: number '1e400' is not finite (at position 0)"]
+    assert not out.exists()
+
+
+def test_expressions_load_no_computer_algebra(tmp_path):
+    # derivatives come from the parsed expression, so sympy is never imported
+    cfg, out = write_cfg(tmp_path, DIRICHLET_CFG)
+    script = (
+        "import sys, finred, finred.cli\n"
+        "assert finred.cli.main(['solve', '--config', sys.argv[1]]) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(finred.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (out / "solutions.csv").exists()
 
 
 def test_convergence_log_has_per_seed_records(tmp_path):

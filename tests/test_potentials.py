@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from finred import builtin_potential, parse_potential
-from finred.exprparse import ExpressionError, growth_degree, parse, pretty
+from finred.exprparse import (BinOp, Call, ExpressionError, Num, Var, derivative, growth_degree,
+                              parse, pretty)
 from finred.potentials import _sample_points, hessian_norms
 
 
@@ -112,16 +113,113 @@ def test_parse_user_bound():
 
 
 def test_parse_keeps_every_bit_of_a_literal():
-    # a sympy Float prints 15 digits by default, which would round this literal
+    # 17 significant digits: rounding to 15 would move this literal
     g = 56.491234567890125
     pot = parse_potential("-56.491234567890125*cos(q1)", 1, c_bound=g)
     q = np.linspace(-7.0, 7.0, 1001)
     assert np.array_equal(pot.eval(q[:, None]), -g * np.cos(q))
     assert np.array_equal(pot.grad(q[:, None])[:, 0], g * np.sin(q))
     assert np.array_equal(pot.hess(q[:, None])[:, 0, 0], g * np.cos(q))
+    pot = parse_potential("-56.491234567890125*cos(q1) + 0.25*sin(q1)", 1, c_bound=g + 0.25)
+    assert np.array_equal(pot.eval(q[:, None]), -g * np.cos(q) + 0.25 * np.sin(q))
+    assert np.array_equal(pot.grad(q[:, None])[:, 0], g * np.sin(q) + 0.25 * np.cos(q))
+    assert np.array_equal(pot.hess(q[:, None])[:, 0, 0], g * np.cos(q) - 0.25 * np.sin(q))
     # the log(2)^2 of the Hessian is taken at the literal's full precision
     hess = parse_potential("2^q1", 1, c_bound=1.0).hess(q[:, None])[:, 0, 0]
     assert np.max(np.abs(hess / (2.0 ** q * math.log(2.0) ** 2) - 1.0)) <= 4.5e-16
+
+
+def test_derivative_folds_signs_and_literals():
+    first = derivative(parse("-56.49*cos(q1)", 1), 0)
+    assert first == BinOp("*", Num(56.49), Call("sin", Var(0)))
+    assert derivative(first, 0) == BinOp("*", Num(56.49), Call("cos", Var(0)))
+    assert derivative(parse("q1^2", 1), 0) == BinOp("*", Num(2.0), Var(0))
+    assert derivative(parse("2^q1", 1), 0) == BinOp(
+        "*", Num(math.log(2.0)), BinOp("^", Num(2.0), Var(0)))
+    assert derivative(parse("3*q2 + exp(1.5)", 2), 0) == Num(0.0)
+
+
+# (expression, V, grad, Hessian) over (x, y) = (q1, q2), x and y in [0.5, 2]
+CLOSED_FORMS = [
+    ("3*q1^2*q2 - q2/2 + 7",
+     lambda x, y: 3 * x**2 * y - y / 2 + 7,
+     lambda x, y: [6 * x * y, 3 * x**2 - 0.5],
+     lambda x, y: [[6 * y, 6 * x], [6 * x, 0 * x]]),
+    ("q1/q2 - -q1",
+     lambda x, y: x / y + x,
+     lambda x, y: [1 / y + 1, -x / y**2],
+     lambda x, y: [[0 * x, -1 / y**2], [-1 / y**2, 2 * x / y**3]]),
+    ("q2^q1",
+     lambda x, y: y**x,
+     lambda x, y: [y**x * np.log(y), x * y**(x - 1)],
+     lambda x, y: [[y**x * np.log(y)**2, y**(x - 1) * (1 + x * np.log(y))],
+                   [y**(x - 1) * (1 + x * np.log(y)), x * (x - 1) * y**(x - 2)]]),
+    ("2^q1 * q2^-1.5",
+     lambda x, y: 2**x * y**-1.5,
+     lambda x, y: [np.log(2) * 2**x * y**-1.5, -1.5 * 2**x * y**-2.5],
+     lambda x, y: [[np.log(2)**2 * 2**x * y**-1.5, -1.5 * np.log(2) * 2**x * y**-2.5],
+                   [-1.5 * np.log(2) * 2**x * y**-2.5, 3.75 * 2**x * y**-3.5]]),
+    ("-sin(q1)*cos(q2)",
+     lambda x, y: -np.sin(x) * np.cos(y),
+     lambda x, y: [-np.cos(x) * np.cos(y), np.sin(x) * np.sin(y)],
+     lambda x, y: [[np.sin(x) * np.cos(y), np.cos(x) * np.sin(y)],
+                   [np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)]]),
+    ("tanh(2*q1 - q2)",
+     lambda x, y: np.tanh(2 * x - y),
+     lambda x, y: [2 * (1 - np.tanh(2 * x - y)**2), -(1 - np.tanh(2 * x - y)**2)],
+     lambda x, y: [[-8 * np.tanh(2 * x - y) * (1 - np.tanh(2 * x - y)**2),
+                    4 * np.tanh(2 * x - y) * (1 - np.tanh(2 * x - y)**2)],
+                   [4 * np.tanh(2 * x - y) * (1 - np.tanh(2 * x - y)**2),
+                    -2 * np.tanh(2 * x - y) * (1 - np.tanh(2 * x - y)**2)]]),
+    ("exp(-q1*q2)",
+     lambda x, y: np.exp(-x * y),
+     lambda x, y: [-y * np.exp(-x * y), -x * np.exp(-x * y)],
+     lambda x, y: [[y**2 * np.exp(-x * y), (x * y - 1) * np.exp(-x * y)],
+                   [(x * y - 1) * np.exp(-x * y), x**2 * np.exp(-x * y)]]),
+    ("-(q1 + 2*q2)^3 / 4",
+     lambda x, y: -(x + 2 * y)**3 / 4,
+     lambda x, y: [-0.75 * (x + 2 * y)**2, -1.5 * (x + 2 * y)**2],
+     lambda x, y: [[-1.5 * (x + 2 * y), -3 * (x + 2 * y)], [-3 * (x + 2 * y), -6 * (x + 2 * y)]]),
+    ("cos(sin(q1) * q2)",
+     lambda x, y: np.cos(np.sin(x) * y),
+     lambda x, y: [-np.sin(np.sin(x) * y) * np.cos(x) * y, -np.sin(np.sin(x) * y) * np.sin(x)],
+     lambda x, y: [[-np.cos(np.sin(x) * y) * (np.cos(x) * y)**2
+                    + np.sin(np.sin(x) * y) * np.sin(x) * y,
+                    -np.cos(np.sin(x) * y) * np.sin(x) * np.cos(x) * y
+                    - np.sin(np.sin(x) * y) * np.cos(x)],
+                   [-np.cos(np.sin(x) * y) * np.sin(x) * np.cos(x) * y
+                    - np.sin(np.sin(x) * y) * np.cos(x),
+                    -np.cos(np.sin(x) * y) * np.sin(x)**2]]),
+]
+
+
+def assert_close(actual, expected, rtol):
+    expected = np.asarray(expected, dtype=float)
+    scale = np.max(np.abs(expected), axis=tuple(range(1, expected.ndim)), keepdims=True)
+    assert np.all(np.abs(actual - expected) <= rtol * scale)
+
+
+@pytest.mark.parametrize("expr,value,grad,hess", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
+def test_exact_derivatives_match_closed_forms(expr, value, grad, hess, rng):
+    pot = parse_potential(expr, 2, c_bound=100.0)
+    pts = rng.uniform(0.5, 2.0, (200, 2))
+    x, y = pts[:, 0], pts[:, 1]
+    assert_close(pot.eval(pts)[:, None], value(x, y)[:, None], 1e-12)
+    assert_close(pot.grad(pts), np.moveaxis(np.array(grad(x, y)), 0, -1), 1e-12)
+    assert_close(pot.hess(pts), np.moveaxis(np.array(hess(x, y)), (0, 1), (-2, -1)), 1e-12)
+
+
+@pytest.mark.parametrize("expr", [
+    "exp(sin(q1*q2)) / (1 + tanh(q1 - q2)^2)",
+    "cos(q1^q2 + exp(-q2)) * (q1 - q2/3)^4",
+    "tanh(exp(cos(q1) / q2) - 2^(q1*q2))",
+])
+def test_nested_derivatives_match_central_differences(expr, rng):
+    pot = parse_potential(expr, 2, c_bound=100.0)
+    for q in rng.uniform(0.5, 2.0, (8, 2)):
+        g_fd = fd_gradient(lambda x: float(pot.eval(x)), q)
+        assert np.allclose(pot.grad(q), g_fd, rtol=1e-8, atol=1e-8)
+        assert np.allclose(pot.hess(q), fd_jacobian(pot.grad, q), rtol=1e-7, atol=1e-7)
 
 
 def test_parse_unbounded_flag():
@@ -158,6 +256,10 @@ def test_parse_errors_carry_position():
         parse("sin(q1", 1)
     with pytest.raises(ExpressionError):
         parse("", 1)
+    with pytest.raises(ExpressionError, match=r"number '1e400' is not finite \(at position 5\)"):
+        parse("q1 + 1e400*cos(q1)", 1)
+    with pytest.raises(ExpressionError, match=r"unknown name 'log'"):
+        parse("log(q1)", 1)  # log occurs in derivatives only
 
 
 @pytest.mark.parametrize("expr", [
