@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config, render_config
 from .core import TruncationError
 from .dirichlet import (DirichletSolution, DirichletSystem, dirichlet_plan,
                         solve_dirichlet, weyl_estimate)
-from .fourier import SinePath
+from .fourier import BoundaryProblem, SinePath
 from .functional import blocks_at, hessian_blocks
 from .morse import index_full, index_jacobi, index_schur
 from .reduction import fixed_point_cutoff, solve_reduced
@@ -217,39 +217,35 @@ def cmd_index(cfg: RunConfig, solution_id: int) -> int:
         plan = cfg.build_plan()
         path = _load_mech_coeffs(coeff_file, bp.T)
         blocks = hessian_blocks(bp, path, plan.N)
-        schur = index_schur(blocks)
-        full = index_full(blocks)
-        jacobi = index_jacobi(bp, path)
-        agree = schur.index == full.index == jacobi.index
-        print(f"schur={schur.index} full={full.index} jacobi={jacobi.index} "
-              f"{'AGREE' if agree else 'DISAGREE'}")
-        if schur.nullity or full.nullity:
-            print(f"nullity: schur={schur.nullity} full={full.nullity} (degenerate solution)")
-        if jacobi.nullity:
-            print(f"warning: variation matrix nearly singular at the right endpoint "
-                  f"(margin {jacobi.min_abs_eigenvalue:.3e})")
-        return 0 if agree else 1
-
-    # dirichlet: matrix methods only (no time ODE to shoot)
-    rows = coeff_file.read_text(encoding="utf-8").strip().splitlines()[1:]
-    dom = cfg.domain()
-    pot = cfg.potential()
-    lam_max = max(float(r.split(",")[-2]) for r in rows)
-    plan = dirichlet_plan(dom, pot, N=cfg.N, lambda_cut=lam_max,
-                          allow_uncertified=True)
-    coeffs = np.array([float(r.split(",")[-1]) for r in rows])
-    system = DirichletSystem(dom, pot, plan)
-    if len(coeffs) != len(plan.modes):
-        print(f"error: artifact has {len(coeffs)} modes, plan rebuilt {len(plan.modes)}",
-              file=sys.stderr)
-        return 1
-    blocks = blocks_at(system, plan.N, coeffs)
+    else:
+        rows = coeff_file.read_text(encoding="utf-8").strip().splitlines()[1:]
+        dom = cfg.domain()
+        pot = cfg.potential()
+        lam_max = max(float(r.split(",")[-2]) for r in rows)
+        plan = dirichlet_plan(dom, pot, N=cfg.N, lambda_cut=lam_max,
+                              allow_uncertified=True)
+        coeffs = np.array([float(r.split(",")[-1]) for r in rows])
+        if len(coeffs) != len(plan.modes):
+            print(f"error: artifact has {len(coeffs)} modes, plan rebuilt {len(plan.modes)}",
+                  file=sys.stderr)
+            return 1
+        blocks = blocks_at(DirichletSystem(dom, pot, plan), plan.N, coeffs)
+        bp = None  # a 2-D field has no time to shoot along
+        if dom.m == 1:  # a 1-D field is the n = 1 path with zero endpoints
+            bp = BoundaryProblem(pot, dom.lengths[0], [0.0], [0.0])
+            path = SinePath(dom.lengths[0], coeffs[:, None])
     schur = index_schur(blocks)
     full = index_full(blocks)
-    agree = schur.index == full.index
-    print(f"schur={schur.index} full={full.index} jacobi=n/a {'AGREE' if agree else 'DISAGREE'}")
+    jacobi = None if bp is None else index_jacobi(bp, path)
+    agree = len({schur.index, full.index} | ({jacobi.index} if jacobi is not None else set())) == 1
+    print(f"schur={schur.index} full={full.index} "
+          f"jacobi={'n/a' if jacobi is None else jacobi.index} "
+          f"{'AGREE' if agree else 'DISAGREE'}")
     if schur.nullity or full.nullity:
         print(f"nullity: schur={schur.nullity} full={full.nullity} (degenerate solution)")
+    if jacobi is not None and jacobi.nullity:
+        print(f"warning: variation matrix nearly singular at the right endpoint "
+              f"(margin {jacobi.min_abs_eigenvalue:.3e})")
     return 0 if agree else 1
 
 

@@ -15,11 +15,16 @@ The surface is
     refined()            the same problem at a finer truncation
     embed(c)             the path or field that c stands for
 
-and both MechanicalSystem and dirichlet.DirichletSystem provide it (the
-three evaluations through GalerkinSystem), so one solve loop
-(reduction.solve_system) serves both problem kinds.  Their grid
-transforms and curvature matrices come from one engine, fourier.SineGrid:
-a path is its one-axis case with n components.
+GalerkinSystem defines all of it but ``refined`` and ``embed``, which each
+subclass (MechanicalSystem, dirichlet.DirichletSystem) provides, with the
+data it passes to ``GalerkinSystem.__init__``: the SineGrid (modes in flat
+order), the potential, the eigenvalues, and V' of the boundary part on the
+grid with its exact flat coefficients (taken out of the grid transform of
+V' and added back exactly); a path adds its straight-line drift and the
+drift's kinetic energy |qT - q0|^2 / 2T.  A field is the m-axis grid with
+one component and no drift, and V'(0) is its boundary part of V'.  Grid
+values have shape grid.P + (n,), so V' and V'' take them as they are, and
+one solve loop (reduction.solve_system) serves both problem kinds.
 
 Each system keeps a one-entry memo of the last state it evaluated: a
 private read-only copy of c, its grid values, the coefficients of V'
@@ -54,6 +59,7 @@ would have run out of iterations short of tol.  It needs a certified C
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -124,12 +130,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class GalerkinSystem:
-    """``residual`` and ``hessian_matrix`` of the system surface, from a
-    subclass's ``eigenvalues``, ``nonlinear_coeffs`` and ``curvature_matrix``,
-    through the one-entry state memo; ``_synthesize(c)`` gives the grid
-    values that V' and V'' are sampled at."""
+    """The system surface from a subclass's data (see the module docstring),
+    through the one-entry state memo."""
 
     _memo: _State | None = None
+
+    def __init__(self, grid: SineGrid, potential, eigenvalues: np.ndarray, boundary_grad,
+                 boundary_coeffs: np.ndarray, drift=None, kinetic: float = 0.0):
+        self.grid = grid
+        self.potential = potential
+        self.n = grid.n
+        self.eigenvalues = eigenvalues
+        self._drift = drift
+        self._drift_values = None if drift is None else drift(grid_points(grid.lengths[0],
+                                                                          grid.P[0]))
+        self._boundary_grad = boundary_grad
+        self._boundary_coeffs = boundary_coeffs
+        self._kinetic = kinetic
+        # flat index (mode, component) -> position in the coefficient box K + (n,)
+        k = np.repeat(grid.modes - 1, grid.n, axis=0)
+        i = np.tile(np.arange(grid.n), len(grid.modes))
+        self._box_index = np.ravel_multi_index(tuple(k.T) + (i,), grid.K + (grid.n,))
 
     def _state(self, c) -> _State:
         c = np.asarray(c, dtype=float)
@@ -142,7 +163,10 @@ class GalerkinSystem:
         """Grid values at c, read-only, synthesized once per state."""
         state = self._state(c)
         if state.values is None:
-            state.values = _read_only(self._synthesize(state.c))
+            values = self.grid.synthesize(self._box(state.c))
+            if self._drift_values is not None:
+                values = self._drift_values + values
+            state.values = _read_only(values)
         return state.values
 
     def vprime(self, c: np.ndarray) -> np.ndarray:
@@ -165,30 +189,77 @@ class GalerkinSystem:
         K.flat[::K.shape[0] + 1] += self.eigenvalues  # the diagonal, strided
         return K
 
+    def _box(self, c: np.ndarray) -> np.ndarray:
+        """The coefficient box, shape K + (n,), of flat coefficients c."""
+        box = np.zeros(math.prod(self.grid.K) * self.n)
+        box[self._box_index] = c
+        return box.reshape(self.grid.K + (self.n,))
+
+    def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
+        """Coefficients of V'(solution), the boundary part's share added exactly."""
+        F = self.potential.grad(self.grid_values(c))
+        return (self.grid.analyze(F - self._boundary_grad).reshape(-1)[self._box_index]
+                + self._boundary_coeffs)
+
+    def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
+        """W[a, b] = grid quadrature of V''(solution) phi_a phi_b, flat indexing;
+        Toeplitz-minus-Hankel on each axis, see fourier.SineGrid."""
+        D = len(self.eigenvalues)
+        if self.potential.is_linear():
+            return np.zeros((D, D))
+        return self.grid.curvature(self.potential.hess(self.grid_values(c)))
+
+    @cached_property
+    def _gauss(self):
+        """Per axis the Gauss nodes, weights and sine modes; the drift at the nodes."""
+        rules = [gauss_sine_rule(L, K) for L, K in zip(self.grid.lengths, self.grid.K)]
+        return rules, None if self._drift is None else self._drift(rules[0][0])
+
+    def action(self, c: np.ndarray) -> float:
+        """Kinetic part exact in coefficients; potential part by composite Gauss."""
+        kinetic = self._kinetic + 0.5 * float(np.sum(self.eigenvalues * c * c))
+        rules, drift = self._gauss
+        (_, weights, B0), *rest = rules
+        values = B0 @ self._box(c).reshape(B0.shape[1], -1)
+        for _, _, B in rest:  # a field's second axis: B0 @ box @ B1.T
+            values = values @ B.T
+        values = values.reshape(tuple(len(w) for _, w, _ in rules) + (self.n,))
+        if drift is not None:
+            values = drift + values
+        potential = weights @ self.potential.eval(values)
+        for _, w, _ in rest:
+            potential = potential @ w
+        return kinetic - float(potential)
+
 
 class MechanicalSystem(GalerkinSystem):
-    """Sine-Galerkin discretization of the fixed-endpoint action problem."""
+    """Sine-Galerkin discretization of the fixed-endpoint action problem: the
+    path is the drift q0 + (qT - q0) t/T plus a sine series with n components."""
 
     def __init__(self, bp: BoundaryProblem, M: int, quad_points: int | None = None):
         if M < 1:
             raise ValueError(f"truncation must be positive, got {M}")
         P = 2 * M + 1 if quad_points is None else int(quad_points)
         check_truncation(M, bp.n, P)
-        self.grid = SineGrid((bp.T,), (M,), (P,), bp.n)
         self.bp = bp
-        self.n = bp.n
         self.M = M
         self.P = P
         self.T = bp.T
-        self.mode_eigs = mode_eigenvalues(bp.T, M)  # (M,)
-        self.eigenvalues = np.repeat(self.mode_eigs, self.n)  # flat, mode-major
         self.t = grid_points(bp.T, P)
-        self.drift_values = bp.drift(self.t)  # (P, n)
         # V' at the endpoints fixes the affine part of every V'(path) sample
         a0 = bp.potential.grad(bp.q0)
         a1 = bp.potential.grad(bp.qT)
-        self._affine_values = a0[None, :] + np.outer(self.t / self.T, a1 - a0)
-        self._affine_coeffs = affine_coeffs(self.T, M, a0, (a1 - a0) / self.T)
+        d = bp.qT - bp.q0
+        super().__init__(SineGrid((bp.T,), (M,), (P,), bp.n), bp.potential,
+                         np.repeat(mode_eigenvalues(bp.T, M), bp.n),  # flat, mode-major
+                         a0[None, :] + np.outer(self.t / self.T, a1 - a0),
+                         affine_coeffs(self.T, M, a0, (a1 - a0) / self.T).reshape(-1),
+                         drift=bp.drift, kinetic=float(d @ d) / (2.0 * self.T))
+
+    # the benchmark's tracer wraps these per class (bench/spans.py)
+    nonlinear_coeffs = GalerkinSystem.nonlinear_coeffs
+    curvature_matrix = GalerkinSystem.curvature_matrix
+    action = GalerkinSystem.action
 
     # -- flat <-> (M, n) ---------------------------------------------------
     def unflatten(self, c: np.ndarray) -> np.ndarray:
@@ -204,43 +275,6 @@ class MechanicalSystem(GalerkinSystem):
         """The same problem at doubled truncation, quadrature 2(2M)+1; above
         MODE_CAP a ValueError, as at plan time."""
         return MechanicalSystem(self.bp, 2 * self.M)
-
-    # -- transforms ---------------------------------------------------------
-    def sample(self, c: np.ndarray) -> np.ndarray:
-        return self.grid.synthesize(self.unflatten(c))
-
-    def path_values(self, c: np.ndarray) -> np.ndarray:
-        return self.drift_values + self.sample(c)
-
-    _synthesize = path_values
-
-    def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """Sine coefficients of t -> V'(path(t)), affine part handled exactly."""
-        F = self.bp.potential.grad(self.grid_values(c))  # (P, n)
-        g = self.grid.analyze(F - self._affine_values) + self._affine_coeffs
-        return self.flatten(g)
-
-    def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
-        """W[a, b] = quadrature of V''(path)_{ij} phi_k phi_l, flat indexing;
-        Toeplitz-minus-Hankel in (k, l), see fourier.SineGrid."""
-        D = self.M * self.n
-        if self.bp.potential.is_linear():
-            return np.zeros((D, D))
-        return self.grid.curvature(self.bp.potential.hess(self.grid_values(c)))
-
-    # -- action ----------------------------------------------------------------
-    @cached_property
-    def _gauss(self):
-        return gauss_sine_rule(self.T, self.M)
-
-    def action(self, c: np.ndarray) -> float:
-        """Kinetic part exact in coefficients; potential part by composite Gauss."""
-        d = self.bp.qT - self.bp.q0
-        kinetic = float(d @ d) / (2.0 * self.T) + 0.5 * float(np.sum(self.eigenvalues * c * c))
-        nodes, weights, basis = self._gauss
-        path = self.bp.drift(nodes) + basis @ self.unflatten(c)
-        potential = float(weights @ self.bp.potential.eval(path))
-        return kinetic - potential
 
 
 def gauss_sine_rule(L: float, K: int):

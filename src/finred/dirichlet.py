@@ -10,26 +10,25 @@ head/tail machinery carries over with the mode eigenvalues
 replacing (pi k / T)^2: the head collects the modes with lambda <= C, the
 tail constant is mu = 1 - C / lambda_{N+1}, and the reduced Hessian is the
 Schur complement of the tail block.  Dimensions m in {1, 2} are supported.
-DirichletSystem provides the system surface of ``core``, so solves run
-through the same solve loop as mechanical problems (``reduction.solve_system``).
 
-Grid transforms and the curvature matrix come from fourier.SineGrid, the
-engine of the mechanical system too: a field is its m-axis case with one
-component, and the grid rule P_i >= 2 kbox_i + 1 holds on every axis.
+DirichletSystem only constructs a ``core.GalerkinSystem``: the grid of its
+mode list (a field is the m-axis case of fourier.SineGrid with one
+component, and P_i >= 2 kbox_i + 1 on every axis), the eigenvalues, and
+V'(0) with its exact coefficients as the boundary part of V'; a field has
+no drift and no boundary kinetic energy.  So solves run through the same
+solve loop as mechanical problems (``reduction.solve_system``), and in 1-D
+the system is the n = 1 mechanical system with zero endpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import MODE_CAP, GalerkinSystem, gauss_sine_rule
+from .core import MODE_CAP, GalerkinSystem
 from .fourier import SineGrid, affine_coeffs
-from .functional import blocks_at
-from .morse import index_full, index_schur  # noqa: F401  (callers import them from here)
 from .potentials import Potential
 from .reduction import (DEFAULT_MULTISTART_COUNT, DEFAULT_MULTISTART_SEED, SolutionReport,
                         curvature_bound, solve_system)
@@ -44,7 +43,6 @@ __all__ = [
     "dirichlet_plan",
     "weyl_estimate",
     "solve_dirichlet",
-    "blocks_at",
 ]
 
 DEFAULT_MULTISTART_RADIUS = 2.0
@@ -262,7 +260,9 @@ class DirichletField:
 
 
 class DirichletSystem(GalerkinSystem):
-    """Tensor sine-Galerkin discretization of the semilinear Dirichlet problem."""
+    """Tensor sine-Galerkin discretization of the semilinear Dirichlet problem:
+    the field is its sine series on the plan's mode list, with no boundary
+    part; V'(0), its boundary value, is projected exactly."""
 
     def __init__(self, dom: RectangleDomain, pot: Potential, plan: DirichletPlan):
         self.dom = dom
@@ -270,21 +270,20 @@ class DirichletSystem(GalerkinSystem):
         self.plan = plan
         self.modes = plan.modes
         self.m = dom.m
-        self.n = 1  # one scalar coefficient per mode
-        self.eigenvalues = np.array([em.lam for em in self.modes])
         self.kbox = _box_extents(self.modes, self.m)
         self.P = tuple(plan.grid_shape)
         k = np.array([em.indices for em in self.modes])
-        self.grid = SineGrid(dom.lengths, self.kbox, self.P, 1, k)
-        # flat scatter/gather between the mode list and the coefficient box
-        self._box_index = np.ravel_multi_index(tuple((k - 1).T), tuple(self.kbox))
-        self._const_coeffs = self._constant_coeffs(k)
-        self._v0 = float(pot.grad(np.zeros(1))[0])  # V'(0), the boundary value
+        v0 = pot.grad(np.zeros(1))  # V'(0), shape (1,)
+        # exact coefficients of the constant 1: a product of 1-D ones per axis
+        rows = [affine_coeffs(L, K, 1.0, 0.0)[:, 0] for L, K in zip(dom.lengths, self.kbox)]
+        constant = math.prod(row[k[:, axis] - 1] for axis, row in enumerate(rows))
+        super().__init__(SineGrid(dom.lengths, self.kbox, self.P, 1, k), pot,
+                         np.array([em.lam for em in self.modes]), v0, v0 * constant)
 
-    def _constant_coeffs(self, k: np.ndarray) -> np.ndarray:
-        """Exact coefficients of the constant 1: a product of 1-D ones per axis."""
-        rows = [affine_coeffs(L, K, 1.0, 0.0)[:, 0] for L, K in zip(self.dom.lengths, self.kbox)]
-        return math.prod(row[k[:, axis] - 1] for axis, row in enumerate(rows))
+    # the benchmark's tracer wraps these per class (bench/spans.py)
+    nonlinear_coeffs = GalerkinSystem.nonlinear_coeffs
+    curvature_matrix = GalerkinSystem.curvature_matrix
+    action = GalerkinSystem.action
 
     def embed(self, c: np.ndarray) -> DirichletField:
         return DirichletField(self.dom, self.modes, c)
@@ -296,53 +295,6 @@ class DirichletSystem(GalerkinSystem):
                               tail_tol=plan.tail_tol, head_tol=plan.head_tol,
                               allow_uncertified=True)
         return DirichletSystem(self.dom, self.pot, fine)
-
-    # -- transforms ----------------------------------------------------------
-    def _scatter(self, c: np.ndarray) -> np.ndarray:
-        box = np.zeros(int(np.prod(self.kbox)))
-        box[self._box_index] = c
-        return box.reshape(tuple(self.kbox))
-
-    def sample(self, c: np.ndarray) -> np.ndarray:
-        """Field values on the tensor grid, shape self.P."""
-        return self.grid.synthesize(self._scatter(c))
-
-    _synthesize = sample
-
-    def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients of V'(phi); the constant boundary part added exactly."""
-        F = self.pot.grad(self.grid_values(c)[..., None])[..., 0]
-        return (self.grid.analyze(F - self._v0).reshape(-1)[self._box_index]
-                + self._v0 * self._const_coeffs)
-
-    def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
-        """W[a, b] = grid quadrature of V''(phi) phi_a phi_b, Toeplitz-minus-Hankel
-        on each axis; see fourier.SineGrid."""
-        Dn = len(self.modes)
-        if self.pot.is_linear():
-            return np.zeros((Dn, Dn))
-        return self.grid.curvature(self.pot.hess(self.grid_values(c)[..., None]))
-
-    # -- action -------------------------------------------------------------------
-    @cached_property
-    def _gauss(self):
-        return [gauss_sine_rule(L, K) for L, K in zip(self.dom.lengths, self.kbox)]
-
-    def action(self, c: np.ndarray) -> float:
-        """1/2 sum lambda c^2 minus the Gauss-quadrature integral of V(phi)."""
-        kinetic = 0.5 * float(np.sum(self.eigenvalues * c * c))
-        rule = self._gauss
-        box = self._scatter(c)
-        if self.m == 1:
-            _, w0, B0 = rule[0]
-            vals = B0 @ box
-            potential = float(w0 @ self.pot.eval(vals[:, None]))
-        else:
-            _, w0, B0 = rule[0]
-            _, w1, B1 = rule[1]
-            vals = B0 @ box @ B1.T
-            potential = float(w0 @ self.pot.eval(vals[..., None]) @ w1)
-        return kinetic - potential
 
 
 class DirichletSolution(SolutionReport):

@@ -295,12 +295,29 @@ def _is(node: Node, value: float) -> bool:
     return isinstance(node, Num) and node.value == value
 
 
+def _children(node: Node) -> tuple:
+    if isinstance(node, (Num, Var)):
+        return ()
+    return (node.arg,) if isinstance(node, (Neg, Call)) else (node.left, node.right)
+
+
 def _fold(node: Node) -> Node:
     """A node whose children are all literals, folded to one literal."""
-    children = (node.arg,) if isinstance(node, Call) else (node.left, node.right)
-    if all(isinstance(c, Num) for c in children):
+    if all(isinstance(c, Num) for c in _children(node)):
         return Num(float(evaluate(node, None)))
     return node
+
+
+def _has_variable(node: Node) -> bool:
+    return isinstance(node, Var) or any(_has_variable(c) for c in _children(node))
+
+
+def nonfinite_constant(node: Node) -> Node | None:
+    """The first subtree without variables whose value is not finite, such as
+    the ``inf`` in the derivative of ``q1/0`` or ``log(-2)``, or None."""
+    if not _has_variable(node):
+        return None if np.isfinite(evaluate(node, None)) else node
+    return next(filter(None, map(nonfinite_constant, _children(node))), None)
 
 
 def _neg(a: Node) -> Node:

@@ -261,13 +261,21 @@ def parse_potential(expr: str, dim: int, c_bound: float | None = None) -> Potent
     derivatives with numpy.  Without ``c_bound`` the curvature bound is a
     sampled estimate; expressions whose curvature cannot be certified as
     globally bounded (polynomial degree > 2, transcendentals of nonlinear
-    arguments) additionally carry ``unbounded_warning``.
+    arguments) additionally carry ``unbounded_warning``.  An expression
+    with a constant part that is not finite, in it or in a derivative
+    (``q1/0``, ``0^q1``, ``(-2)^q1``), is a ValueError.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     ast = exprparse.parse(expr, dim)
-    grads = [exprparse.derivative(ast, i) for i in range(dim)]
-    hessians = [exprparse.derivative(g, j) for g in grads for j in range(dim)]
+    with np.errstate(all="ignore"):  # a literal may fold to inf or nan: rejected below
+        grads = [exprparse.derivative(ast, i) for i in range(dim)]
+        hessians = [exprparse.derivative(g, j) for g in grads for j in range(dim)]
+        bad = next(filter(None, map(exprparse.nonfinite_constant, [ast, *grads, *hessians])),
+                   None)
+    if bad is not None:
+        raise ValueError(f"expression {expr!r} or a derivative of it has a constant part "
+                         f"that is not finite: {exprparse.pretty(bad)}")
 
     def values(nodes, q):
         """The nodes at the points q, stacked on a new last axis."""

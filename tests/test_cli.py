@@ -1,8 +1,10 @@
 """CLI commands, config validation, artifact determinism."""
 
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -269,6 +271,24 @@ def test_non_finite_literal_is_one_error_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "solve"])
+@pytest.mark.parametrize("expr,keys,bad", [("cos(q1) + q1/0", "c_bound = 1", "inf"),
+                                           ("(-2)^q1", "allow_uncertified = true", "log(-2.0)"),
+                                           ("0^q1", "allow_uncertified = true", "-inf")])
+def test_non_finite_potential_is_one_error_line(tmp_path, capsys, command, expr, keys, bad):
+    text = DIRICHLET_CFG.replace("expr = cos(q1)", f"expr = {expr}").replace("c_bound = 5.0", keys)
+    cfg, out = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: expression {expr!r} or a derivative of it has a constant part "
+        f"that is not finite: {bad}"]
+    assert not out.exists()
+
+
 def test_expressions_load_no_computer_algebra(tmp_path):
     # derivatives come from the parsed expression, so sympy is never imported
     cfg, out = write_cfg(tmp_path, DIRICHLET_CFG)
@@ -427,12 +447,22 @@ def test_index_missing_artifacts(tmp_path, capsys):
 
 
 def test_index_dirichlet(tmp_path, capsys):
+    # a 1-D field is the n = 1 path with zero endpoints: three counts
     cfg, out = write_cfg(tmp_path, DIRICHLET_CFG)
     assert main(["solve", "--config", str(cfg)]) == 0
     capsys.readouterr()
     assert main(["index", "--config", str(cfg), "0"]) == 0
     output = capsys.readouterr().out
-    assert "jacobi=n/a" in output and "AGREE" in output
+    assert re.fullmatch(r"schur=(\d+) full=\1 jacobi=\1 AGREE", output.splitlines()[0])
+
+
+def test_index_dirichlet_2d_has_no_jacobi_count(tmp_path, capsys):
+    cfg, out = write_cfg(tmp_path, DIRICHLET_2D_CFG)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["index", "--config", str(cfg), "0"]) == 0
+    output = capsys.readouterr().out
+    assert re.fullmatch(r"schur=(\d+) full=\1 jacobi=n/a AGREE", output.splitlines()[0])
 
 
 def test_weyl_table(tmp_path, capsys):

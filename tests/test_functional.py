@@ -140,7 +140,7 @@ def test_hessian_symmetry(rng):
 
 def einsum_curvature(system, c):
     """Reference assembly: quadrature of V'' phi_k phi_l with a dense sine table."""
-    H = system.bp.potential.hess(system.path_values(c))
+    H = system.bp.potential.hess(system.grid_values(c))
     H = 0.5 * (H + np.swapaxes(H, -1, -2))
     k = np.arange(1, system.M + 1)
     h = system.T / (system.P + 1)

@@ -1,6 +1,7 @@
 """Potential construction, exact derivatives, curvature bounds, parser."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -298,3 +299,15 @@ def test_sampled_estimate_has_safety_factor():
     assert pot.c_source == "sampled_estimate"
     assert 1.0 <= pot.c_bound <= 1.26
     assert pot.c_bound == pytest.approx(1.25, rel=1e-6)
+
+
+@pytest.mark.parametrize("expr,dim", [("cos(q1) + q1/0", 1), ("(-2)^q1", 1), ("0^q1", 1),
+                                      ("1/0 + q1", 1), ("cos(q1 - q2) + q1*q2/0", 2)])
+@pytest.mark.parametrize("c_bound", [1.0, None])
+def test_non_finite_constant_is_rejected(expr, dim, c_bound):
+    # V, V' or V'' would be inf or nan at every point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="has a constant part that is not finite"):
+            parse_potential(expr, dim, c_bound=c_bound)
+
