@@ -4,6 +4,11 @@ Input is a sectioned key=value config file (see config module and README);
 outputs are CSV artifacts plus a convergence log and a resolved-config
 echo, all byte-deterministic for a fixed config and seed.  Verbosity is
 controlled by the FINRED_LOG environment variable (debug|info|warning).
+
+Each command takes one path for both problem kinds; only the solver and
+the per-solution writers depend on the kind.  ``index`` rebuilds the
+solved level as the solve built it, the plan's system refined until it
+holds the artifact's coefficients, and counts the Morse index there.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, render_config
-from .core import TruncationError
-from .dirichlet import (DirichletSolution, DirichletSystem, dirichlet_plan,
-                        solve_dirichlet, weyl_estimate)
+from .core import MechanicalSystem, TruncationError
+from .dirichlet import DirichletSystem, solve_dirichlet, weyl_estimate
 from .fourier import BoundaryProblem, SinePath
-from .functional import blocks_at, hessian_blocks
+from .functional import blocks_at
 from .morse import index_full, index_jacobi, index_schur
 from .reduction import fixed_point_cutoff, solve_reduced
 
@@ -41,34 +45,19 @@ def _fmt(x: float) -> str:
 
 def cmd_plan(cfg: RunConfig) -> int:
     plan = cfg.build_plan()
-    lines = [f"kind = {cfg.kind}"]
-    if cfg.kind == "mechanical":
-        bp = cfg.boundary_problem()
-        c_tilde = max(1.0, plan.c_bound)
-        lines += [
-            f"N = {plan.N}",
-            f"mu = {plan.mu:.10g}",
-            f"kappa = {plan.contraction:.10g}",
-            f"M = {plan.M}",
-            f"quad_points = {plan.quad_points}",
-            f"fixedpoint_N = {fixed_point_cutoff(c_tilde, bp.T)}",
-            f"dim_U = {plan.N * bp.n}",
-            f"certified = {str(plan.certified).lower()}",
-        ]
-        if plan.N == 0:
-            lines.append("note: reduced system is empty; the straight line is the unique solution candidate")
+    mechanical = cfg.kind == "mechanical"
+    lines = [f"kind = {cfg.kind}", f"N = {plan.N}", f"mu = {plan.mu:.10g}",
+             f"kappa = {plan.contraction:.10g}"]
+    if mechanical:
+        lines += [f"M = {plan.M}", f"quad_points = {plan.quad_points}",
+                  f"fixedpoint_N = {fixed_point_cutoff(max(1.0, plan.c_bound), cfg.T)}"]
     else:
-        lines += [
-            f"N = {plan.N}",
-            f"mu = {plan.mu:.10g}",
-            f"kappa = {plan.contraction:.10g}",
-            f"modes = {len(plan.modes)}",
-            f"lambda_cut = {plan.lambda_cut:.10g}",
-            f"dim_U = {plan.N}",
-            f"certified = {str(plan.certified).lower()}",
-        ]
-        if plan.N == 0:
-            lines.append("note: reduced system is empty; the tail contraction solves the whole problem")
+        lines += [f"modes = {len(plan.modes)}", f"lambda_cut = {plan.lambda_cut:.10g}"]
+    lines += [f"dim_U = {plan.N * cfg.dim}", f"certified = {str(plan.certified).lower()}"]
+    if plan.N == 0:
+        lines.append("note: reduced system is empty; " + (
+            "the straight line is the unique solution candidate" if mechanical
+            else "the tail contraction solves the whole problem"))
     print("\n".join(lines))
     return 0
 
@@ -79,6 +68,15 @@ def cmd_plan(cfg: RunConfig) -> int:
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
     log.info("wrote %s", path)
+
+
+def _csv(header: str, columns) -> str:
+    """One row per entry of the columns: integers as they are, floats with FLOAT_FMT."""
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("{}" if col.dtype.kind in "iu" else "{:" + FLOAT_FMT + "}"
+                   for col in columns).format
+    rows = [header] + [row(*values) for values in zip(*(col.tolist() for col in columns))]
+    return "\n".join(rows) + "\n"
 
 
 def _solutions_csv(reports) -> str:
@@ -95,48 +93,27 @@ def _solutions_csv(reports) -> str:
 def _trajectory_csv(bp, rep, points: int) -> str:
     ts = np.linspace(0.0, bp.T, points)
     gamma = bp.drift(ts) + rep.path.evaluate(ts)
-    header = "t," + ",".join(f"gamma_{j + 1}" for j in range(bp.n))
-    rows = [header]
-    for i, t in enumerate(ts):
-        rows.append(",".join([_fmt(t)] + [_fmt(g) for g in gamma[i]]))
-    return "\n".join(rows) + "\n"
+    return _csv("t," + ",".join(f"gamma_{j + 1}" for j in range(bp.n)), [ts, *gamma.T])
 
 
-def _mech_coeffs_csv(rep) -> str:
-    n = rep.path.n
-    header = "k," + ",".join(f"c_{j + 1}" for j in range(n))
-    rows = [header]
-    for k in range(rep.path.M):
-        rows.append(",".join([str(k + 1)] + [_fmt(v) for v in rep.path.coeffs[k]]))
-    return "\n".join(rows) + "\n"
+def _path_coeffs_csv(rep) -> str:
+    path = rep.path
+    return _csv("k," + ",".join(f"c_{j + 1}" for j in range(path.n)),
+                [np.arange(1, path.M + 1), *path.coeffs.T])
 
 
-def _field_csv(sol: DirichletSolution, points: int) -> str:
-    dom = sol.field.domain
-    if dom.m == 1:
-        xs = np.linspace(0.0, dom.lengths[0], points)
-        columns = (xs, sol.field.evaluate(xs[:, None]))
-        header = "x,phi"
-    else:
-        xs = np.linspace(0.0, dom.lengths[0], points)
-        ys = np.linspace(0.0, dom.lengths[1], points)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        columns = (pts[:, 0], pts[:, 1], sol.field.evaluate(pts))
-        header = "x,y,phi"
-    row = ",".join(["{:" + FLOAT_FMT + "}"] * len(columns)).format
-    rows = [header] + [row(*values) for values in zip(*(col.tolist() for col in columns))]
-    return "\n".join(rows) + "\n"
+def _field_csv(rep, points: int) -> str:
+    dom = rep.field.domain
+    axes = np.meshgrid(*(np.linspace(0.0, L, points) for L in dom.lengths), indexing="ij")
+    pts = np.stack([x.ravel() for x in axes], axis=-1)
+    return _csv("x,phi" if dom.m == 1 else "x,y,phi", [*pts.T, rep.field.evaluate(pts)])
 
 
-def _dirichlet_coeffs_csv(sol: DirichletSolution) -> str:
-    m = sol.field.domain.m
-    header = ("k1,lambda,coeff" if m == 1 else "k1,k2,lambda,coeff")
-    rows = [header]
-    for em, cm in zip(sol.field.modes, sol.field.coeffs):
-        idx = ",".join(str(k) for k in em.indices)
-        rows.append(f"{idx},{_fmt(em.lam)},{_fmt(cm)}")
-    return "\n".join(rows) + "\n"
+def _field_coeffs_csv(rep) -> str:
+    field = rep.field
+    indices = np.array([em.indices for em in field.modes])
+    return _csv("".join(f"k{axis + 1}," for axis in range(field.domain.m)) + "lambda,coeff",
+                [*indices.T, [em.lam for em in field.modes], field.coeffs])
 
 
 def _convergence_log(reports, seed_records) -> str:
@@ -160,34 +137,27 @@ def _convergence_log(reports, seed_records) -> str:
 
 def cmd_solve(cfg: RunConfig) -> int:
     plan = cfg.build_plan()
-    out = Path(cfg.directory)
-    out.mkdir(parents=True, exist_ok=True)
-
     seed_records: list = []
+    options = dict(count=cfg.count, radius=cfg.radius, seed=cfg.seed, method=cfg.method,
+                   workers=cfg.workers, refine=cfg.refine, seed_records=seed_records)
     if cfg.kind == "mechanical":
         bp = cfg.boundary_problem()
         cfg.N, cfg.M, cfg.quad_points = plan.N, plan.M, plan.quad_points
-        reports = solve_reduced(
-            bp, plan, count=cfg.count, radius=cfg.radius, seed=cfg.seed,
-            method=cfg.method, workers=cfg.workers, refine=cfg.refine,
-            seed_records=seed_records)
-        _write(out / "solutions.csv", _solutions_csv(reports))
-        for i, rep in enumerate(reports):
-            _write(out / f"solution_{i:03d}_trajectory.csv",
-                   _trajectory_csv(bp, rep, cfg.trajectory_points))
-            _write(out / f"solution_{i:03d}_coeffs.csv", _mech_coeffs_csv(rep))
+        reports = solve_reduced(bp, plan, **options)
+        writers = {"trajectory": lambda rep: _trajectory_csv(bp, rep, cfg.trajectory_points),
+                   "coeffs": _path_coeffs_csv}
     else:
-        dom, pot = cfg.domain(), cfg.potential()
         cfg.N, cfg.lambda_cut = plan.N, plan.lambda_cut
-        reports = solve_dirichlet(
-            dom, pot, plan, count=cfg.count, radius=cfg.radius, seed=cfg.seed,
-            method=cfg.method, workers=cfg.workers, refine=cfg.refine,
-            seed_records=seed_records)
-        _write(out / "solutions.csv", _solutions_csv(reports))
-        for i, sol in enumerate(reports):
-            _write(out / f"solution_{i:03d}_field.csv", _field_csv(sol, cfg.field_points))
-            _write(out / f"solution_{i:03d}_coeffs.csv", _dirichlet_coeffs_csv(sol))
+        reports = solve_dirichlet(cfg.domain(), cfg.potential(), plan, **options)
+        writers = {"field": lambda rep: _field_csv(rep, cfg.field_points),
+                   "coeffs": _field_coeffs_csv}
 
+    out = Path(cfg.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    _write(out / "solutions.csv", _solutions_csv(reports))
+    for i, rep in enumerate(reports):
+        for name, csv in writers.items():
+            _write(out / f"solution_{i:03d}_{name}.csv", csv(rep))
     _write(out / "convergence.log", _convergence_log(reports, seed_records))
     _write(out / "resolved.cfg", render_config(cfg))
 
@@ -199,44 +169,36 @@ def cmd_solve(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # index
 
-def _load_mech_coeffs(path: Path, T: float) -> SinePath:
-    rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
-    coeffs = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
-    return SinePath(T, coeffs)
-
-
 def cmd_index(cfg: RunConfig, solution_id: int) -> int:
-    out = Path(cfg.directory)
-    coeff_file = out / f"solution_{solution_id:03d}_coeffs.csv"
+    plan = cfg.build_plan()
+    if cfg.kind == "mechanical":
+        bp = cfg.boundary_problem()
+        system = MechanicalSystem(bp, plan.M, plan.quad_points)
+    else:
+        dom = cfg.domain()
+        system = DirichletSystem(dom, cfg.potential(), plan)
+        # a 1-D field is the n = 1 path with zero endpoints; a 2-D one has no time to shoot along
+        bp = BoundaryProblem(system.potential, dom.lengths[0], [0.0], [0.0]) if dom.m == 1 else None
+
+    coeff_file = Path(cfg.directory) / f"solution_{solution_id:03d}_coeffs.csv"
     if not coeff_file.exists():
         print(f"error: missing artifact {coeff_file}; run 'solve' first", file=sys.stderr)
         return 1
+    rows = coeff_file.read_text(encoding="utf-8").strip().splitlines()[1:]
+    first = 1 if cfg.kind == "mechanical" else -1  # a path's c_1..c_n, a field's coeff
+    coeffs = np.array([float(v) for row in rows for v in row.split(",")[first:]])
+    while len(system.eigenvalues) < len(coeffs):
+        system = system.refined()
+    if len(system.eigenvalues) != len(coeffs):
+        print(f"error: artifact {coeff_file} has {len(coeffs)} coefficients, and no "
+              f"refinement level of the config has that many", file=sys.stderr)
+        return 1
+    blocks = blocks_at(system, plan.N * system.n, coeffs)
+    del system  # frees its grid caches before the signatures are computed
 
-    if cfg.kind == "mechanical":
-        bp = cfg.boundary_problem()
-        plan = cfg.build_plan()
-        path = _load_mech_coeffs(coeff_file, bp.T)
-        blocks = hessian_blocks(bp, path, plan.N)
-    else:
-        rows = coeff_file.read_text(encoding="utf-8").strip().splitlines()[1:]
-        dom = cfg.domain()
-        pot = cfg.potential()
-        lam_max = max(float(r.split(",")[-2]) for r in rows)
-        plan = dirichlet_plan(dom, pot, N=cfg.N, lambda_cut=lam_max,
-                              allow_uncertified=True)
-        coeffs = np.array([float(r.split(",")[-1]) for r in rows])
-        if len(coeffs) != len(plan.modes):
-            print(f"error: artifact has {len(coeffs)} modes, plan rebuilt {len(plan.modes)}",
-                  file=sys.stderr)
-            return 1
-        blocks = blocks_at(DirichletSystem(dom, pot, plan), plan.N, coeffs)
-        bp = None  # a 2-D field has no time to shoot along
-        if dom.m == 1:  # a 1-D field is the n = 1 path with zero endpoints
-            bp = BoundaryProblem(pot, dom.lengths[0], [0.0], [0.0])
-            path = SinePath(dom.lengths[0], coeffs[:, None])
     schur = index_schur(blocks)
     full = index_full(blocks)
-    jacobi = None if bp is None else index_jacobi(bp, path)
+    jacobi = None if bp is None else index_jacobi(bp, SinePath(bp.T, coeffs.reshape(-1, bp.n)))
     agree = len({schur.index, full.index} | ({jacobi.index} if jacobi is not None else set())) == 1
     print(f"schur={schur.index} full={full.index} "
           f"jacobi={'n/a' if jacobi is None else jacobi.index} "

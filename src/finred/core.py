@@ -20,11 +20,12 @@ subclass (MechanicalSystem, dirichlet.DirichletSystem) provides, with the
 data it passes to ``GalerkinSystem.__init__``: the SineGrid (modes in flat
 order), the potential, the eigenvalues, and V' of the boundary part on the
 grid with its exact flat coefficients (taken out of the grid transform of
-V' and added back exactly); a path adds its straight-line drift and the
-drift's kinetic energy |qT - q0|^2 / 2T.  A field is the m-axis grid with
-one component and no drift, and V'(0) is its boundary part of V'.  Grid
-values have shape grid.P + (n,), so V' and V'' take them as they are, and
-one solve loop (reduction.solve_system) serves both problem kinds.
+V' and added back exactly; ValueError unless both are finite); a path
+adds its straight-line drift and the drift's kinetic energy
+|qT - q0|^2 / 2T.  A field is the m-axis grid with one component and no
+drift, and V'(0) is its boundary part of V'.  Grid values have shape
+grid.P + (n,), so V' and V'' take them as they are, and one solve loop
+(reduction.solve_system) serves both problem kinds.
 
 Each system keeps a one-entry memo of the last state it evaluated: a
 private read-only copy of c, its grid values, the coefficients of V'
@@ -137,6 +138,9 @@ class GalerkinSystem:
 
     def __init__(self, grid: SineGrid, potential, eigenvalues: np.ndarray, boundary_grad,
                  boundary_coeffs: np.ndarray, drift=None, kinetic: float = 0.0):
+        if not (np.isfinite(boundary_grad).all() and np.isfinite(boundary_coeffs).all()):
+            raise ValueError("V' of the boundary part is not finite "
+                             "(V' at the endpoints of a path, V'(0) for a field)")
         self.grid = grid
         self.potential = potential
         self.n = grid.n
@@ -246,14 +250,17 @@ class MechanicalSystem(GalerkinSystem):
         self.P = P
         self.T = bp.T
         self.t = grid_points(bp.T, P)
-        # V' at the endpoints fixes the affine part of every V'(path) sample
-        a0 = bp.potential.grad(bp.q0)
-        a1 = bp.potential.grad(bp.qT)
+        # V' at the endpoints fixes the affine part of every V'(path) sample;
+        # GalerkinSystem rejects it when it is not finite
+        with np.errstate(all="ignore"):
+            a0 = bp.potential.grad(bp.q0)
+            a1 = bp.potential.grad(bp.qT)
+            boundary_grad = a0[None, :] + np.outer(self.t / self.T, a1 - a0)
+            boundary_coeffs = affine_coeffs(self.T, M, a0, (a1 - a0) / self.T).reshape(-1)
         d = bp.qT - bp.q0
         super().__init__(SineGrid((bp.T,), (M,), (P,), bp.n), bp.potential,
                          np.repeat(mode_eigenvalues(bp.T, M), bp.n),  # flat, mode-major
-                         a0[None, :] + np.outer(self.t / self.T, a1 - a0),
-                         affine_coeffs(self.T, M, a0, (a1 - a0) / self.T).reshape(-1),
+                         boundary_grad, boundary_coeffs,
                          drift=bp.drift, kinetic=float(d @ d) / (2.0 * self.T))
 
     # the benchmark's tracer wraps these per class (bench/spans.py)

@@ -273,12 +273,14 @@ class DirichletSystem(GalerkinSystem):
         self.kbox = _box_extents(self.modes, self.m)
         self.P = tuple(plan.grid_shape)
         k = np.array([em.indices for em in self.modes])
-        v0 = pot.grad(np.zeros(1))  # V'(0), shape (1,)
         # exact coefficients of the constant 1: a product of 1-D ones per axis
         rows = [affine_coeffs(L, K, 1.0, 0.0)[:, 0] for L, K in zip(dom.lengths, self.kbox)]
         constant = math.prod(row[k[:, axis] - 1] for axis, row in enumerate(rows))
+        with np.errstate(all="ignore"):  # GalerkinSystem rejects a V'(0) that is not finite
+            v0 = pot.grad(np.zeros(1))  # V'(0), shape (1,)
+            v0_coeffs = v0 * constant
         super().__init__(SineGrid(dom.lengths, self.kbox, self.P, 1, k), pot,
-                         np.array([em.lam for em in self.modes]), v0, v0 * constant)
+                         np.array([em.lam for em in self.modes]), v0, v0_coeffs)
 
     # the benchmark's tracer wraps these per class (bench/spans.py)
     nonlinear_coeffs = GalerkinSystem.nonlinear_coeffs
@@ -297,12 +299,7 @@ class DirichletSystem(GalerkinSystem):
         return DirichletSystem(self.dom, self.pot, fine)
 
 
-class DirichletSolution(SolutionReport):
-    """One stationary field with residuals and Morse data; ``field`` is ``path``."""
-
-    @property
-    def field(self) -> DirichletField:
-        return self.path
+DirichletSolution = SolutionReport  # a field's report: its ``field`` is its ``path``
 
 
 def solve_dirichlet(dom: RectangleDomain, pot: Potential, plan: DirichletPlan,
@@ -311,7 +308,7 @@ def solve_dirichlet(dom: RectangleDomain, pot: Potential, plan: DirichletPlan,
                     seed: int = DEFAULT_MULTISTART_SEED, method: str = "newton",
                     workers: int = 1, refine: bool = True,
                     with_oracles: bool = False,
-                    seed_records: list | None = None) -> list[DirichletSolution]:
+                    seed_records: list | None = None) -> list[SolutionReport]:
     """Multistart reduced Newton for the Dirichlet problem; see solve_reduced.
 
     The radius defaults to DEFAULT_MULTISTART_RADIUS; refinement re-plans
@@ -320,5 +317,4 @@ def solve_dirichlet(dom: RectangleDomain, pot: Potential, plan: DirichletPlan,
     return solve_system(DirichletSystem(dom, pot, plan), plan, seeds, count=count,
                         radius=DEFAULT_MULTISTART_RADIUS if radius is None else float(radius),
                         seed=seed, method=method, refine=refine,
-                        with_oracles=with_oracles, seed_records=seed_records,
-                        report=DirichletSolution)
+                        with_oracles=with_oracles, seed_records=seed_records)

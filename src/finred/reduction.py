@@ -93,14 +93,14 @@ class ReductionPlan:
 
 @dataclass
 class SolutionReport:
-    """One stationary path with residuals, Morse data and provenance.
+    """One stationary path or field with residuals, Morse data and provenance.
 
-    ``path`` and ``tail`` are whatever the system's ``embed`` returns: a
-    SinePath for mechanical problems, a DirichletField for Dirichlet ones.
+    ``path`` is whatever the system's ``embed`` returns: a SinePath for
+    mechanical problems, a DirichletField for Dirichlet ones, which is
+    also read as ``field``.
     """
 
     head: np.ndarray
-    tail: SinePath
     path: SinePath
     action: float
     head_residual: float
@@ -115,6 +115,10 @@ class SolutionReport:
     seed_index: int = -1
     truncation_drift: Optional[float] = None
     residual_history: list = field(default_factory=list)
+
+    @property
+    def field(self):
+        return self.path
 
 
 def cutoff_formula(C: float, T: float) -> int:
@@ -276,8 +280,8 @@ def solve_reduced(bp: BoundaryProblem, plan: ReductionPlan,
 
 def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
                  count: int, radius: float, seed: int, method: str,
-                 refine: bool, with_oracles: bool, seed_records: list | None,
-                 report: type = SolutionReport) -> list[SolutionReport]:
+                 refine: bool, with_oracles: bool,
+                 seed_records: list | None) -> list[SolutionReport]:
     """Multistart reduced Newton on one system, shared by both problem kinds.
 
     ``plan`` supplies the head size ``N`` (in modes), the tolerances and
@@ -287,14 +291,13 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
     order; converged roots are deduplicated on head distance, and with
     ``refine=True`` each is re-solved on ``system.refined()`` until its
     head moves by at most 1e-7 (at most twice); each refinement level is
-    built once per solve and shared by the roots.  Reports (of type
-    ``report``) are sorted by action value, then lexicographic head (to
-    DEDUP_TOL) among actions that agree to ACTION_TIE_RTOL
-    (``order_reports``).  With a certified plan the line search screens
-    trials with the tail certificate (``core.solve_tail``); the roots are
-    the same either way.  When a list is passed as ``seed_records`` it
-    receives the raw per-seed solve results in seed order (for
-    convergence logging).
+    built once per solve and shared by the roots.  Reports are sorted by
+    action value, then lexicographic head (to DEDUP_TOL) among actions
+    that agree to ACTION_TIE_RTOL (``order_reports``).  With a certified
+    plan the line search screens trials with the tail certificate
+    (``core.solve_tail``); the roots are the same either way.  When a
+    list is passed as ``seed_records`` it receives the raw per-seed solve
+    results in seed order (for convergence logging).
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"multistart radius must be a positive real, got {radius}")
@@ -319,7 +322,7 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
         seed_records.extend(results)
 
     levels = [system]  # levels[j] is the system refined j times, shared by all roots
-    reports = [_root_report(levels, plan, root, newton, refine, with_oracles, report)
+    reports = [_root_report(levels, plan, root, newton, refine, with_oracles)
                for root in core.dedup_roots(results, tol=DEDUP_TOL)]
     return order_reports(reports)
 
@@ -348,7 +351,7 @@ def order_reports(reports: list) -> list:
 
 
 def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, refine: bool,
-                 with_oracles: bool, report: type) -> SolutionReport:
+                 with_oracles: bool) -> SolutionReport:
     """Refine one deduplicated root if asked, then expand it to a full report."""
     system = levels[0]
     head_dim = plan.N * system.n
@@ -358,9 +361,8 @@ def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, ref
     c = np.concatenate([res.u, res.v])
     blocks = blocks_at(system, head_dim, c)
     idx = index_schur(blocks)
-    return report(
+    return SolutionReport(
         head=res.u.copy(),
-        tail=system.embed(np.concatenate([np.zeros(head_dim), res.v])),
         path=system.embed(c),
         action=system.action(c),
         head_residual=res.head_residual,

@@ -14,9 +14,12 @@ import pytest
 
 import finred
 from finred import core
-from finred.cli import _field_csv, main
+from finred import cli
+from finred.cli import (_field_coeffs_csv, _field_csv, _path_coeffs_csv,
+                        _trajectory_csv, main)
 from finred.config import _SCHEMA, ConfigError, RunConfig, load_config, render_config
 from finred.dirichlet import DirichletField, RectangleDomain, enumerate_modes
+from finred.fourier import SinePath
 from tests.conftest import refuse_grids
 
 PENDULUM_CFG = """
@@ -289,6 +292,29 @@ def test_non_finite_potential_is_one_error_line(tmp_path, capsys, command, expr,
     assert not out.exists()
 
 
+BOUNDARY_ERROR = ("error: V' of the boundary part is not finite "
+                  "(V' at the endpoints of a path, V'(0) for a field)")
+
+
+@pytest.mark.parametrize("template,expr", [
+    (DIRICHLET_CFG, "q1^0.5"), (DIRICHLET_CFG, "cos(q1) + 1/q1"),
+    (PENDULUM_CFG, "cos(q1) + 1/q1")],
+    ids=["field-sqrt", "field-reciprocal", "path-reciprocal"])
+def test_non_finite_boundary_gradient_is_one_error_line(tmp_path, capsys, template, expr):
+    # V' is infinite at 0: the field's boundary value, the path's left endpoint
+    text = re.sub(r"(builtin = pendulum\nparams = 1.0|expr = cos\(q1\)\nc_bound = 5.0)",
+                  f"expr = {expr}\nc_bound = 1\nallow_uncertified = true", template)
+    cfg, out = write_cfg(tmp_path, text)
+    for command in ("solve", "index"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            assert main([command, "--config", str(cfg), *(["0"] if command == "index" else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [BOUNDARY_ERROR]
+        assert not out.exists()
+
+
 def test_expressions_load_no_computer_algebra(tmp_path):
     # derivatives come from the parsed expression, so sympy is never imported
     cfg, out = write_cfg(tmp_path, DIRICHLET_CFG)
@@ -357,9 +383,12 @@ def test_output_points_below_two_is_config_error(tmp_path, capsys, key, value):
         assert not out.exists()
 
 
+def fmt(x):
+    return format(float(x), ".16e")
+
+
 def field_csv_reference(sol, points):
     """The per-point formatting loop that cli._field_csv replaces."""
-    fmt = lambda x: format(float(x), ".16e")  # noqa: E731
     dom = sol.field.domain
     if dom.m == 1:
         xs = np.linspace(0.0, dom.lengths[0], points)
@@ -375,8 +404,42 @@ def field_csv_reference(sol, points):
     return "\n".join(rows) + "\n"
 
 
+def trajectory_csv_reference(bp, rep, points):
+    """The per-value formatting loop that cli._trajectory_csv replaces."""
+    ts = np.linspace(0.0, bp.T, points)
+    gamma = bp.drift(ts) + rep.path.evaluate(ts)
+    rows = ["t," + ",".join(f"gamma_{j + 1}" for j in range(bp.n))]
+    for i, t in enumerate(ts):
+        rows.append(",".join([fmt(t)] + [fmt(g) for g in gamma[i]]))
+    return "\n".join(rows) + "\n"
+
+
+def path_coeffs_csv_reference(rep):
+    """The per-value formatting loop that cli._path_coeffs_csv replaces."""
+    n = rep.path.n
+    rows = ["k," + ",".join(f"c_{j + 1}" for j in range(n))]
+    for k in range(rep.path.M):
+        rows.append(",".join([str(k + 1)] + [fmt(v) for v in rep.path.coeffs[k]]))
+    return "\n".join(rows) + "\n"
+
+
+def field_coeffs_csv_reference(rep):
+    """The per-mode formatting loop that cli._field_coeffs_csv replaces."""
+    rows = ["k1,lambda,coeff" if rep.field.domain.m == 1 else "k1,k2,lambda,coeff"]
+    for em, cm in zip(rep.field.modes, rep.field.coeffs):
+        idx = ",".join(str(k) for k in em.indices)
+        rows.append(f"{idx},{fmt(em.lam)},{fmt(cm)}")
+    return "\n".join(rows) + "\n"
+
+
+# signed zero, subnormal, tiny, huge and ordinary values
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
+                    -1e300, 0.1, -1.0 / 3.0, 123456789.0])
+
+
 @pytest.mark.parametrize("lengths", [(1.3,), (1.0, 1.0), (0.9, 1.6)])
 def test_field_csv_bytes_match_the_formatting_loop(lengths):
+    """Every CSV writer gives the bytes of the per-value formatting loop it replaces."""
     rng = np.random.default_rng(11)
     dom = RectangleDomain(lengths)
     modes = tuple(enumerate_modes(dom, 2000.0))
@@ -384,6 +447,19 @@ def test_field_csv_bytes_match_the_formatting_loop(lengths):
     sol = SimpleNamespace(field=DirichletField(dom, modes, coeffs))
     for points in (2, 17, 65):
         assert _field_csv(sol, points) == field_csv_reference(sol, points)
+    special = np.resize(SPECIAL, len(modes))
+    sol = SimpleNamespace(field=DirichletField(dom, modes, special))
+    assert _field_coeffs_csv(sol) == field_coeffs_csv_reference(sol)
+    # paths with one component per side length; trajectory values are the
+    # special values (the drift) plus -0.0 (the path), which keeps their signs
+    n, T = len(lengths), lengths[-1]
+    for points in (2, 17):
+        drift = np.resize(SPECIAL, (points, n))
+        bp = SimpleNamespace(T=T, n=n, drift=lambda ts: drift)
+        rep = SimpleNamespace(path=SimpleNamespace(evaluate=lambda ts: np.full((len(ts), n), -0.0)))
+        assert _trajectory_csv(bp, rep, points) == trajectory_csv_reference(bp, rep, points)
+    rep = SimpleNamespace(path=SinePath(T, np.resize(SPECIAL, (len(SPECIAL) + 3, n))))
+    assert _path_coeffs_csv(rep) == path_coeffs_csv_reference(rep)
 
 
 @pytest.mark.parametrize("template", [PENDULUM_CFG, DIRICHLET_2D_CFG],
@@ -463,6 +539,40 @@ def test_index_dirichlet_2d_has_no_jacobi_count(tmp_path, capsys):
     assert main(["index", "--config", str(cfg), "0"]) == 0
     output = capsys.readouterr().out
     assert re.fullmatch(r"schur=(\d+) full=\1 jacobi=n/a AGREE", output.splitlines()[0])
+
+
+def test_index_assembles_on_the_grid_of_the_solve(tmp_path, capsys, monkeypatch):
+    # quad_points = 129 puts the solve's Hessian on 129 nodes, not the 2M + 1 = 65 default
+    text = PENDULUM_CFG.replace("T = 3.141592653589793", "T = 9.42477796076938").replace(
+        "[multistart]", "[plan]\nquad_points = 129\nrefine = false\n\n[multistart]")
+    cfg, out = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    grids, blocks_at = [], cli.blocks_at
+
+    def spy(system, head_dim, c):
+        grids.append(system.grid.P)
+        return blocks_at(system, head_dim, c)
+
+    monkeypatch.setattr(cli, "blocks_at", spy)
+    assert main(["index", "--config", str(cfg), "0"]) == 0
+    assert grids == [(129,)]
+    assert capsys.readouterr().out.endswith(" AGREE\n")
+
+
+@pytest.mark.parametrize("template", [PENDULUM_CFG, DIRICHLET_CFG], ids=["mechanical", "dirichlet"])
+def test_index_coefficient_count_of_no_level_is_one_error_line(tmp_path, capsys, template):
+    cfg, out = write_cfg(tmp_path, template)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    coeff_file = out / "solution_000_coeffs.csv"
+    rows = coeff_file.read_text(encoding="utf-8").splitlines()
+    coeff_file.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")
+    assert main(["index", "--config", str(cfg), "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: artifact {coeff_file} has ")
 
 
 def test_weyl_table(tmp_path, capsys):

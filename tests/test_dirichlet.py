@@ -11,10 +11,11 @@ from finred import (BoundaryProblem, RectangleDomain, builtin_potential,
                     dirichlet_plan, enumerate_modes, make_plan, parse_potential,
                     solve_dirichlet, solve_reduced, weyl_estimate)
 from finred.core import MechanicalSystem
-from finred.dirichlet import DirichletField, DirichletSystem, EigenMode, mode_eigenvalue
+from finred.dirichlet import (DirichletField, DirichletSolution, DirichletSystem, EigenMode,
+                              mode_eigenvalue)
 from finred.functional import blocks_at
 from finred.morse import index_full, index_schur
-from finred.reduction import UncertifiedPotentialError
+from finred.reduction import SolutionReport, UncertifiedPotentialError
 
 
 def lattice_scan(dom, lambda_max):
@@ -350,6 +351,19 @@ def test_mechanical_and_dirichlet_agree_on_linear_source():
     mech_vals = mech.path.evaluate(xs)[:, 0]
     diri_vals = diri.field.evaluate(xs[:, None])
     assert np.max(np.abs(mech_vals - diri_vals)) < 1e-8
+
+
+def test_both_problem_kinds_report_one_type():
+    # a field's report is a SolutionReport whose field is its path
+    pot = builtin_potential("pendulum", (1.0,))
+    bp = BoundaryProblem(pot, 2.0, [0.0], [0.5])
+    dom = RectangleDomain((1.0, 1.3))
+    reports = (solve_reduced(bp, make_plan(bp), count=1, refine=False)
+               + solve_dirichlet(dom, pot, dirichlet_plan(dom, pot), count=1, refine=False))
+    assert DirichletSolution is SolutionReport
+    assert [type(rep) for rep in reports] == [SolutionReport, SolutionReport]
+    for rep in reports:
+        assert rep.field is rep.path
 
 
 @pytest.mark.parametrize("family", ["pendulum", "harmonic", "parsed"])
