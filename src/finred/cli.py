@@ -14,6 +14,7 @@ holds the artifact's coefficients, and counts the Morse index there.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import math
 import os
@@ -103,10 +104,19 @@ def _path_coeffs_csv(rep) -> str:
 
 
 def _field_csv(rep, points: int) -> str:
+    """The field on the grid of `points` per axis, the last axis fastest: each
+    coordinate is formatted once per axis, the values by one "%.16e" template
+    (the bytes of FLOAT_FMT, nan and inf included)."""
     dom = rep.field.domain
-    axes = np.meshgrid(*(np.linspace(0.0, L, points) for L in dom.lengths), indexing="ij")
-    pts = np.stack([x.ravel() for x in axes], axis=-1)
-    return _csv("x,phi" if dom.m == 1 else "x,y,phi", [*pts.T, rep.field.evaluate(pts)])
+    axes = [np.linspace(0.0, L, points) for L in dom.lengths]
+    grid = np.meshgrid(*axes, indexing="ij")
+    values = rep.field.evaluate(np.stack([x.ravel() for x in grid], axis=-1))
+    coords = [[_fmt(x) + "," for x in axis.tolist()] for axis in axes]
+    items = [None] * (2 * values.size)
+    items[0::2] = map("".join, itertools.product(*coords))
+    items[1::2] = values.tolist()
+    header = "x,phi\n" if dom.m == 1 else "x,y,phi\n"
+    return header + ("%s%.16e\n" * values.size) % tuple(items)
 
 
 def _field_coeffs_csv(rep) -> str:

@@ -279,9 +279,10 @@ class MechanicalSystem(GalerkinSystem):
         return SinePath(self.T, self.unflatten(c))
 
     def refined(self) -> "MechanicalSystem":
-        """The same problem at doubled truncation, quadrature 2(2M)+1; above
-        MODE_CAP a ValueError, as at plan time."""
-        return MechanicalSystem(self.bp, 2 * self.M)
+        """The same problem at doubled truncation on 2P - 1 nodes, which is
+        2(2M)+1 when P = 2M+1, so a quadrature raised above the default
+        stays raised; above MODE_CAP a ValueError, as at plan time."""
+        return MechanicalSystem(self.bp, 2 * self.M, 2 * self.P - 1)
 
 
 def gauss_sine_rule(L: float, K: int):

@@ -16,14 +16,19 @@ silently classified.
 The Jacobi oracle integrates Y = [J; J'] with fixed-step classical RK4.
 Because Y' = A(t) Y is linear, each step is one 2n x 2n transfer matrix
 built from V'' at the step's start, midpoint and end; all of them are
-built in one batched pass and applied in sequence.  The RK4 half-grid
+built in one batched pass.  They are applied in blocks of about
+sqrt(steps) steps: the block products and the states inside the blocks
+are batched matmuls over all blocks, so the propagation takes O(sqrt(steps))
+numpy calls, not one per step, and only the block-start states round
+differently from stepping in sequence (``_propagate``).  The RK4 half-grid
 t_j = j T / (2 steps) is the DST-I grid with P + 1 = 2 steps, so the path
 is sampled there by one transform (on a grid r times finer when the path
 has M >= steps modes).  The node states [J; J'] fix a cubic Hermite model
-of J on every step, and everything between nodes is read off it: each zero
-of det J is located on the model, and J there gives the rank drop that
-counts the conjugate point (singular values below JACOBI_RANK_TOL max
-||J||).  So V'' is sampled once per call and nothing is integrated twice.
+of J on every step, held as its four coefficient matrices, and everything
+between nodes is read off it: each zero of det J is located on the model,
+and J there gives the rank drop that counts the conjugate point (singular
+values below JACOBI_RANK_TOL max ||J||).  So V'' is sampled once per call
+and nothing is integrated twice.
 """
 
 from __future__ import annotations
@@ -83,17 +88,18 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
     The state Y = [J; J'] obeys Y' = A(t) Y with A = [[0, I], [-V''(t), 0]],
     so one classical RK4 step of size h = T / steps is multiplication by a
     fixed 2n x 2n matrix (``_step_matrices``), built from V'' sampled once on
-    the RK4 half-grid (``_half_grid_path``) and applied in sequence from
-    Y(0) = [0; I].  Between nodes J is the cubic Hermite interpolant of the
-    node states (``_hermite``), as accurate as the RK4 nodes themselves.
-    Zeros of det J in (0, T) are located on it: each sign change between
-    nodes by 40 bisection steps, and each near-zero dip of |det J| at the
-    vertex of the parabola through three nodes (vertex below 1e-6 max
-    |det J|).  Zeros closer than 1.5 h are merged, and each is weighted by
-    the rank drop of the interpolated J there (singular values below
-    1e-7 max ||J||).  Zeros within 0.75 h of T are left to the endpoint
-    check: a singular J(T) is reported as nullity.  A path whose components
-    or horizon differ from the problem's is a ValueError.
+    the RK4 half-grid (``_half_grid_path``) and applied in blocks from
+    Y(0) = [0; I] (``_propagate``).  Between nodes J is the cubic Hermite
+    interpolant of the node states (``_hermite_cubic``), as accurate as the
+    RK4 nodes themselves.  Zeros of det J in (0, T) are located on it: each
+    sign change between nodes by 40 bisection steps on the cubic's
+    coefficients, and each near-zero dip of |det J| at the vertex of the
+    parabola through three nodes (vertex below 1e-6 max |det J|).  Zeros
+    closer than 1.5 h are merged, and each is weighted by the rank drop of
+    the interpolated J there (singular values below 1e-7 max ||J||).  Zeros
+    within 0.75 h of T are left to the endpoint check: a singular J(T) is
+    reported as nullity.  A path whose components or horizon differ from
+    the problem's is a ValueError.
     """
     points, end_sv, J_scale = _conjugate_points(bp, c, steps)
     margin = float(end_sv[-1] / J_scale) if J_scale > 0.0 else np.inf
@@ -124,10 +130,11 @@ def _conjugate_points(bp: BoundaryProblem, c: SinePath, steps: int):
     k = i[(dets[i] == 0.0) | (dets[i] * dets[i + 1] < 0.0)]
     # bisection on s in [0, 1] for det J(t_k + s h) = 0, all sign changes at once;
     # a zero at a node (dets[k] == 0) is kept at s = 0
+    cubic, left_det = _hermite_cubic(Y, k, h), dets[k]
     lo, hi = np.zeros(k.size), np.ones(k.size)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        left = dets[k] * np.linalg.det(_hermite(Y, k, mid, h)) <= 0.0
+        left = left_det * np.linalg.det(_horner(cubic, mid)) <= 0.0
         lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
     candidates = [(k + 0.5 * (lo + hi)) * h]
     # even-order touches: interior dips of |det| without sign change.  The
@@ -151,8 +158,8 @@ def _conjugate_points(bp: BoundaryProblem, c: SinePath, steps: int):
     times = times[times <= T - 0.75 * h]  # later zeros belong to the endpoint check
     k = np.minimum(np.floor(times / h).astype(int), steps - 1)
     # one SVD call for J at every candidate and at T
-    sv = np.linalg.svd(np.concatenate([_hermite(Y, k, times / h - k, h), Js[-1:]]),
-                       compute_uv=False)
+    J_times = _horner(_hermite_cubic(Y, k, h), times / h - k)
+    sv = np.linalg.svd(np.concatenate([J_times, Js[-1:]]), compute_uv=False)
     points: list[tuple[float, int]] = []
     for t_star, mult in zip(times.tolist(), _rank_drop(sv[:-1], J_scale).tolist()):
         if mult > 0 and not (points and t_star - points[-1][0] < 1.5 * h):
@@ -160,14 +167,21 @@ def _conjugate_points(bp: BoundaryProblem, c: SinePath, steps: int):
     return points, sv[-1], J_scale
 
 
-def _hermite(Y: np.ndarray, k: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
-    """J(t_k + s h) = h00(s) J_k + h10(s) h J'_k + h01(s) J_{k+1} + h11(s) h J'_{k+1},
-    the cubic Hermite model of the node states Y[k] = [J_k; J'_k], batched over k, s."""
+def _hermite_cubic(Y: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
+    """Coefficients (c0, c1, c2, c3), shape (4, len(k), n, n), of the cubic
+    Hermite model J(t_k + s h) = ((c3 s + c2) s + c1) s + c0 that matches the
+    node states Y[k] = [J_k; J'_k] and Y[k + 1] at s = 0 and s = 1."""
     n = Y.shape[-1]
     a, b = Y[k], Y[k + 1]
+    J0, dJ0, J1, dJ1 = a[:, :n], h * a[:, n:], b[:, :n], h * b[:, n:]
+    jump = J1 - J0
+    return np.stack([J0, dJ0, 3.0 * jump - 2.0 * dJ0 - dJ1, dJ0 + dJ1 - 2.0 * jump])
+
+
+def _horner(cubic: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The cubic model at s (one value per model), shape (len(s), n, n)."""
     s = s[:, None, None]
-    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * a[:, :n] + h * s * (1.0 - s) ** 2 * a[:, n:]
-            + s * s * (3.0 - 2.0 * s) * b[:, :n] - h * s * s * (1.0 - s) * b[:, n:])
+    return ((cubic[3] * s + cubic[2]) * s + cubic[1]) * s + cubic[0]
 
 
 def _half_grid_path(bp: BoundaryProblem, c: SinePath, steps: int) -> np.ndarray:
@@ -212,11 +226,34 @@ def _step_matrices(hess: np.ndarray, h: float) -> np.ndarray:
 
 
 def _propagate(Phi: np.ndarray, Y0: np.ndarray) -> np.ndarray:
-    """States Y_0 = Y0, Y_{i+1} = Phi_i Y_i, shape (len(Phi) + 1, 2n, n)."""
-    Y = np.empty((Phi.shape[0] + 1,) + Y0.shape)
+    """States Y_0 = Y0, Y_{i+1} = Phi_i Y_i, shape (len(Phi) + 1, 2n, n).
+
+    The steps are cut into blocks of L = ceil(sqrt(steps)).  The transfer
+    product of every full block is built by L - 1 matmuls batched over the
+    blocks, the block-start states Y_{bL} by one small product per block,
+    and the states inside the blocks by L - 1 matmuls batched over the
+    blocks, each stepping from its block-start state; a last, partial block
+    is only stepped through.  So it takes about 3 sqrt(steps) numpy calls,
+    and each state is computed once.  The states inside a block are rounded
+    as in stepping one by one from Y_{bL}; a block-start state is the block
+    product applied to the previous block start, which rounds differently
+    from stepping, so the states agree with stepping in sequence only up to
+    rounding that accumulates over the blocks.
+    """
+    steps = Phi.shape[0]
+    L = max(1, int(np.ceil(np.sqrt(steps))))
+    full = steps // L
+    Y = np.empty((steps + 1,) + Y0.shape)
     Y[0] = Y0
-    for i in range(Phi.shape[0]):
-        np.matmul(Phi[i], Y[i], out=Y[i + 1])
+    blocks = Phi[:full * L].reshape((full, L) + Phi.shape[1:])
+    product = blocks[:, 0]
+    for j in range(1, L):
+        product = blocks[:, j] @ product
+    for b in range(full):
+        np.matmul(product[b], Y[b * L], out=Y[(b + 1) * L])
+    for j in range(L - 1):
+        count = len(range(j, steps, L))
+        Y[j + 1::L][:count] = Phi[j::L] @ Y[j::L][:count]
     return Y
 
 

@@ -246,6 +246,20 @@ def test_refined_level_above_cap_is_one_error_line(tmp_path, capsys, monkeypatch
         "error: truncation M n = 64 with quad_points = 129 is above the cap 100"]
 
 
+def test_refined_raised_quadrature_above_cap_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the plan (M = 32, 1001 points) fits; its refined level keeps the raised
+    # quadrature, 2 * 1001 - 1 = 2001 points, which does not
+    monkeypatch.setattr(core, "MODE_CAP", 1500)
+    text = PENDULUM_CFG.replace("[multistart]", "[plan]\nquad_points = 1001\n\n[multistart]")
+    cfg, out = write_cfg(tmp_path, text)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: truncation M n = 64 with quad_points = 2001 is above the cap 1500"]
+    assert not out.exists()
+
+
 def out_of_memory(*args, **kwargs):
     """Stand-in for core.SineGrid: fails as the (99999, 99999) cosine table would."""
     raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (99999, 99999)")
@@ -447,6 +461,14 @@ def test_field_csv_bytes_match_the_formatting_loop(lengths):
     sol = SimpleNamespace(field=DirichletField(dom, modes, coeffs))
     for points in (2, 17, 65):
         assert _field_csv(sol, points) == field_csv_reference(sol, points)
+    # a stub field whose values are the special ones, nan and infinities too,
+    # pins the writer's value template against format(x, ".16e")
+    values = np.concatenate([SPECIAL, [np.nan, np.inf, -np.inf]])
+    stub = SimpleNamespace(field=SimpleNamespace(
+        domain=dom, evaluate=lambda pts: np.resize(values, len(pts))))
+    for points in (2, 17):  # 17 points or more per axis hold every value
+        assert _field_csv(stub, points) == field_csv_reference(stub, points)
+    assert ",nan\n" in _field_csv(stub, 17) and ",-inf\n" in _field_csv(stub, 17)
     special = np.resize(SPECIAL, len(modes))
     sol = SimpleNamespace(field=DirichletField(dom, modes, special))
     assert _field_coeffs_csv(sol) == field_coeffs_csv_reference(sol)

@@ -263,21 +263,130 @@ def rk4_reference(hess, h):
     return np.array(states)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=1, max_value=4), steps=st.integers(min_value=2, max_value=64),
-       T=st.floats(min_value=0.1, max_value=4.0), data=st.data())
-def test_transfer_matrices_match_stepwise_rk4(n, steps, T, data):
-    seed = data.draw(st.integers(min_value=0, max_value=2**31))
-    rng = np.random.default_rng(seed)
+def random_step_matrices(rng, n, steps, T):
     raw = rng.uniform(-4.0, 4.0, (2 * steps + 1, n, n))
     hess = 0.5 * (raw + raw.transpose(0, 2, 1))
-    h = T / steps
+    return hess, T / steps
+
+
+def assert_blocked_states_match_stepwise(hess, h):
+    n = hess.shape[-1]
     ref = rk4_reference(hess, h)
     Y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
     Y = morse._propagate(morse._step_matrices(hess, h), Y0)
     assert Y.shape == ref.shape
     err = np.linalg.norm(Y - ref, axis=(1, 2))
     assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+# steps up to 300 span up to 17 blocks of ceil(sqrt(steps)), mostly with a partial last one
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=4), steps=st.integers(min_value=2, max_value=300),
+       T=st.floats(min_value=0.1, max_value=4.0), data=st.data())
+def test_transfer_matrices_match_stepwise_rk4(n, steps, T, data):
+    seed = data.draw(st.integers(min_value=0, max_value=2**31))
+    assert_blocked_states_match_stepwise(*random_step_matrices(np.random.default_rng(seed),
+                                                               n, steps, T))
+
+
+# full blocks x L + partial block: 1 x 2; 1 x 2 + 1; 6 x 7 + 5; 44 x 46 + 23; 44 x 46 + 25
+@pytest.mark.parametrize("steps", [2, 3, 47, 2047, 2049])
+def test_blocked_propagation_matches_stepwise_rk4(rng, steps):
+    assert_blocked_states_match_stepwise(*random_step_matrices(rng, 2, steps, 3.0))
+
+
+def propagate_reference(Phi, Y0):
+    """The sequential propagation that morse._propagate replaces: one matmul per step."""
+    Y = np.empty((Phi.shape[0] + 1,) + Y0.shape)
+    Y[0] = Y0
+    for i in range(Phi.shape[0]):
+        np.matmul(Phi[i], Y[i], out=Y[i + 1])
+    return Y
+
+
+def hermite_reference(Y, k, s, h):
+    """The cubic Hermite model in basis-function form, rebuilt from Y[k], Y[k + 1]."""
+    n = Y.shape[-1]
+    a, b = Y[k], Y[k + 1]
+    s = s[:, None, None]
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * a[:, :n] + h * s * (1.0 - s) ** 2 * a[:, n:]
+            + s * s * (3.0 - 2.0 * s) * b[:, :n] - h * s * s * (1.0 - s) * b[:, n:])
+
+
+def conjugate_points_reference(bp, c, steps):
+    """morse._conjugate_points computed by sequential propagation and the
+    40-round bisection on hermite_reference."""
+    n, T = bp.n, bp.T
+    h = T / steps
+    hess_half = bp.potential.hess(morse._half_grid_path(bp, c, steps))
+    Y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
+    Y = propagate_reference(morse._step_matrices(hess_half, h), Y0)
+    Js = Y[:, :n]
+    dets = np.linalg.det(Js)
+    det_scale = float(np.max(np.abs(dets)))
+    J_scale = float(np.max(np.linalg.norm(Js, axis=(1, 2))))
+    i = np.arange(1, steps)
+    k = i[(dets[i] == 0.0) | (dets[i] * dets[i + 1] < 0.0)]
+    lo, hi = np.zeros(k.size), np.ones(k.size)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        left = dets[k] * np.linalg.det(hermite_reference(Y, k, mid, h)) <= 0.0
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    candidates = [(k + 0.5 * (lo + hi)) * h]
+    if det_scale > 0.0:
+        i = np.arange(2, steps - 1)
+        prev, cur, nxt = dets[i - 1], dets[i], dets[i + 1]
+        dip = ((np.abs(cur) <= np.abs(prev)) & (np.abs(cur) < np.abs(nxt))
+               & (prev * cur > 0.0) & (cur * nxt > 0.0))
+        denom = nxt - 2.0 * cur + prev
+        flat = denom == 0.0
+        safe = np.where(flat, 1.0, denom)
+        shift = np.where(flat, 0.0, -0.5 * h * (nxt - prev) / safe)
+        vertex = np.where(flat, cur, cur - (nxt - prev) ** 2 / (8.0 * safe))
+        dip &= np.abs(vertex) < 1e-6 * det_scale
+        candidates.append(i[dip] * h + np.clip(shift[dip], -h, h))
+    times = np.sort(np.concatenate(candidates))
+    times = times[times <= T - 0.75 * h]
+    k = np.minimum(np.floor(times / h).astype(int), steps - 1)
+    sv = np.linalg.svd(np.concatenate([hermite_reference(Y, k, times / h - k, h), Js[-1:]]),
+                       compute_uv=False)
+    points = []
+    for t_star, mult in zip(times.tolist(), morse._rank_drop(sv[:-1], J_scale).tolist()):
+        if mult > 0 and not (points and t_star - points[-1][0] < 1.5 * h):
+            points.append((t_star, mult))
+    return points, sv[-1], J_scale
+
+
+def assert_conjugate_points_match_reference(bp, c, steps=morse.JACOBI_DEFAULT_STEPS):
+    points, end_sv, J_scale = morse._conjugate_points(bp, c, steps)
+    ref_points, ref_end_sv, ref_scale = conjugate_points_reference(bp, c, steps)
+    assert [m for _, m in points] == [m for _, m in ref_points]
+    for (t, _), (t_ref, _) in zip(points, ref_points):
+        assert abs(t - t_ref) <= 1e-12 * bp.T
+    assert morse._rank_drop(end_sv, J_scale) == morse._rank_drop(ref_end_sv, ref_scale)
+    return points
+
+
+@pytest.mark.parametrize("qT", [-1.1, -0.5, 0.0, 0.4, 1.0])
+def test_conjugate_points_match_sequential_reference_on_pendulum_roots(qT):
+    # the pendulum of the pendulum_sweep workload: g = 1, T = 3 pi, M = 128 after refinement
+    bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3 * np.pi, [0.0], [qT])
+    reports = solve_reduced(bp, make_plan(bp), count=3)
+    assert reports
+    for rep in reports:
+        assert_conjugate_points_match_reference(bp, rep.path)
+    for steps in (47, 2049):  # partial last blocks
+        assert_conjugate_points_match_reference(bp, reports[0].path, steps)
+
+
+def test_conjugate_points_match_sequential_reference_on_isotropic_touch():
+    # J = sin(t) I: det J = sin(t)^2 touches zero at pi, a conjugate point of multiplicity 2
+    bp, rep = solve_one(builtin_potential("harmonic", (1.0, 1.0)), 3 * np.pi / 2,
+                        [0.0, 0.0], [1.0, 0.5])
+    for steps in (morse.JACOBI_DEFAULT_STEPS, 2049):
+        points = assert_conjugate_points_match_reference(bp, rep.path, steps)
+        assert [m for _, m in points] == [2]
+        assert abs(points[0][0] - np.pi) <= 1e-6
 
 
 @pytest.mark.parametrize("M", [3, 15, 16, 17, 32, 40, 100])

@@ -528,10 +528,23 @@ def test_solvers_reject_bad_radius(make_solver, radius):
     assert records == []
 
 
+@pytest.mark.parametrize("quad_points, levels", [(None, [(65,), (129,), (257,)]),
+                                                 (1001, [(1001,), (2001,), (4001,)])])
+def test_refinement_keeps_the_requested_quadrature(quad_points, levels):
+    # pendulum, M = 32: each level doubles M and takes 2P - 1 nodes
+    bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3 * math.pi, [0.0], [1.0])
+    system = MechanicalSystem(bp, 32, quad_points)
+    got = [system.grid.P]
+    for _ in range(2):
+        system = system.refined()
+        got.append(system.grid.P)
+    assert got == levels
+
+
 def test_refined_systems():
     bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3.0, [0.0], [0.5])
     fine = MechanicalSystem(bp, 8, quad_points=40).refined()
-    assert (fine.M, fine.P) == (16, 33)
+    assert (fine.M, fine.P) == (16, 79)  # 2P - 1 nodes
     dom = RectangleDomain((1.0, 1.3))
     pot = parse_potential("-30*cos(q1)", 1, c_bound=30.0)
     plan = dirichlet_plan(dom, pot)
