@@ -204,7 +204,9 @@ def cmd_index(cfg: RunConfig, solution_id: int) -> int:
               f"refinement level of the config has that many", file=sys.stderr)
         return 1
     blocks = blocks_at(system, plan.N * system.n, coeffs)
-    del system  # frees its grid caches before the signatures are computed
+    # frees the grid's (D, D) gather index pairs and the state memo before the
+    # signatures are computed; the shared cosine rows stay in their bounded cache
+    del system
 
     schur = index_schur(blocks)
     full = index_full(blocks)

@@ -27,6 +27,14 @@ drift, and V'(0) is its boundary part of V'.  Grid values have shape
 grid.P + (n,), so V' and V'' take them as they are, and one solve loop
 (reduction.solve_system) serves both problem kinds.
 
+Tables that depend on the geometry alone, a grid's per-axis cosine rows
+(fourier.SineGrid, keyed by (K, P)) and the Gauss rules of ``action``
+(``gauss_sine_rule``, keyed by (L, K)), are built once per process and
+shared read-only by every system, in caches of TABLE_CACHE_SIZE entries.
+
+``reduced_newton`` starts its first tail solve from a given tail ``v0``;
+a refined level starts from the coarse root's tail, padded with zeros.
+
 Each system keeps a one-entry memo of the last state it evaluated: a
 private read-only copy of c, its grid values, the coefficients of V'
 (``vprime``) and the residual.  A call at a c with the same bit pattern
@@ -62,13 +70,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .fourier import (BoundaryProblem, SineGrid, SinePath, affine_coeffs, grid_points,
-                      mode_eigenvalues)
+from .fourier import (TABLE_CACHE_SIZE, BoundaryProblem, SineGrid, SinePath, affine_coeffs,
+                      grid_points, mode_eigenvalues)
 
 GAUSS_NODES_PER_PANEL = 8
 GAUSS_MIN_PANELS = 16
@@ -285,10 +293,13 @@ class MechanicalSystem(GalerkinSystem):
         return MechanicalSystem(self.bp, 2 * self.M, 2 * self.P - 1)
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def gauss_sine_rule(L: float, K: int):
     """Composite Gauss nodes and weights on [0, L], and the first K
     orthonormal sine modes at the nodes (one panel per three modes, at
-    least GAUSS_MIN_PANELS); the action rule of both problem kinds."""
+    least GAUSS_MIN_PANELS); the action rule of both problem kinds.
+    Read-only arrays, built once per (L, K) and shared by every system
+    (the TABLE_CACHE_SIZE most recent rules are kept)."""
     panels = max(GAUSS_MIN_PANELS, int(np.ceil(K / 3)))
     x, w = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_PANEL)
     edges = np.linspace(0.0, L, panels + 1)
@@ -298,7 +309,7 @@ def gauss_sine_rule(L: float, K: int):
     weights = (half[:, None] * w[None, :]).ravel()
     k = np.arange(1, K + 1)
     basis = np.sqrt(2.0 / L) * np.sin(np.outer(nodes, k) * np.pi / L)
-    return nodes, weights, basis
+    return _read_only(nodes), _read_only(weights), _read_only(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +384,7 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
             continue
         # Newton step on the tail block
         K = system.hessian_matrix(c)
-        step = cho_solve(_tail_cholesky(K[head_dim:, head_dim:]), r[head_dim:],
-                         check_finite=False)
+        step = _cholesky_solve(_tail_cholesky(K[head_dim:, head_dim:]), r[head_dim:])
         v_try = v - step
         r_try = system.residual(np.concatenate([u, v_try]))
         res_try = tail_residual_norm(system, r_try, head_dim)
@@ -393,15 +403,27 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
 # ---------------------------------------------------------------------------
 # reduced system
 
-def _tail_cholesky(D: np.ndarray):
-    """Cholesky factor of the tail block; TruncationError if it is not positive definite."""
-    try:
-        return cho_factor(D, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+def _tail_cholesky(D: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the tail block (LAPACK dpotrf called as
+    scipy's cho_factor calls it, so bitwise the same, without its checks);
+    TruncationError if the block is not positive definite."""
+    L, info = dpotrf(D, lower=1, clean=0)
+    if info > 0:
         smallest = float(np.min(np.linalg.eigvalsh(D)))
         raise TruncationError(
             f"tail curvature block is not positive definite "
             f"(smallest eigenvalue {smallest:.3e}); increase the cutoff or truncation")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return L
+
+
+def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """D^{-1} b from the factor of ``_tail_cholesky`` (LAPACK dpotrs, as cho_solve)."""
+    x, info = dpotrs(L, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -410,7 +432,7 @@ def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
         return A.copy()
     if D.shape[0] == 0:
         return 0.5 * (A + A.T)
-    S = A - B @ cho_solve(_tail_cholesky(D), B.T, check_finite=False)
+    S = A - B @ _cholesky_solve(_tail_cholesky(D), B.T)
     return 0.5 * (S + S.T)
 
 
@@ -431,8 +453,14 @@ def rejection_slope(system, head_dim: int, c_bound: float) -> float | None:
 def reduced_newton(system, head_dim: int, u0: np.ndarray,
                    head_tol: float = 1e-9, tail_tol: float = 1e-10,
                    tail_method: str = "newton", max_iter: int = 60,
-                   max_halvings: int = 30, c_bound: float | None = None) -> ReducedResult:
+                   max_halvings: int = 30, c_bound: float | None = None,
+                   v0: np.ndarray | None = None) -> ReducedResult:
     """Damped Newton on the reduced gradient, Jacobian = Schur complement.
+
+    The first tail solve, at u0, starts from the tail ``v0`` (zero when
+    None); every later one starts from the tail of the current iterate.
+    A refined level passes the coarse root's tail, padded with zeros
+    (``reduction._refine_root``): it is v(u0) to within truncation error.
 
     With a certified curvature bound ``c_bound`` the line search stops the
     tail solve of a trial as soon as the rejection test of ``solve_tail``
@@ -441,7 +469,7 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     """
     kappa = None if c_bound is None else rejection_slope(system, head_dim, c_bound)
     u = np.array(u0, dtype=float)
-    v = None
+    v = v0
     history = []
     tail_total = fallbacks = rejected = 0
     hnorm = np.inf

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import dst
@@ -39,6 +39,9 @@ __all__ = [
     "h1_inner",
     "l2_inner",
 ]
+
+# geometry-only tables (cosine rows here, Gauss rules in core) kept per process
+TABLE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,8 @@ class SineGrid:
 
     so with C the cosine transform of the sampled V'', C[m] =
     sum_p V''(x_p) cos(m pi p/(P+1)) / (P+1) on each axis (a product of
-    cached (2K+1, P) cosine rows), W is Toeplitz-minus-Hankel per axis:
+    (2K+1, P) cosine rows, read-only and shared by every grid with that
+    (K, P)), W is Toeplitz-minus-Hankel per axis:
 
         W[k, l] = C[|k-l|] - C[k+l]                                (1-D)
         W[(k1,k2),(l1,l2)] = C[|k1-l1|,|k2-l2|] - C[k1+l1,|k2-l2|]
@@ -249,9 +253,8 @@ class SineGrid:
 
     @cached_property
     def _cosines(self) -> list[np.ndarray]:
-        """Per axis, cos(m pi p/(P+1)) / (P+1) for m = 0..2K and p = 1..P."""
-        return [np.cos(np.outer(np.arange(2 * K + 1), np.arange(1, P + 1)) * (math.pi / (P + 1)))
-                / (P + 1) for K, P in zip(self.K, self.P)]
+        """Per axis, the shared cosine rows of its (K, P)."""
+        return [_cosine_rows(K, P) for K, P in zip(self.K, self.P)]
 
     @cached_property
     def _gather(self):
@@ -277,6 +280,16 @@ class SineGrid:
         last = k[:, -1]
         return (pair, base + np.abs(last[:, None] - last[None, :]),
                 base + last[:, None] + last[None, :])
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _cosine_rows(K: int, P: int) -> np.ndarray:
+    """cos(m pi p/(P+1)) / (P+1) for m = 0..2K and p = 1..P, read-only; built
+    once per (K, P), the TABLE_CACHE_SIZE most recent kept."""
+    rows = (np.cos(np.outer(np.arange(2 * K + 1), np.arange(1, P + 1)) * (math.pi / (P + 1)))
+            / (P + 1))
+    rows.flags.writeable = False
+    return rows
 
 
 def project_head(c: SinePath, N: int) -> SinePath:

@@ -290,14 +290,16 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
     ``seed``; the radius must be finite and positive.  Seeds are solved in
     order; converged roots are deduplicated on head distance, and with
     ``refine=True`` each is re-solved on ``system.refined()`` until its
-    head moves by at most 1e-7 (at most twice); each refinement level is
-    built once per solve and shared by the roots.  Reports are sorted by
-    action value, then lexicographic head (to DEDUP_TOL) among actions
-    that agree to ACTION_TIE_RTOL (``order_reports``).  With a certified
-    plan the line search screens trials with the tail certificate
-    (``core.solve_tail``); the roots are the same either way.  When a
-    list is passed as ``seed_records`` it receives the raw per-seed solve
-    results in seed order (for convergence logging).
+    head moves by at most 1e-7 (at most twice), starting from the root one
+    level down with its tail padded by zeros (``core.reduced_newton``'s
+    ``v0``); each refinement level is built once per solve and shared by
+    the roots.  Reports are sorted by action value, then lexicographic
+    head (to DEDUP_TOL) among actions that agree to ACTION_TIE_RTOL
+    (``order_reports``).  With a certified plan the line search screens
+    trials with the tail certificate (``core.solve_tail``); the roots are
+    the same either way.  When a list is passed as ``seed_records`` it
+    receives the raw per-seed solve results in seed order (for
+    convergence logging).
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"multistart radius must be a positive real, got {radius}")
@@ -386,13 +388,20 @@ def _refine_root(levels: list, head_dim: int, res: core.ReducedResult, newton: d
 
     ``levels[j]`` is the system refined j times; a level is built (and
     appended) when a root first needs it, so each is built once per solve.
+    Each level starts from the root one level down: its head, and its tail
+    padded with zeros for the new modes.  The coarse coefficients are the
+    leading entries of the fine ones, in the same order (mechanical
+    systems are mode-major, Dirichlet mode lists ascend by eigenvalue and
+    a finer list only appends modes above the coarse cut).
     """
     system, drift = levels[0], None
     for j in range(1, max_refinements + 1):
         if len(levels) == j:
             levels.append(levels[-1].refined())
         fine = levels[j]
-        fine_res = core.reduced_newton(fine, head_dim, res.u, **newton)
+        v0 = np.zeros(len(fine.eigenvalues) - head_dim)
+        v0[:len(res.v)] = res.v
+        fine_res = core.reduced_newton(fine, head_dim, res.u, v0=v0, **newton)
         drift = float(np.linalg.norm(fine_res.u - res.u))
         if not fine_res.converged:
             break

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import finred
-from finred import core
+from finred import core, fourier
 from finred import cli
 from finred.cli import (_field_coeffs_csv, _field_csv, _path_coeffs_csv,
                         _trajectory_csv, main)
@@ -580,6 +581,35 @@ def test_index_assembles_on_the_grid_of_the_solve(tmp_path, capsys, monkeypatch)
     assert main(["index", "--config", str(cfg), "0"]) == 0
     assert grids == [(129,)]
     assert capsys.readouterr().out.endswith(" AGREE\n")
+
+
+# (D, D) float arrays at the tracemalloc peak of `finred index` after `finred
+# solve` in one process, on a twice-refined root of -56.49 cos(phi) on the unit
+# square (D = 380), before the geometry tables were shared (numpy 2.4, scipy 1.17)
+INDEX_PEAK_ARRAYS = 4.382
+
+
+def test_index_peak_memory_on_a_refined_2d_root(tmp_path, capsys):
+    text = (DIRICHLET_2D_CFG.replace("-30*", "-56.49*").replace("c_bound = 30", "c_bound = 56.49")
+            .replace("1.0, 1.3", "1.0, 1.0").replace("count = 4", "count = 3"))
+    cfg, out = write_cfg(tmp_path, text)
+    fourier._cosine_rows.cache_clear()
+    core.gauss_sine_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["solve", "--config", str(cfg)]) == 0
+        tracemalloc.reset_peak()
+        assert main(["index", "--config", str(cfg), "0"]) == 0
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    D = 380
+    assert len((out / "solution_000_coeffs.csv").read_text().splitlines()) == D + 1
+    array = 8 * D * D
+    assert peak - start <= 1.01 * INDEX_PEAK_ARRAYS * array
+    assert end - start < 0.5 * array  # no (D, D) array outlives the two commands
 
 
 @pytest.mark.parametrize("template", [PENDULUM_CFG, DIRICHLET_CFG], ids=["mechanical", "dirichlet"])

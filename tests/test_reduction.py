@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import root
 
 from finred import (BoundaryProblem, DirichletField, RectangleDomain,
@@ -17,9 +18,9 @@ from finred import (BoundaryProblem, DirichletField, RectangleDomain,
                     dirichlet_plan, fixed_point_cutoff, gradient, make_plan,
                     parse_potential, project_tail, reduced_gradient, solve_dirichlet,
                     solve_reduced, solve_tail)
-from finred import core, reduction
+from finred import core, fourier, reduction
 from finred.core import MechanicalSystem
-from finred.dirichlet import DirichletSystem
+from finred.dirichlet import DirichletSystem, mode_eigenvalue
 from finred.fourier import h1_inner, mode_eigenvalues
 from finred.reduction import default_radius, reduced_hessian_matrix
 from tests.conftest import random_builtin_problem, random_pendulum_problem, refuse_grids
@@ -848,3 +849,179 @@ def test_hessian_matrix_adds_the_stiffness_diagonal(kind):
     expected = -system.curvature_matrix(c)
     expected[np.diag_indices_from(expected)] += system.eigenvalues
     assert system.hessian_matrix(c).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# refined levels start from the coarse root
+
+def refinement_solver(kind):
+    """solve(count) with refinement: a pendulum, a 4-pendulum chain, a 2-D field."""
+    if kind == "dirichlet":
+        dom = RectangleDomain((1.0, 1.0))
+        pot = parse_potential("-56.49*cos(q1)", 1, c_bound=56.49)
+        plan = dirichlet_plan(dom, pot)
+        return lambda count: solve_dirichlet(dom, pot, plan, count=count)
+    if kind == "pendulum":
+        bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3 * np.pi, [0.0], [0.9])
+    else:
+        pot = builtin_potential("coupled_pendula", (1.0, 0.5), dim=4)
+        bp = BoundaryProblem(pot, 4.0, np.zeros(4), 0.4 * np.array([1, 1 / 3, -1 / 3, -1]))
+    plan = make_plan(bp)
+    return lambda count: solve_reduced(bp, plan, count=count)
+
+
+@pytest.mark.parametrize("kind, count", [("pendulum", 3), ("chain", 2), ("dirichlet", 3)])
+def test_refined_levels_start_from_the_coarse_root(monkeypatch, kind, count):
+    solve = refinement_solver(kind)
+    newton = core.reduced_newton
+
+    def run(warm):
+        calls = []  # (coefficients, warm started, tail iterations) per Newton solve
+
+        def recording(system, head_dim, u0, v0=None, **kw):
+            res = newton(system, head_dim, u0, v0=v0 if warm else None, **kw)
+            calls.append((len(system.eigenvalues), v0 is not None, res.tail_iterations))
+            return res
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "reduced_newton", recording)
+            return solve(count), calls
+
+    reports, calls = run(warm=True)
+    reference, zero_calls = run(warm=False)  # every level from a zero tail, as before
+    assert len(reports) == len(reference) > 0
+    for rep, ref in zip(reports, reference):
+        assert (rep.index, rep.nullity) == (ref.index, ref.nullity)
+        assert abs(rep.action - ref.action) <= 1e-12 * max(abs(ref.action), 1.0)
+        assert np.linalg.norm(rep.head - ref.head) <= 1e-12 * max(np.linalg.norm(ref.head), 1.0)
+    # the same solves in the same order; only the refined ones are warm started
+    assert [c[:2] for c in calls] == [c[:2] for c in zero_calls]
+    coarse = min(c[0] for c in calls)
+    assert all(warm == (size > coarse) for size, warm, _ in calls)
+    assert any(warm and its for _, warm, its in zero_calls)
+    for (_, warm, its), (_, _, zero_its) in zip(calls, zero_calls):
+        if warm and zero_its:  # a root with a zero tail leaves nothing to save
+            assert its < zero_its
+        else:
+            assert its == zero_its
+
+
+def test_coarse_coefficients_lead_the_refined_ones():
+    # mechanical systems are mode-major: the coarse M n entries are modes 1..M
+    pot = builtin_potential("coupled_pendula", (1.0, 0.5), dim=3)
+    coarse = MechanicalSystem(BoundaryProblem(pot, 4.0, np.zeros(3), np.ones(3)), 8)
+    fine = coarse.refined()
+    c = np.random.default_rng(5).normal(size=len(coarse.eigenvalues))
+    padded = np.zeros(len(fine.eigenvalues))
+    padded[:len(c)] = c
+    assert np.array_equal(fine.eigenvalues[:len(c)], coarse.eigenvalues)
+    assert np.array_equal(fine.unflatten(padded)[:coarse.M], coarse.unflatten(c))
+    # a Dirichlet list ascends by eigenvalue and a finer one only appends modes
+    # above the coarse cut, also when a mode sits exactly on the cut
+    pot = parse_potential("-30*cos(q1)", 1, c_bound=30.0)
+    for lengths, on_cut in [((1.0, 1.3), (2, 3)), ((1.0, 1.0), (3, 1)), ((2.3,), (7,))]:
+        dom = RectangleDomain(lengths)
+        cut = mode_eigenvalue(dom, on_cut)
+        system = DirichletSystem(dom, pot, dirichlet_plan(dom, pot, lambda_cut=cut))
+        assert system.modes[-1].lam == cut  # the cut is boundary-exact
+        for _ in range(2):
+            fine = system.refined()
+            D = len(system.modes)
+            assert len(fine.modes) > D and fine.modes[:D] == system.modes
+            assert np.array_equal(fine.eigenvalues[:D], system.eigenvalues)
+            system = fine
+
+
+# ---------------------------------------------------------------------------
+# geometry tables shared between systems
+
+def clear_tables():
+    fourier._cosine_rows.cache_clear()
+    core.gauss_sine_rule.cache_clear()
+
+
+def tables(system):
+    """The cosine rows and the Gauss rule arrays of each axis."""
+    return system.grid._cosines, [arr for rule in system._gauss[0] for arr in rule]
+
+
+def test_geometry_tables_are_shared_read_only_and_keyed():
+    bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3 * np.pi, [0.0], [0.9])
+    cos, gauss = tables(MechanicalSystem(bp, 16))
+    same = BoundaryProblem(builtin_potential("harmonic", (2.0,)), 3 * np.pi, [1.0], [-0.5])
+    cos2, gauss2 = tables(MechanicalSystem(same, 16))
+    assert all(a is b for a, b in zip(cos + gauss, cos2 + gauss2, strict=True))
+    for arr in cos + gauss:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    other_K = tables(MechanicalSystem(bp, 17))
+    other_P = tables(MechanicalSystem(bp, 16, 40))
+    other_L = tables(MechanicalSystem(dataclasses.replace(bp, T=3.0), 16))
+    assert other_K[0][0] is not cos[0] and other_P[0][0] is not cos[0]
+    assert all(a is not b for a, b in zip(other_K[1] + other_L[1], gauss + gauss))
+    # cosine rows depend on (K, P) only, Gauss rules on (L, K) only
+    assert other_L[0][0] is cos[0] and all(a is b for a, b in zip(other_P[1], gauss))
+    # the two axes of a square share their tables
+    dom = RectangleDomain((1.0, 1.0))
+    pot = parse_potential("-30*cos(q1)", 1, c_bound=30.0)
+    cos, gauss = tables(DirichletSystem(dom, pot, dirichlet_plan(dom, pot)))
+    assert cos[0] is cos[1] and gauss[2] is gauss[5]
+
+
+@pytest.mark.parametrize("kind", ["mechanical", "dirichlet"])
+def test_a_system_built_after_clearing_the_tables_is_bitwise_the_same(kind):
+    def evaluate(system, c):
+        return (system.residual(c).tobytes(), system.hessian_matrix(c).tobytes(),
+                system.action(c))
+
+    before = memo_system(kind)
+    c = np.random.default_rng(11).normal(size=len(before.eigenvalues)) * 0.3
+    expected = evaluate(before, c)
+    clear_tables()
+    after = memo_system(kind)
+    assert evaluate(after, c) == expected
+    (cos, gauss), (cos2, gauss2) = tables(before), tables(after)
+    assert all(a is not b for a, b in zip(cos + gauss, cos2 + gauss2, strict=True))
+
+
+def test_solves_between_leave_a_solve_bitwise_the_same():
+    def solved(solve):
+        return [(rep.head.tobytes(), np.asarray(rep.path.coeffs).tobytes(), rep.action,
+                 rep.index, rep.nullity, rep.head_residual, rep.tail_residual,
+                 rep.tail_iterations, rep.truncation_drift) for rep in solve(True, [])]
+
+    clear_tables()
+    first = solved(pendulum_solver())
+    solved(dirichlet_solver())  # other tables, and a shorter horizon below
+    bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 5.0, [0.0], [0.9])
+    solve_reduced(bp, make_plan(bp), count=4)
+    assert solved(pendulum_solver()) == first
+
+
+# ---------------------------------------------------------------------------
+# Cholesky of the tail block through LAPACK
+
+@pytest.mark.parametrize("size", [1, 17, 29])
+def test_tail_cholesky_is_bitwise_scipys(size):
+    rng = np.random.default_rng(size)
+    X = rng.normal(size=(size + 3, size + 3))
+    K = X @ X.T + 0.1 * np.eye(size + 3)  # head block of 3, as in a Hessian
+    A, B, D = K[:3, :3], K[:3, 3:], K[3:, 3:]
+    L = core._tail_cholesky(D)
+    ref = cho_factor(D, lower=True, check_finite=False)
+    assert L.tobytes() == ref[0].tobytes()
+    for rhs in (rng.normal(size=size + 3)[3:], B.T):
+        assert (core._cholesky_solve(L, rhs).tobytes()
+                == cho_solve(ref, rhs, check_finite=False).tobytes())
+    S = A - B @ cho_solve(ref, B.T, check_finite=False)
+    assert core.schur_matrix(A, B, D).tobytes() == (0.5 * (S + S.T)).tobytes()
+
+
+def test_indefinite_tail_block_is_a_truncation_error():
+    D = np.diag([1.0, -0.5, 2.0])
+    message = (r"^tail curvature block is not positive definite \(smallest eigenvalue "
+               r"-5\.000e-01\); increase the cutoff or truncation$")
+    with pytest.raises(core.TruncationError, match=message):
+        core._tail_cholesky(D)
+    with pytest.raises(core.TruncationError, match=message):
+        core.schur_matrix(np.eye(1), np.zeros((1, 3)), D)
