@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, render_config
-from .core import MechanicalSystem, TruncationError
+from .core import MechanicalSystem, TruncationError, single_blas_thread
 from .dirichlet import DirichletSystem, solve_dirichlet, weyl_estimate
 from .fourier import BoundaryProblem, SinePath
 from .functional import blocks_at
@@ -145,6 +145,7 @@ def _convergence_log(reports, seed_records) -> str:
     return "\n".join(lines) + "\n"
 
 
+@single_blas_thread
 def cmd_solve(cfg: RunConfig) -> int:
     plan = cfg.build_plan()
     seed_records: list = []
@@ -179,6 +180,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # index
 
+@single_blas_thread
 def cmd_index(cfg: RunConfig, solution_id: int) -> int:
     plan = cfg.build_plan()
     if cfg.kind == "mechanical":

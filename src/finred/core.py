@@ -64,13 +64,41 @@ full solve too, and ``solve_tail(reject=(hnorm, kappa))`` stops there.
 So the screen changes no iterate, only the tail work, unless a full solve
 would have run out of iterations short of tol.  It needs a certified C
 (``reduction.solve_system`` passes one only for certified plans).
+
+One BLAS thread.  The reduction leaves small dense kernels: the tail-block
+Cholesky, the Schur complement and the signatures, at D <= 380 on the
+benchmark.  OpenBLAS's default of one thread per core makes them slower,
+and makes their last bits depend on the thread count: on a 2-core host,
+one seed-0 dirichlet_cli op set took 1.64 s at 2 threads and 1.03 s at
+one (self times: ``index_full`` 264 -> 103 ms, tail solves 260 -> 160 ms,
+Schur complements 104 -> 46 ms), and 27 artifact files of its six refined
+2-D Dirichlet solves differed between the two counts.  So every numerical
+entry point (``reduction.solve_system``, the three ``morse`` indices and
+the CLI's solve and index commands) runs under ``single_blas_thread``.
+On entry it calls ``openblas_set_num_threads_local(1)`` (OpenBLAS
+>= 0.3.27) in the OpenBLAS of numpy (matmul, eigvalsh) and of scipy
+(dpotrf, dpotrs); on exit, normal or by an exception, it hands each the
+count its call returned, in reverse order, so a library that both load
+ends at the caller's count.  The setters are found once
+per process, on first entry, by dlsym on the handles of the two
+extension modules; without them (another BLAS, an older OpenBLAS) the pin
+does nothing.  The count is thread-local only in OpenMP builds of
+OpenBLAS; the pthreads builds that numpy and scipy wheels ship hold one
+count for the process, so scopes nest by a process-wide depth: the first
+to enter sets the count and the last to leave restores it, and other
+threads' BLAS calls run on one thread meanwhile.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import logging
 import math
+import threading
+from contextlib import ContextDecorator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -93,6 +121,73 @@ def check_truncation(M: int, n: int, quad_points: int) -> None:
 
 class TruncationError(RuntimeError):
     """Tail curvature block failed to be positive definite."""
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread
+
+log = logging.getLogger(__name__)
+
+# extension modules linked to the OpenBLAS that numpy and scipy use
+BLAS_HOSTS = ("numpy._core._multiarray_umath", "scipy.linalg._flapack")
+
+
+@cache
+def openblas_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of each host's OpenBLAS, found once.
+
+    dlsym on a host's handle searches its dependencies, so the library's
+    path is never needed; a host whose symbol is missing is left out."""
+    setters, missing = [], []
+    for name in BLAS_HOSTS:
+        try:
+            setter = ctypes.CDLL(importlib.import_module(name).__file__)[
+                "openblas_set_num_threads_local"]
+        except (ImportError, OSError, AttributeError) as exc:
+            missing.append(f"{name}: {exc}")
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    if setters:
+        log.debug("single BLAS thread pin holds %d OpenBLAS libraries", len(setters))
+    else:
+        log.debug("single BLAS thread pin found no OpenBLAS thread setter, so it does "
+                  "nothing: %s", "; ".join(missing))
+    return tuple(setters)
+
+
+class BlasThreadPin(ContextDecorator):
+    """Context manager and decorator: BLAS on one thread inside the scope.
+
+    The first scope to enter sets every setter of ``find_setters()`` to 1
+    and keeps the counts they return; the last to leave hands them back in
+    reverse order, after a normal exit or an exception alike.
+    """
+
+    def __init__(self, find_setters):
+        self._find_setters = find_setters
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(setter, setter(1)) for setter in self._find_setters()]
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for setter, count in reversed(self._saved):
+                    setter(count)
+                self._saved = []
+        return False
+
+
+single_blas_thread = BlasThreadPin(openblas_setters)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import schur_matrix
+from .core import schur_matrix, single_blas_thread
 from .fourier import BoundaryProblem, SineGrid, SinePath
 from .functional import HessianBlocks
 
@@ -71,16 +71,19 @@ def _signature(matrix: np.ndarray, method: str) -> IndexReport:
     return IndexReport(index, nullity, method, float(np.min(np.abs(eigs))))
 
 
+@single_blas_thread
 def index_schur(blocks: HessianBlocks) -> IndexReport:
     """Index/nullity from the reduced Hessian; equals the full count when D > 0."""
     return _signature(reduced_hessian(blocks), "schur")
 
 
+@single_blas_thread
 def index_full(blocks: HessianBlocks) -> IndexReport:
     """Index/nullity of the full truncated matrix [[A, B], [B^T, D]]."""
     return _signature(blocks.full(), "full_matrix")
 
 
+@single_blas_thread
 def index_jacobi(bp: BoundaryProblem, c: SinePath,
                  steps: int = JACOBI_DEFAULT_STEPS) -> IndexReport:
     """Count conjugate points along the path by integrating the variation ODE.

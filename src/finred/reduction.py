@@ -278,6 +278,7 @@ def solve_reduced(bp: BoundaryProblem, plan: ReductionPlan,
                         with_oracles=with_oracles, seed_records=seed_records)
 
 
+@core.single_blas_thread
 def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
                  count: int, radius: float, seed: int, method: str,
                  refine: bool, with_oracles: bool,
