@@ -104,13 +104,13 @@ def _path_coeffs_csv(rep) -> str:
 
 
 def _field_csv(rep, points: int) -> str:
-    """The field on the grid of `points` per axis, the last axis fastest: each
-    coordinate is formatted once per axis, the values by one "%.16e" template
-    (the bytes of FLOAT_FMT, nan and inf included)."""
+    """The field on the grid of `points` per axis, the last axis fastest: the
+    values from the field's per-axis sine tables (``DirichletField.on_grid``),
+    each coordinate formatted once per axis, the values by one "%.16e"
+    template (the bytes of FLOAT_FMT, nan and inf included)."""
     dom = rep.field.domain
     axes = [np.linspace(0.0, L, points) for L in dom.lengths]
-    grid = np.meshgrid(*axes, indexing="ij")
-    values = rep.field.evaluate(np.stack([x.ravel() for x in grid], axis=-1))
+    values = rep.field.on_grid(axes).ravel()
     coords = [[_fmt(x) + "," for x in axis.tolist()] for axis in axes]
     items = [None] * (2 * values.size)
     items[0::2] = map("".join, itertools.product(*coords))

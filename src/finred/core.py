@@ -413,7 +413,7 @@ def gauss_sine_rule(L: float, K: int):
 def tail_residual_norm(system, r: np.ndarray, head_dim: int) -> float:
     """Dual (Riesz) H1 norm of the tail residual: sqrt(sum r^2 / eig)."""
     tail = r[head_dim:]
-    return float(np.sqrt(np.sum(tail * tail / system.eigenvalues[head_dim:])))
+    return float(np.sqrt((tail * tail / system.eigenvalues[head_dim:]).sum()))
 
 
 def head_residual_norm(r: np.ndarray, head_dim: int) -> float:

@@ -254,6 +254,25 @@ class DirichletField:
             out += cm * basis
         return out
 
+    def on_grid(self, axes) -> np.ndarray:
+        """Field values on the tensor grid of ``axes``, one coordinate array per
+        axis, shape (len(x1), ..., len(xm)).
+
+        Per axis a table of the sine modes at its coordinates (the rows of
+        ``evaluate``, bit for bit), then one product per axis with the
+        coefficient box, as ``GalerkinSystem.action`` does; so the values
+        are ``evaluate``'s at the grid points up to rounding in the sums.
+        """
+        k = np.array([em.indices for em in self.modes]).reshape(-1, self.domain.m)
+        box = np.zeros(tuple(k.max(axis=0, initial=0)))
+        box[tuple(k.T - 1)] = self.coeffs
+        tables = [math.sqrt(2.0 / L) * np.sin(np.outer(x, np.arange(1, K + 1) * math.pi) / L)
+                  for x, K, L in zip(axes, box.shape, self.domain.lengths)]
+        values = tables[0] @ box
+        for table in tables[1:]:
+            values = values @ table.T
+        return values
+
     def h1_norm(self) -> float:
         lams = np.array([em.lam for em in self.modes])
         return float(np.sqrt(np.sum(lams * self.coeffs ** 2)))

@@ -5,7 +5,8 @@ bound on the operator norm of V''.  The reduction machinery consumes only
 this interface; how the bound was obtained is recorded in ``c_source``:
 
 * ``exact``           -- derived analytically (built-in families),
-* ``user_supplied``   -- asserted by the caller,
+* ``user_supplied``   -- asserted by the caller; a plan rejects it when
+  the sampler below finds a larger Hessian norm,
 * ``sampled_estimate``-- 1.25 x the largest Hessian norm seen on a
   deterministic sample grid (a practical fallback, never a proof).
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -43,6 +45,8 @@ _SAMPLE_HALF_WIDTH = 10.0
 _SAMPLE_AXIS_POINTS = 41
 _SAMPLE_RANDOM_POINTS = 200
 _SAMPLE_SAFETY = 1.25
+# parsed expression potentials kept per process, keyed by the call's arguments
+PARSE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,11 @@ class Potential:
 
     ``c_bound`` bounds sup over q of the spectral norm of V''(q) whenever
     ``certified`` is true; otherwise it is a best-effort estimate and every
-    downstream report must be flagged accordingly.
+    downstream report must be flagged accordingly.  ``c_sampled`` is the
+    largest norm of V'' on the sample points, where it was taken: for an
+    expression without ``c_bound`` (the estimate is 1.25 times it) and for
+    one whose user bound would be certified (a plan checks the bound
+    against it, see ``reduction.curvature_bound``); None otherwise.
     """
 
     dim: int
@@ -63,6 +71,7 @@ class Potential:
     unbounded_warning: bool = False
     label: str = ""
     expression: str = field(default="", compare=False)
+    c_sampled: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -253,15 +262,23 @@ def hessian_norms(pot_hess: Callable, points: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(H)), axis=-1)
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_potential(expr: str, dim: int, c_bound: float | None = None) -> Potential:
     """Build a Potential from an expression in q1..q{dim}.
 
     Derivatives are exact: ``exprparse.derivative`` differentiates the
-    parsed expression, and ``exprparse.evaluate`` evaluates it and its
-    derivatives with numpy.  Without ``c_bound`` the curvature bound is a
-    sampled estimate; expressions whose curvature cannot be certified as
-    globally bounded (polynomial degree > 2, transcendentals of nonlinear
-    arguments) additionally carry ``unbounded_warning``.  An expression
+    parsed expression, and ``exprparse.compile`` turns it and each
+    derivative into a numpy function once; V, V' and V'' fill a fresh
+    ``(..., k)`` array from those functions, one component at a time.
+    Without ``c_bound`` the curvature bound is a sampled estimate;
+    expressions whose curvature cannot be certified as globally bounded
+    (polynomial degree > 2, transcendentals of nonlinear arguments)
+    additionally carry ``unbounded_warning``.  A ``c_bound`` that would be
+    certified is sampled once here, into ``c_sampled``, so that every plan
+    of the potential can check it without sampling again.  The potential
+    is immutable, so the PARSE_CACHE_SIZE most recent ones are kept: a
+    command that reads its config twice, or a process that runs ``solve``
+    and then ``index`` on it, parses and samples it once.  An expression
     with a constant part that is not finite, in it or in a derivative
     (``q1/0``, ``0^q1``, ``(-2)^q1``), is a ValueError.
     """
@@ -277,33 +294,39 @@ def parse_potential(expr: str, dim: int, c_bound: float | None = None) -> Potent
         raise ValueError(f"expression {expr!r} or a derivative of it has a constant part "
                          f"that is not finite: {exprparse.pretty(bad)}")
 
-    def values(nodes, q):
-        """The nodes at the points q, stacked on a new last axis."""
-        return np.stack([np.broadcast_to(exprparse.evaluate(node, q), q.shape[:-1])
-                         for node in nodes], axis=-1)
+    f_eval, f_grad, f_hess = ([exprparse.compile(node) for node in nodes]
+                              for nodes in ([ast], grads, hessians))
+
+    def values(fs, q):
+        """The functions at the points q, on a new last axis."""
+        out = np.empty(q.shape[:-1] + (len(fs),))
+        for j, f in enumerate(fs):
+            out[..., j] = f(q)
+        return out
 
     def p_eval(q):
-        return values([ast], _as_points(q, dim))[..., 0]
+        return values(f_eval, _as_points(q, dim))[..., 0]
 
     def p_grad(q):
-        return values(grads, _as_points(q, dim))
+        return values(f_grad, _as_points(q, dim))
 
     def p_hess(q):
         q = _as_points(q, dim)
-        return values(hessians, q).reshape(q.shape + (dim,))
+        return values(f_hess, q).reshape(q.shape + (dim,))
 
-    degree = exprparse.growth_degree(ast)
-    unbounded = degree > 2.0
-
+    if c_bound is not None and not (math.isfinite(c_bound) and c_bound >= 0):
+        raise ValueError(f"c_bound must be finite and nonnegative, got {c_bound}")
+    unbounded = exprparse.growth_degree(ast) > 2.0
+    sampled = None  # sampled where it decides something: an estimate, or a bound's check
+    if c_bound is None or not unbounded:
+        with np.errstate(all="ignore"):  # an overflow samples inf, which no bound passes
+            sampled = float(np.max(hessian_norms(p_hess, _sample_points(dim))))
     if c_bound is not None:
-        if not math.isfinite(c_bound) or c_bound < 0:
-            raise ValueError(f"c_bound must be finite and nonnegative, got {c_bound}")
         bound, source = float(c_bound), "user_supplied"
     else:
-        norms = hessian_norms(p_hess, _sample_points(dim))
-        bound, source = _SAMPLE_SAFETY * float(np.max(norms)), "sampled_estimate"
+        bound, source = _SAMPLE_SAFETY * sampled, "sampled_estimate"
 
     return Potential(dim, p_eval, p_grad, p_hess,
                      c_bound=bound, c_source=source,
-                     unbounded_warning=unbounded,
+                     unbounded_warning=unbounded, c_sampled=sampled,
                      label="expression", expression=exprparse.pretty(ast))

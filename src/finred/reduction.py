@@ -57,6 +57,7 @@ DEFAULT_MULTISTART_COUNT = 64
 DEDUP_TOL = 1e-6
 REFINE_DRIFT_TOL = 1e-7
 ACTION_TIE_RTOL = 1e-10  # actions this close (relative) are ordered by head
+SAMPLE_RTOL = 1e-12  # slack of the check of a user bound against the sampled V''
 
 log = logging.getLogger(__name__)
 
@@ -130,10 +131,19 @@ def monotonicity_constant(C: float, T: float, N: int) -> float:
 
 
 def curvature_bound(pot, allow_uncertified: bool) -> float:
-    """The potential's bound C; it must be finite, and certified unless opted out."""
+    """The potential's bound C; it must be finite, and certified unless opted out.
+
+    A certified bound that the potential's own sample contradicts, a norm of
+    V'' above C by more than a relative 1e-12 (``Potential.c_sampled``), is a
+    ValueError: a plan on it would promise a monotone tail that is not.
+    """
     C = pot.c_bound
     if not math.isfinite(C):
         raise ValueError("potential curvature bound must be finite")
+    sampled = pot.c_sampled
+    if pot.certified and sampled is not None and sampled > C * (1.0 + SAMPLE_RTOL):
+        raise ValueError(f"c_bound = {C:.10g} is below max |V''| = {sampled:.10g} "
+                         f"found by sampling the potential")
     if not pot.certified and not allow_uncertified:
         raise UncertifiedPotentialError(
             "potential curvature bound is not certified "

@@ -1,5 +1,6 @@
 """CLI commands, config validation, artifact determinism."""
 
+import io
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ from finred import cli
 from finred.cli import (_field_coeffs_csv, _field_csv, _path_coeffs_csv,
                         _trajectory_csv, main)
 from finred.config import _SCHEMA, ConfigError, RunConfig, load_config, render_config
-from finred.dirichlet import DirichletField, RectangleDomain, enumerate_modes
+from finred.dirichlet import DirichletField, EigenMode, RectangleDomain, enumerate_modes
 from finred.fourier import SinePath
 from tests.conftest import refuse_grids
 
@@ -210,11 +211,32 @@ def test_solve_exit_code_two_when_no_solutions(tmp_path):
 
 
 def test_solve_wrong_curvature_bound_is_clean_error(tmp_path, capsys):
-    cfg, _ = write_cfg(tmp_path, WRONG_BOUND_CFG)
+    # the sampler finds |V''| = 5 > 0.5: the bound is rejected at plan time
+    cfg, out = write_cfg(tmp_path, WRONG_BOUND_CFG)
+    for command in ("plan", "solve"):
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: c_bound = 0.5 is below max |V''| = 5 found by sampling the potential"]
+        assert not out.exists()
+
+
+def test_solve_tail_not_positive_definite_is_clean_error(tmp_path, capsys):
+    # an uncertified plan (quartic growth, opted in) on a bound that V'' exceeds
+    # near the path: the tail block is indefinite, a TruncationError in the solve
+    text = WRONG_BOUND_CFG.replace("expr = -5*cos(q1)", "expr = -5*cos(q1) + 0.001*q1^4").replace(
+        "c_bound = 0.5", "c_bound = 0.5\nallow_uncertified = true")
+    cfg, out = write_cfg(tmp_path, text)
+    assert main(["plan", "--config", str(cfg)]) == 0
+    assert "certified = false" in capsys.readouterr().out
     assert main(["solve", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: tail curvature block is not positive definite")
+    assert not out.exists()
 
 
 def test_solve_non_finite_endpoint_is_clean_error(tmp_path, capsys):
@@ -403,20 +425,65 @@ def fmt(x):
 
 
 def field_csv_reference(sol, points):
-    """The per-point formatting loop that cli._field_csv replaces."""
+    """The per-point formatting loop that cli._field_csv replaces, on the values
+    of the field's grid evaluator (``DirichletField.on_grid``)."""
     dom = sol.field.domain
+    axes = [np.linspace(0.0, L, points) for L in dom.lengths]
+    vals = sol.field.on_grid(axes).ravel()
     if dom.m == 1:
-        xs = np.linspace(0.0, dom.lengths[0], points)
-        vals = sol.field.evaluate(xs[:, None])
-        rows = ["x,phi"] + [f"{fmt(x)},{fmt(v)}" for x, v in zip(xs, vals)]
+        rows = ["x,phi"] + [f"{fmt(x)},{fmt(v)}" for x, v in zip(axes[0], vals)]
     else:
-        xs = np.linspace(0.0, dom.lengths[0], points)
-        ys = np.linspace(0.0, dom.lengths[1], points)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        X, Y = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        vals = sol.field.evaluate(pts)
         rows = ["x,y,phi"] + [f"{fmt(x)},{fmt(y)},{fmt(v)}" for (x, y), v in zip(pts, vals)]
     return "\n".join(rows) + "\n"
+
+
+def field_csv_values(text):
+    """Coordinates and values of a written field CSV, as floats."""
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    return table[:, :-1], table[:, -1]
+
+
+@pytest.mark.parametrize("lengths", [(1.3,), (1.0, 1.0), (0.9, 1.6)])
+def test_field_csv_values_are_evaluate_s(lengths):
+    """The written values are DirichletField.evaluate's at the written points, to
+    1e-14, on O(1) fields of every refinement level's mode count."""
+    rng = np.random.default_rng(13)
+    dom = RectangleDomain(lengths)
+    for lam in (300.0, 1200.0, 4800.0):
+        modes = tuple(enumerate_modes(dom, lam))
+        lams = np.array([em.lam for em in modes])
+        coeffs = rng.normal(size=len(modes)) * (lams[0] / lams)  # smooth
+        grid = np.stack(np.meshgrid(*[np.linspace(0.0, L, 65) for L in lengths],
+                                    indexing="ij"), axis=-1).reshape(-1, dom.m)
+        coeffs = coeffs / np.max(np.abs(DirichletField(dom, modes, coeffs).evaluate(grid)))
+        field = DirichletField(dom, modes, coeffs)  # max |phi| = 1
+        for points in (2, 17, 65):
+            xy, phi = field_csv_values(_field_csv(SimpleNamespace(field=field), points))
+            assert xy.shape == (points ** dom.m, dom.m)
+            assert np.max(np.abs(phi - field.evaluate(xy))) <= 1e-14
+
+
+def test_field_csv_of_a_refined_root_is_evaluate_s(tmp_path, capsys):
+    # -56.49 cos(phi) on the unit square, twice refined: 380 modes per root
+    text = (DIRICHLET_2D_CFG.replace("-30*", "-56.49*").replace("c_bound = 30", "c_bound = 56.49")
+            .replace("1.0, 1.3", "1.0, 1.0").replace("count = 4", "count = 3"))
+    cfg, out = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    dom = RectangleDomain((1.0, 1.0))
+    roots = len((out / "solutions.csv").read_text().splitlines()) - 1
+    assert roots >= 2
+    sizes = []
+    for i in range(roots):
+        table = np.loadtxt(out / f"solution_{i:03d}_coeffs.csv", delimiter=",", skiprows=1)
+        sizes.append(len(table))
+        field = DirichletField(dom, tuple(EigenMode(lam, (int(a), int(b)))
+                                          for a, b, lam in table[:, :3]), table[:, 3])
+        xy, phi = field_csv_values((out / f"solution_{i:03d}_field.csv").read_text())
+        assert np.max(np.abs(phi - field.evaluate(xy))) <= 1e-14
+    assert 380 in sizes
 
 
 def trajectory_csv_reference(bp, rep, points):
@@ -466,7 +533,7 @@ def test_field_csv_bytes_match_the_formatting_loop(lengths):
     # pins the writer's value template against format(x, ".16e")
     values = np.concatenate([SPECIAL, [np.nan, np.inf, -np.inf]])
     stub = SimpleNamespace(field=SimpleNamespace(
-        domain=dom, evaluate=lambda pts: np.resize(values, len(pts))))
+        domain=dom, on_grid=lambda axes: np.resize(values, [len(x) for x in axes])))
     for points in (2, 17):  # 17 points or more per axis hold every value
         assert _field_csv(stub, points) == field_csv_reference(stub, points)
     assert ",nan\n" in _field_csv(stub, 17) and ",-inf\n" in _field_csv(stub, 17)

@@ -165,7 +165,7 @@ def test_plan_interval_example():
 
 def test_plan_small_bound_gives_empty_head():
     dom = RectangleDomain((math.pi,))
-    pot = parse_potential("cos(q1)", 1, c_bound=0.5)  # below lambda_1 = 1
+    pot = parse_potential("0.5*cos(q1)", 1, c_bound=0.5)  # below lambda_1 = 1
     plan = dirichlet_plan(dom, pot)
     assert plan.N == 0
     assert plan.mu == pytest.approx(0.5)
@@ -176,7 +176,7 @@ def test_plan_cutoff_matches_mechanical_formula():
     for C in (0.3, 1.0, 5.0, 26.0, 80.0):
         for T in (0.7, 2.0, math.pi, 6.0):
             dom = RectangleDomain((T,))
-            pot = parse_potential("cos(q1)", 1, c_bound=C)
+            pot = parse_potential(f"{C!r}*cos(q1)", 1, c_bound=C)  # a bound the sample meets
             dplan = dirichlet_plan(dom, pot)
             bp = BoundaryProblem(pot, T, [0.0], [0.0])
             mplan = make_plan(bp)

@@ -1,5 +1,7 @@
 """Sine-basis transforms, norms, projectors."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,7 +175,7 @@ def test_mode_eigenvalues():
 # what the benchmark's tracer relies on: per-class methods and one DST binding
 
 def test_dst_binding_and_per_class_methods(monkeypatch):
-    import scipy.fft
+    import scipy.fftpack
 
     from finred import RectangleDomain, dirichlet_plan, fourier
     from finred.core import MechanicalSystem
@@ -182,13 +184,13 @@ def test_dst_binding_and_per_class_methods(monkeypatch):
     for cls in (MechanicalSystem, DirichletSystem):
         for name in ("nonlinear_coeffs", "curvature_matrix", "action"):
             assert name in vars(cls), (cls.__name__, name)
-    assert fourier.dst is scipy.fft.dst
+    assert fourier.dst is scipy.fftpack.dst
 
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return scipy.fft.dst(*args, **kwargs)
+        return scipy.fftpack.dst(*args, **kwargs)
 
     monkeypatch.setattr(fourier, "dst", counting)
     pend = builtin_potential("pendulum", (2.0,), dim=1)
@@ -210,3 +212,107 @@ def test_dst_binding_and_per_class_methods(monkeypatch):
         # at a new state the Hessian synthesizes once: one transform per axis
         system.hessian_matrix(c + 0.1)
         assert len(calls) == expected + expected // 2
+
+
+# ---------------------------------------------------------------------------
+# the transform binding against scipy.fft, on the benchmark's grids
+
+# (K, P, n) of the benchmark's systems: the 2-D Dirichlet levels, the path
+# levels of the pendulum (n = 1) and the chain (n = 4), and the 4095 nodes
+# on which the Jacobi oracle samples a path
+WORKLOAD_GRIDS = [((5, 5), (11, 11), 1), ((11, 11), (23, 23), 1), ((22, 22), (45, 45), 1),
+                  ((5, 6), (11, 13), 1), ((32,), (65,), 1), ((64,), (129,), 1),
+                  ((128,), (257,), 1), ((128,), (4095,), 1), ((32,), (65,), 4),
+                  ((64,), (129,), 4), ((128,), (257,), 4)]
+
+
+def synthesize_reference(grid, box):
+    """Synthesis through a zero-padded array and scipy.fft.dst, as it was."""
+    import scipy.fft
+
+    values = box
+    for axis, (L, P) in enumerate(zip(grid.lengths, grid.P)):
+        pad = np.zeros(values.shape[:axis] + (P,) + values.shape[axis + 1:])
+        pad[(slice(None),) * axis + (slice(0, values.shape[axis]),)] = values
+        values = 0.5 * math.sqrt(2.0 / L) * scipy.fft.dst(pad, type=1, axis=axis)
+    return values
+
+
+@pytest.mark.parametrize("K, P, n", WORKLOAD_GRIDS)
+def test_dst_is_bitwise_scipy_fft_on_workload_grids(K, P, n):
+    import scipy.fft
+
+    from finred import fourier
+
+    rng = np.random.default_rng(sum(P) + n)
+    box = rng.normal(size=K + (n,))
+    values = rng.normal(size=P + (n,))
+    for axis, p in enumerate(P):
+        assert (fourier.dst(values, type=1, axis=axis).tobytes()
+                == scipy.fft.dst(values, type=1, axis=axis).tobytes())
+        pad = np.zeros(box.shape[:axis] + (p,) + box.shape[axis + 1:])
+        pad[(slice(None),) * axis + (slice(0, K[axis]),)] = box
+        assert (fourier.dst(box, type=1, n=p, axis=axis).tobytes()
+                == scipy.fft.dst(pad, type=1, axis=axis).tobytes())
+    grid = fourier.SineGrid((1.3, 0.7)[:len(K)], K, P, n)
+    assert grid.synthesize(box).tobytes() == synthesize_reference(grid, box).tobytes()
+    box_ref = values
+    for axis, (L, p, k) in enumerate(zip(grid.lengths, P, K)):
+        box_ref = scipy.fft.dst(box_ref, type=1, axis=axis) * (math.sqrt(2.0 * L) / (2.0 * (p + 1)))
+        box_ref = box_ref[(slice(None),) * axis + (slice(0, k),)]
+    assert grid.analyze(values).tobytes() == box_ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the curvature gather tables against the builder they replace
+
+def gather_reference(grid):
+    """The (D, D) index tables as they were built, one broadcast expression each."""
+    n = grid.n
+    k = np.repeat(grid.modes, n, axis=0)
+    i = np.tile(np.arange(n), len(grid.modes))
+    base = i[:, None] * n + i[None, :]
+    pair = None
+    if len(grid.K) == 2:
+        k1 = np.arange(1, grid.K[0] + 1)
+        pair = (np.abs(k1[:, None] - k1[None, :]), k1[:, None] + k1[None, :])
+        rows = k[:, 0] - 1
+        base = (base * grid.K[0] + rows[:, None]) * grid.K[0] + rows[None, :]
+    base = base * (2 * grid.K[-1] + 1)
+    last = k[:, -1]
+    return (pair, base + np.abs(last[:, None] - last[None, :]),
+            base + last[:, None] + last[None, :])
+
+
+def assert_tables_equal(grid):
+    pair, toeplitz, hankel = grid._gather
+    ref_pair, ref_toeplitz, ref_hankel = gather_reference(grid)
+    for got, ref in ((toeplitz, ref_toeplitz), (hankel, ref_hankel)):
+        assert got.dtype == ref.dtype == np.intp
+        assert np.array_equal(got, ref)
+    assert (pair is None) == (ref_pair is None)
+    if pair is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(pair, ref_pair))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("M", [1, 9, 32])
+def test_gather_tables_equal_the_old_builder_1d(n, M):
+    from finred import fourier
+
+    assert_tables_equal(fourier.SineGrid((2.0,), (M,), (2 * M + 1,), n))
+
+
+def test_gather_tables_equal_the_old_builder_2d():
+    from finred import RectangleDomain, dirichlet_plan, parse_potential
+    from finred.dirichlet import DirichletSystem, mode_eigenvalue
+
+    pot = parse_potential("-30*cos(q1)", 1, c_bound=30.0)
+    for lengths, on_cut in [((1.0, 1.3), (2, 3)), ((1.0, 1.0), (3, 1)), ((0.9, 1.6), (4, 2))]:
+        dom = RectangleDomain(lengths)
+        cut = mode_eigenvalue(dom, on_cut)
+        system = DirichletSystem(dom, pot, dirichlet_plan(dom, pot, lambda_cut=cut))
+        assert system.modes[-1].lam == cut  # the cut is boundary-exact
+        for _ in range(3):
+            assert_tables_equal(system.grid)
+            system = system.refined()

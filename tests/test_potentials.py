@@ -1,14 +1,15 @@
 """Potential construction, exact derivatives, curvature bounds, parser."""
 
 import math
+import operator
 import warnings
 
 import numpy as np
 import pytest
 
 from finred import builtin_potential, parse_potential
-from finred.exprparse import (BinOp, Call, ExpressionError, Num, Var, derivative, growth_degree,
-                              parse, pretty)
+from finred.exprparse import (BinOp, Call, ExpressionError, Neg, Num, Var, compile, derivative,
+                              growth_degree, parse, pretty)
 from finred.potentials import _sample_points, hessian_norms
 
 
@@ -311,3 +312,79 @@ def test_non_finite_constant_is_rejected(expr, dim, c_bound):
         with pytest.raises(ValueError, match="has a constant part that is not finite"):
             parse_potential(expr, dim, c_bound=c_bound)
 
+
+
+# ---------------------------------------------------------------------------
+# compiled expressions against the tree walk they replace
+
+_WALK_FUNCS = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp, "log": np.log}
+_WALK_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+             "^": operator.pow}
+
+
+def walk(node, q):
+    """The per-call tree walk that exprparse.compile replaces."""
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return q[..., node.index]
+    if isinstance(node, Neg):
+        return -walk(node.arg, q)
+    if isinstance(node, Call):
+        return _WALK_FUNCS[node.func](walk(node.arg, q))
+    return _WALK_OPS[node.op](walk(node.left, q), walk(node.right, q))
+
+
+def same(a, b):
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+# every node type, function, operator and literal position; derivatives add log
+COMPILE_CASES = ["-2.5*cos(q1) + sin(q2)^3 - tanh(q1*q2)/exp(q2)",
+                 "q1^q2 + 2^q1 - (q1 + 3)^0.5", "-(q1 - q2) * 4 / (q2 + 1)",
+                 "3 + 4*2 - exp(1)", "-q1", "q2", "1.5", "0.5*q1^2 + cos(q2) - 0.1*q1*q2"]
+
+
+@pytest.mark.parametrize("expr", COMPILE_CASES)
+def test_compiled_expression_is_bitwise_the_tree_walk(expr, rng):
+    ast = parse(expr, 2)
+    nodes = [ast] + [derivative(ast, i) for i in range(2)]
+    nodes += [derivative(d, j) for d in nodes[1:] for j in range(2)]
+    for q in (rng.uniform(0.5, 2.0, (7, 2)), rng.uniform(-2.0, 2.0, (3, 4, 2)),
+              rng.uniform(0.5, 2.0, 2), np.array([[0.0, 1.0], [-0.0, 0.0], [2.0, -0.0]])):
+        with np.errstate(all="ignore"):
+            for node in nodes:
+                assert same(compile(node)(q), walk(node, q)), pretty(node)
+    # and a potential's arrays are the walks, broadcast and stacked as they were
+    pot = parse_potential(expr, 2, c_bound=100.0)
+    q = rng.uniform(0.5, 2.0, (5, 3, 2))
+    with np.errstate(all="ignore"):
+        stacked = [np.stack([np.broadcast_to(walk(node, q), q.shape[:-1]) for node in group],
+                            axis=-1) for group in (nodes[:1], nodes[1:3], nodes[3:])]
+        assert pot.eval(q).tobytes() == stacked[0][..., 0].tobytes()
+        assert pot.grad(q).tobytes() == stacked[1].tobytes()
+        assert pot.hess(q).tobytes() == stacked[2].reshape(q.shape + (2,)).tobytes()
+        assert pot.hess(q).shape == (5, 3, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# a user bound against the sampler
+
+def test_user_bound_is_sampled_once_where_it_would_be_certified(monkeypatch):
+    import finred.potentials as potentials
+
+    calls = []
+    norms = potentials.hessian_norms
+    monkeypatch.setattr(potentials, "hessian_norms", lambda *a: calls.append(1) or norms(*a))
+    parse_potential.cache_clear()
+    pot = parse_potential("-5*cos(q1)", 1, c_bound=0.5)
+    assert pot.certified and pot.c_sampled == 5.0 and len(calls) == 1
+    # the same arguments again: the same potential, not sampled again
+    assert parse_potential("-5*cos(q1)", 1, c_bound=0.5) is pot and len(calls) == 1
+    # an expression flagged unbounded is not certified by a user bound: no sample
+    assert parse_potential("q1^4", 1, c_bound=50.0).c_sampled is None and len(calls) == 1
+    # without a bound, the estimate is 1.25 times the sample
+    pot = parse_potential("cos(q1)", 1)
+    assert pot.c_bound == 1.25 * pot.c_sampled and len(calls) == 2
+    assert builtin_potential("pendulum", (2.0,)).c_sampled is None

@@ -60,6 +60,41 @@ def test_plan_defaults():
     assert plan.M == 2 * 20 + 8
 
 
+@pytest.mark.parametrize("kind", ["mechanical", "dirichlet"])
+def test_plan_rejects_a_bound_the_sampler_contradicts(kind, monkeypatch):
+    def plan(expr, c_bound):
+        pot = parse_potential(expr, 1, c_bound=c_bound)
+        if kind == "mechanical":
+            return make_plan(BoundaryProblem(pot, math.pi, [0.0], [0.5]))
+        return dirichlet_plan(RectangleDomain((1.0, 1.0)), pot)
+
+    message = r"^c_bound = 0\.5 is below max \|V''\| = 5 found by sampling the potential$"
+    with pytest.raises(ValueError, match=message):
+        plan("-5*cos(q1)", 0.5)
+    # the sample attains g exactly at q = 0, and g itself is not contradicted
+    for g in (50.0, 56.49, 61.99999999999999):
+        assert plan(f"-{g!r}*cos(q1)", g).c_bound == g
+    # the check is strict, with a relative slack of 1e-12
+    assert plan("-5*cos(q1)", 5.0 * (1.0 - 0.9e-12)).certified
+    with pytest.raises(ValueError, match="found by sampling"):
+        plan("-5*cos(q1)", 5.0 * (1.0 - 1.1e-12))
+    # one sample per potential: the plans of its refinement levels only compare
+    import finred.potentials as potentials
+    calls = []
+    norms = potentials.hessian_norms
+    monkeypatch.setattr(potentials, "hessian_norms", lambda *a: calls.append(1) or norms(*a))
+    parse_potential.cache_clear()
+    pot = parse_potential("-56.49*cos(q1)", 1, c_bound=56.49)
+    if kind == "mechanical":
+        system = MechanicalSystem(BoundaryProblem(pot, 3.0, [0.0], [0.5]),
+                                  make_plan(BoundaryProblem(pot, 3.0, [0.0], [0.5])).M)
+    else:
+        dom = RectangleDomain((1.0, 1.0))
+        system = DirichletSystem(dom, pot, dirichlet_plan(dom, pot))
+    assert len(system.refined().refined().eigenvalues) == {"mechanical": 128, "dirichlet": 380}[kind]
+    assert len(calls) == 1
+
+
 def test_plan_requires_certification_opt_in():
     pot = parse_potential("q1^4", 1, c_bound=50.0)
     bp = BoundaryProblem(pot, 1.0, [0.0], [0.5])
