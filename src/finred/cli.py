@@ -27,7 +27,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config, render_config
 from .core import MechanicalSystem, TruncationError, single_blas_thread
 from .dirichlet import DirichletSystem, solve_dirichlet, weyl_estimate
-from .fourier import BoundaryProblem, SinePath
+from .fourier import BoundaryProblem, SinePath, affine_embed
 from .functional import blocks_at
 from .morse import index_full, index_jacobi, index_schur
 from .reduction import fixed_point_cutoff, solve_reduced
@@ -93,7 +93,7 @@ def _solutions_csv(reports) -> str:
 
 def _trajectory_csv(bp, rep, points: int) -> str:
     ts = np.linspace(0.0, bp.T, points)
-    gamma = bp.drift(ts) + rep.path.evaluate(ts)
+    gamma = affine_embed(bp, rep.path, ts)
     return _csv("t," + ",".join(f"gamma_{j + 1}" for j in range(bp.n)), [ts, *gamma.T])
 
 

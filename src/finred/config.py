@@ -1,9 +1,12 @@
 """Run configuration: a flat, sectioned key=value text format.
 
 Lines are ``[section]`` headers, ``key = value`` pairs, blank lines, or
-comments starting with '#'.  ``_SCHEMA`` is the one statement of the
-format: a table from section to key to parser.  Loading is one loop over
-that table, followed by the rules that tie keys together; the echo
+comments starting with '#'.  The fields of :class:`RunConfig` are the
+one statement of the format: each is a key, with its section, parser,
+default and, for a key that one problem kind or potential form reads
+only, that kind in its metadata.  ``_SCHEMA`` (section -> key -> parser)
+and ``_ONLY_FOR`` are derived from them.  Loading is one loop over that
+table, followed by the rules that tie keys together; the echo
 (:func:`render_config`) walks the same table, so a run can be reproduced
 exactly from it.  Overrides (the CLI's ``--out``, ``--seeds``, ...) are
 text for a ``(section, key)`` and go through the same parsers and checks
@@ -23,7 +26,7 @@ Schema (see README for the full description):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,42 +83,77 @@ vector = typed(lambda text: tuple(map(float, text.split(","))),
 positive_real = checked(real, lambda x: math.isfinite(x) and x > 0, "must be a positive real")
 positive_int = checked(integer, lambda n: n >= 1, "must be positive")
 points = checked(integer, lambda n: n >= 2, "must be at least 2")
+nonnegative_real = checked(real, lambda x: math.isfinite(x) and x >= 0,
+                           "must be finite and nonnegative")
+nonnegative_int = checked(integer, lambda n: n >= 0, "must be at least 0")
 
-_SCHEMA = {
-    "problem": {"kind": choice("mechanical", "dirichlet")},
-    "potential": {
-        "builtin": str,
-        "params": vector,
-        "expr": str,
-        "c_bound": checked(real, lambda x: math.isfinite(x) and x >= 0,
-                           "must be finite and nonnegative"),
-        "dim": positive_int,
-        "allow_uncertified": boolean,
-    },
-    "geometry": {"T": positive_real, "q0": vector, "qT": vector, "lengths": vector},
-    "plan": {
-        "N": integer,
-        "M": integer,
-        "quad_points": integer,
-        "lambda_cut": positive_real,
-        "tail_tol": positive_real,
-        "head_tol": positive_real,
-        "refine": boolean,
-    },
-    "multistart": {
-        "count": positive_int,
-        "radius": positive_real,
-        "seed": checked(integer, lambda n: n >= 0, "must be at least 0"),
-        "method": choice("newton", "picard"),
-        "workers": integer,
-    },
-    "output": {"directory": str, "trajectory_points": points, "field_points": points},
-}
 
-# keys read by one problem kind or one potential form only; the echo leaves
-# out those of the other kind
-_ONLY_FOR = {"T": "mechanical", "q0": "mechanical", "qT": "mechanical",
-             "lengths": "dirichlet", "params": "builtin", "c_bound": "expr"}
+def setting(section: str, parse, default, only: str | None = None):
+    """One config key: its [section], its parser and its default; ``only`` names
+    the problem kind or potential form that reads it, and the echo leaves
+    it out for the other one."""
+    return field(default=default, metadata={"section": section, "parse": parse, "only": only})
+
+
+@dataclass
+class RunConfig:
+    """Validated configuration with every default resolved; each field is
+    one key of the file, in echo order (see ``setting``)."""
+
+    kind: str = setting("problem", choice("mechanical", "dirichlet"), "mechanical")
+    builtin: str | None = setting("potential", str, None)
+    params: tuple = setting("potential", vector, (), only="builtin")
+    expr: str | None = setting("potential", str, None)
+    c_bound: float | None = setting("potential", nonnegative_real, None, only="expr")
+    dim: int = setting("potential", positive_int, 1)
+    allow_uncertified: bool = setting("potential", boolean, False)
+    T: float = setting("geometry", positive_real, 1.0, only="mechanical")
+    q0: tuple = setting("geometry", vector, (0.0,), only="mechanical")
+    qT: tuple = setting("geometry", vector, (0.0,), only="mechanical")
+    lengths: tuple = setting("geometry", vector, (1.0,), only="dirichlet")
+    # plan overrides (None = default)
+    N: int | None = setting("plan", integer, None)
+    M: int | None = setting("plan", integer, None)
+    quad_points: int | None = setting("plan", integer, None)
+    lambda_cut: float | None = setting("plan", positive_real, None)
+    tail_tol: float = setting("plan", positive_real, 1e-10)
+    head_tol: float = setting("plan", positive_real, 1e-9)
+    refine: bool = setting("plan", boolean, True)
+    count: int = setting("multistart", positive_int, DEFAULT_MULTISTART_COUNT)
+    radius: float | None = setting("multistart", positive_real, None)
+    seed: int = setting("multistart", nonnegative_int, DEFAULT_MULTISTART_SEED)
+    method: str = setting("multistart", choice("newton", "picard"), "newton")
+    workers: int = setting("multistart", integer, 1)
+    directory: str = setting("output", str, "out")
+    trajectory_points: int = setting("output", points, 512)
+    field_points: int = setting("output", points, 65)
+
+    def potential(self):
+        if self.expr is not None:
+            return parse_potential(self.expr, self.dim, self.c_bound)
+        return builtin_potential(self.builtin or "zero", self.params, dim=self.dim)
+
+    def boundary_problem(self) -> BoundaryProblem:
+        return BoundaryProblem(self.potential(), self.T, np.array(self.q0), np.array(self.qT))
+
+    def domain(self) -> RectangleDomain:
+        return RectangleDomain(self.lengths)
+
+    def build_plan(self):
+        if self.kind == "mechanical":
+            return make_plan(self.boundary_problem(), N=self.N, M=self.M,
+                             quad_points=self.quad_points, tail_tol=self.tail_tol,
+                             head_tol=self.head_tol, allow_uncertified=self.allow_uncertified)
+        return dirichlet_plan(self.domain(), self.potential(), N=self.N,
+                              lambda_cut=self.lambda_cut, tail_tol=self.tail_tol,
+                              head_tol=self.head_tol, allow_uncertified=self.allow_uncertified)
+
+
+# section -> key -> parser, in field order; the keys one kind or form reads only
+_SCHEMA: dict = {}
+for _key in fields(RunConfig):
+    _SCHEMA.setdefault(_key.metadata["section"], {})[_key.name] = _key.metadata["parse"]
+_ONLY_FOR = {f.name: f.metadata["only"] for f in fields(RunConfig) if f.metadata["only"]}
 
 
 def parse_config_text(text: str) -> dict:
@@ -146,62 +184,6 @@ def parse_config_text(text: str) -> dict:
         sections[current_name][key] = (value.strip(), lineno)
     return sections
 
-
-@dataclass
-class RunConfig:
-    """Validated configuration with every default resolved."""
-
-    kind: str = "mechanical"
-    # potential
-    builtin: str | None = None
-    params: tuple = ()
-    expr: str | None = None
-    c_bound: float | None = None
-    dim: int = 1
-    allow_uncertified: bool = False
-    # geometry
-    T: float = 1.0
-    q0: tuple = (0.0,)
-    qT: tuple = (0.0,)
-    lengths: tuple = (1.0,)
-    # plan overrides (None = default)
-    N: int | None = None
-    M: int | None = None
-    quad_points: int | None = None
-    lambda_cut: float | None = None
-    tail_tol: float = 1e-10
-    head_tol: float = 1e-9
-    refine: bool = True
-    # multistart
-    count: int = DEFAULT_MULTISTART_COUNT
-    radius: float | None = None
-    seed: int = DEFAULT_MULTISTART_SEED
-    method: str = "newton"
-    workers: int = 1
-    # output
-    directory: str = "out"
-    trajectory_points: int = 512
-    field_points: int = 65
-
-    def potential(self):
-        if self.expr is not None:
-            return parse_potential(self.expr, self.dim, self.c_bound)
-        return builtin_potential(self.builtin or "zero", self.params, dim=self.dim)
-
-    def boundary_problem(self) -> BoundaryProblem:
-        return BoundaryProblem(self.potential(), self.T, np.array(self.q0), np.array(self.qT))
-
-    def domain(self) -> RectangleDomain:
-        return RectangleDomain(self.lengths)
-
-    def build_plan(self):
-        if self.kind == "mechanical":
-            return make_plan(self.boundary_problem(), N=self.N, M=self.M,
-                             quad_points=self.quad_points, tail_tol=self.tail_tol,
-                             head_tol=self.head_tol, allow_uncertified=self.allow_uncertified)
-        return dirichlet_plan(self.domain(), self.potential(), N=self.N,
-                              lambda_cut=self.lambda_cut, tail_tol=self.tail_tol,
-                              head_tol=self.head_tol, allow_uncertified=self.allow_uncertified)
 
 
 def load_config(text: str, overrides: dict | None = None) -> RunConfig:

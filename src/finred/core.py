@@ -104,10 +104,14 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .fourier import (TABLE_CACHE_SIZE, BoundaryProblem, SineGrid, SinePath, affine_coeffs,
-                      grid_points, mode_eigenvalues)
+                      grid_points, mode_eigenvalues, sine_table, tensor_values)
 
 GAUSS_NODES_PER_PANEL = 8
 GAUSS_MIN_PANELS = 16
+# caps: the Newton or Picard steps of one tail solve, the step halvings of one line search
+TAIL_NEWTON_STEPS = 50
+TAIL_PICARD_STEPS = 5000
+LINE_SEARCH_HALVINGS = 30
 # the most Dirichlet modes, or mechanical coefficients M n and grid points, of one system
 MODE_CAP = 100_000
 
@@ -326,13 +330,10 @@ class GalerkinSystem:
         """Kinetic part exact in coefficients; potential part by composite Gauss."""
         kinetic = self._kinetic + 0.5 * float(np.sum(self.eigenvalues * c * c))
         rules, drift = self._gauss
-        (_, weights, B0), *rest = rules
-        values = B0 @ self._box(c).reshape(B0.shape[1], -1)
-        for _, _, B in rest:  # a field's second axis: B0 @ box @ B1.T
-            values = values @ B.T
-        values = values.reshape(tuple(len(w) for _, w, _ in rules) + (self.n,))
+        values = tensor_values([B for _, _, B in rules], self._box(c))
         if drift is not None:
             values = drift + values
+        (_, weights, _), *rest = rules
         potential = weights @ self.potential.eval(values)
         for _, w, _ in rest:
             potential = potential @ w
@@ -402,9 +403,7 @@ def gauss_sine_rule(L: float, K: int):
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    k = np.arange(1, K + 1)
-    basis = np.sqrt(2.0 / L) * np.sin(np.outer(nodes, k) * np.pi / L)
-    return _read_only(nodes), _read_only(weights), _read_only(basis)
+    return _read_only(nodes), _read_only(weights), _read_only(sine_table(L, K, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +428,14 @@ def tail_h1_norm(system, v: np.ndarray, head_dim: int) -> float:
 
 def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = None,
                tol: float = 1e-10, method: str = "newton",
-               max_newton: int = 50, max_picard: int = 5000,
                reject: tuple[float, float] | None = None) -> tuple[np.ndarray, TailStats]:
     """Solve the tail stationarity equations at frozen head u.
 
     ``picard`` iterates the contraction v <- g_tail / eig_tail (guaranteed
     rate 1 - mu); ``newton`` uses the tail curvature block as Jacobian and
     falls back to a Picard step whenever a Newton step fails to decrease
-    the residual.  Starts from v0 = 0 unless a warm start is given.
+    the residual.  Starts from v0 = 0 unless a warm start is given; stops,
+    unconverged, after TAIL_NEWTON_STEPS or TAIL_PICARD_STEPS iterations.
 
     ``reject=(hnorm, kappa)`` screens a line-search trial: the solve stops
     early, with ``stats.rejected``, at the first unconverged iterate where
@@ -456,8 +455,7 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
         stats.converged = True
         return v, stats
 
-    max_iter = max_newton if method == "newton" else max_picard
-    for _ in range(max_iter):
+    for _ in range(TAIL_NEWTON_STEPS if method == "newton" else TAIL_PICARD_STEPS):
         c = np.concatenate([u, v])
         r = system.residual(c)
         res = tail_residual_norm(system, r, head_dim)
@@ -548,7 +546,7 @@ def rejection_slope(system, head_dim: int, c_bound: float) -> float | None:
 def reduced_newton(system, head_dim: int, u0: np.ndarray,
                    head_tol: float = 1e-9, tail_tol: float = 1e-10,
                    tail_method: str = "newton", max_iter: int = 60,
-                   max_halvings: int = 30, c_bound: float | None = None,
+                   c_bound: float | None = None,
                    v0: np.ndarray | None = None) -> ReducedResult:
     """Damped Newton on the reduced gradient, Jacobian = Schur complement.
 
@@ -556,6 +554,7 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     None); every later one starts from the tail of the current iterate.
     A refined level passes the coarse root's tail, padded with zeros
     (``reduction._refine_root``): it is v(u0) to within truncation error.
+    A line search that halves its step LINE_SEARCH_HALVINGS times ends it.
 
     With a certified curvature bound ``c_bound`` the line search stops the
     tail solve of a trial as soon as the rejection test of ``solve_tail``
@@ -591,7 +590,7 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
         lam = 1.0
         accepted = False
         v_trial = v
-        for _ in range(max_halvings + 1):
+        for _ in range(LINE_SEARCH_HALVINGS + 1):
             u_try = u - lam * step
             v_try, ts = solve_tail(system, head_dim, u_try, v0=v, tol=tail_tol,
                                    method=tail_method, reject=reject)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MODE_CAP, GalerkinSystem
-from .fourier import SineGrid, affine_coeffs
+from .fourier import SineGrid, affine_coeffs, frozen_copy, sine_table, tensor_values
 from .potentials import Potential
 from .reduction import (DEFAULT_MULTISTART_COUNT, DEFAULT_MULTISTART_SEED, SolutionReport,
                         curvature_bound, solve_system)
@@ -234,9 +234,7 @@ class DirichletField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", frozen_copy(self.coeffs))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Field values at points of shape (S, m)."""
@@ -256,22 +254,13 @@ class DirichletField:
 
     def on_grid(self, axes) -> np.ndarray:
         """Field values on the tensor grid of ``axes``, one coordinate array per
-        axis, shape (len(x1), ..., len(xm)).
-
-        Per axis a table of the sine modes at its coordinates (the rows of
-        ``evaluate``, bit for bit), then one product per axis with the
-        coefficient box, as ``GalerkinSystem.action`` does; so the values
-        are ``evaluate``'s at the grid points up to rounding in the sums.
-        """
+        axis, shape (len(x1), ..., len(xm)), by ``fourier.tensor_values`` as
+        ``GalerkinSystem.action`` does: ``evaluate``'s values up to rounding."""
         k = np.array([em.indices for em in self.modes]).reshape(-1, self.domain.m)
         box = np.zeros(tuple(k.max(axis=0, initial=0)))
         box[tuple(k.T - 1)] = self.coeffs
-        tables = [math.sqrt(2.0 / L) * np.sin(np.outer(x, np.arange(1, K + 1) * math.pi) / L)
-                  for x, K, L in zip(axes, box.shape, self.domain.lengths)]
-        values = tables[0] @ box
-        for table in tables[1:]:
-            values = values @ table.T
-        return values
+        return tensor_values([sine_table(L, K, x) for x, K, L in
+                              zip(axes, box.shape, self.domain.lengths)], box)
 
     def h1_norm(self) -> float:
         lams = np.array([em.lam for em in self.modes])

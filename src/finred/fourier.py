@@ -41,6 +41,8 @@ __all__ = [
     "grid_points",
     "mode_eigenvalues",
     "affine_embed",
+    "sine_table",
+    "tensor_values",
     "sample_on_grid",
     "analyze_on_grid",
     "project_head",
@@ -54,6 +56,30 @@ __all__ = [
 TABLE_CACHE_SIZE = 8
 
 
+def frozen_copy(a, ndmin: int = 0) -> np.ndarray:
+    """A read-only float copy of ``a``, with at least ``ndmin`` axes; ``a`` stays writeable."""
+    a = np.array(a, dtype=float, ndmin=ndmin)
+    a.flags.writeable = False
+    return a
+
+
+def sine_table(L: float, K: int, x) -> np.ndarray:
+    """Modes sqrt(2/L) sin(k pi x/L), k = 1..K, at the points x, shape (len(x), K):
+    the basis off the grid, for paths, fields and the Gauss rules of the action."""
+    return np.sqrt(2.0 / L) * np.sin(np.outer(x, np.arange(1, K + 1)) * np.pi / L)
+
+
+def tensor_values(tables, box: np.ndarray) -> np.ndarray:
+    """Values on a tensor grid of a coefficient box of shape K + rest, from the
+    per-axis tables (S_i, K_i) of ``sine_table``: one matrix product per
+    axis (a second axis needs rest = () or (1,)); shape S + rest."""
+    first, *others = tables
+    values = first @ box.reshape(first.shape[1], -1)
+    for table in others:
+        values = values @ table.T
+    return values.reshape(tuple(len(t) for t in tables) + box.shape[len(tables):])
+
+
 @dataclass(frozen=True)
 class SinePath:
     """Immutable path in the sine basis: ``coeffs[k-1]`` is c^(k) in R^n."""
@@ -64,9 +90,7 @@ class SinePath:
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError(f"time horizon must be positive, got {self.T}")
-        coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", frozen_copy(self.coeffs, ndmin=2))
 
     @property
     def M(self) -> int:
@@ -79,9 +103,7 @@ class SinePath:
     def evaluate(self, ts) -> np.ndarray:
         """Values c(t) by direct sine synthesis; ts scalar or array."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        k = np.arange(1, self.M + 1)
-        basis = np.sqrt(2.0 / self.T) * np.sin(np.outer(ts, k) * np.pi / self.T)
-        return basis @ self.coeffs
+        return sine_table(self.T, self.M, ts) @ self.coeffs
 
     def h1_norm(self) -> float:
         return float(np.sqrt(np.sum(mode_eigenvalues(self.T, self.M)[:, None] * self.coeffs ** 2)))
@@ -108,8 +130,8 @@ class BoundaryProblem:
             raise ValueError(f"time horizon T must be finite, got {self.T}")
         if self.T <= 0:
             raise ValueError(f"time horizon must be positive, got {self.T}")
-        q0 = np.atleast_1d(np.asarray(self.q0, dtype=float))
-        qT = np.atleast_1d(np.asarray(self.qT, dtype=float))
+        q0 = frozen_copy(self.q0, ndmin=1)
+        qT = frozen_copy(self.qT, ndmin=1)
         n = self.potential.dim
         if q0.shape != (n,) or qT.shape != (n,):
             raise ValueError(
@@ -117,8 +139,6 @@ class BoundaryProblem:
         for name, value in (("q0", q0), ("qT", qT)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"endpoint {name} must be finite, got {value.tolist()}")
-        q0.flags.writeable = False
-        qT.flags.writeable = False
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "qT", qT)
 

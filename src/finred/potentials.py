@@ -97,6 +97,14 @@ def _as_points(q: np.ndarray, dim: int) -> np.ndarray:
     return q
 
 
+def _diagonal_hessian(q: np.ndarray, diagonal) -> np.ndarray:
+    """Hessians, shape q.shape + (n,), with ``diagonal`` on their diagonals."""
+    out = np.zeros(q.shape + q.shape[-1:])
+    idx = np.arange(q.shape[-1])
+    out[..., idx, idx] = diagonal
+    return out
+
+
 def builtin_potential(family: str, params=(), dim: int | None = None) -> Potential:
     """Construct a built-in potential with an exact curvature bound.
 
@@ -110,38 +118,44 @@ def builtin_potential(family: str, params=(), dim: int | None = None) -> Potenti
                                   - (kappa/2) sum_i cos(q_i - q_{i+1}),
                                   params = (g, kappa); bound g + 2 kappa
                                   covers the worst chain configuration
+
+    The pendulum is the chain without its coupling terms (not the chain at
+    kappa = 0, whose zero coupling would still turn a -0.0 of V' into 0.0).
     """
     params = tuple(float(p) for p in params)
     if any(not math.isfinite(p) for p in params):
         raise ValueError("potential parameters must be finite")
+    if family not in BUILTIN_FAMILIES:
+        raise ValueError(f"unknown potential family {family!r}; choose from {BUILTIN_FAMILIES}")
+    if family == "harmonic" and not params:
+        raise ValueError("harmonic potential needs at least one frequency")
+    if family == "pendulum":
+        if len(params) != 1:
+            raise ValueError("pendulum expects a single parameter g")
+        g, kappa = params[0], 0.0
+        if g < 0:
+            raise ValueError(f"pendulum strength g must be nonnegative, got {g}")
+    if family == "coupled_pendula":
+        if len(params) != 2:
+            raise ValueError("coupled_pendula expects parameters (g, kappa)")
+        g, kappa = params
+        if g < 0 or kappa < 0:
+            raise ValueError(f"coupled_pendula needs g, kappa >= 0, got ({g}, {kappa})")
+    default_dim = {"harmonic": len(params), "coupled_pendula": 2}.get(family, 1)
+    n = int(dim) if dim is not None else default_dim
+    if n < 1:
+        raise ValueError(f"dimension must be positive, got {n}")
 
     if family == "zero":
-        n = int(dim) if dim is not None else 1
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
-        return Potential(
-            dim=n,
-            eval=lambda q: np.zeros(np.asarray(q, dtype=float).shape[:-1]),
-            grad=lambda q: np.zeros_like(np.asarray(q, dtype=float)),
-            hess=lambda q: np.zeros(np.asarray(q, dtype=float).shape + (n,)),
-            c_bound=0.0,
-            c_source="exact",
-            label="zero",
-        )
+        return Potential(n, lambda q: np.zeros(np.asarray(q, dtype=float).shape[:-1]),
+                         lambda q: np.zeros_like(np.asarray(q, dtype=float)),
+                         lambda q: np.zeros(np.asarray(q, dtype=float).shape + (n,)),
+                         c_bound=0.0, c_source="exact", label=family)
 
     if family == "harmonic":
-        if not params:
-            raise ValueError("harmonic potential needs at least one frequency")
-        n = int(dim) if dim is not None else len(params)
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
-        if len(params) == 1:
-            omega = np.full(n, params[0])
-        elif len(params) == n:
-            omega = np.array(params)
-        else:
+        if len(params) not in (1, n):
             raise ValueError(f"harmonic expects 1 or {n} frequencies, got {len(params)}")
-        w2 = omega ** 2
+        w2 = np.resize(np.array(params) ** 2, n)  # one frequency broadcasts
 
         def h_eval(q):
             q = _as_points(q, n)
@@ -152,89 +166,44 @@ def builtin_potential(family: str, params=(), dim: int | None = None) -> Potenti
             return w2 * q
 
         def h_hess(q):
-            q = _as_points(q, n)
-            out = np.zeros(q.shape + (n,))
-            idx = np.arange(n)
-            out[..., idx, idx] = w2
-            return out
+            return _diagonal_hessian(_as_points(q, n), w2)
 
         return Potential(n, h_eval, h_grad, h_hess,
-                         c_bound=float(np.max(w2)), c_source="exact", label="harmonic")
+                         c_bound=float(np.max(w2)), c_source="exact", label=family)
 
-    if family == "pendulum":
-        if len(params) != 1:
-            raise ValueError("pendulum expects a single parameter g")
-        g = params[0]
-        if g < 0:
-            raise ValueError(f"pendulum strength g must be nonnegative, got {g}")
-        n = int(dim) if dim is not None else 1
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
+    coupled = family == "coupled_pendula" and n > 1
 
-        def p_eval(q):
-            q = _as_points(q, n)
-            return -g * np.sum(np.cos(q), axis=-1)
+    def c_eval(q):
+        q = _as_points(q, n)
+        on_site = -g * np.sum(np.cos(q), axis=-1)
+        if not coupled:
+            return on_site
+        return on_site - 0.5 * kappa * np.sum(np.cos(q[..., :-1] - q[..., 1:]), axis=-1)
 
-        def p_grad(q):
-            q = _as_points(q, n)
-            return g * np.sin(q)
+    def c_grad(q):
+        q = _as_points(q, n)
+        out = g * np.sin(q)
+        if coupled:
+            s = 0.5 * kappa * np.sin(q[..., :-1] - q[..., 1:])
+            out[..., :-1] += s
+            out[..., 1:] -= s
+        return out
 
-        def p_hess(q):
-            q = _as_points(q, n)
-            out = np.zeros(q.shape + (n,))
-            idx = np.arange(n)
-            out[..., idx, idx] = g * np.cos(q)
-            return out
+    def c_hess(q):
+        q = _as_points(q, n)
+        out = _diagonal_hessian(q, g * np.cos(q))
+        if coupled:
+            cdiff = 0.5 * kappa * np.cos(q[..., :-1] - q[..., 1:])
+            i = np.arange(n - 1)
+            out[..., i, i] += cdiff
+            out[..., i + 1, i + 1] += cdiff
+            out[..., i, i + 1] -= cdiff
+            out[..., i + 1, i] -= cdiff
+        return out
 
-        return Potential(n, p_eval, p_grad, p_hess,
-                         c_bound=g, c_source="exact", label="pendulum")
-
-    if family == "coupled_pendula":
-        if len(params) != 2:
-            raise ValueError("coupled_pendula expects parameters (g, kappa)")
-        g, kappa = params
-        if g < 0 or kappa < 0:
-            raise ValueError(f"coupled_pendula needs g, kappa >= 0, got ({g}, {kappa})")
-        n = int(dim) if dim is not None else 2
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
-
-        def c_eval(q):
-            q = _as_points(q, n)
-            on_site = -g * np.sum(np.cos(q), axis=-1)
-            if n == 1:
-                return on_site
-            diff = q[..., :-1] - q[..., 1:]
-            return on_site - 0.5 * kappa * np.sum(np.cos(diff), axis=-1)
-
-        def c_grad(q):
-            q = _as_points(q, n)
-            out = g * np.sin(q)
-            if n > 1:
-                s = 0.5 * kappa * np.sin(q[..., :-1] - q[..., 1:])
-                out[..., :-1] += s
-                out[..., 1:] -= s
-            return out
-
-        def c_hess(q):
-            q = _as_points(q, n)
-            out = np.zeros(q.shape + (n,))
-            idx = np.arange(n)
-            out[..., idx, idx] = g * np.cos(q)
-            if n > 1:
-                cdiff = 0.5 * kappa * np.cos(q[..., :-1] - q[..., 1:])
-                i = np.arange(n - 1)
-                out[..., i, i] += cdiff
-                out[..., i + 1, i + 1] += cdiff
-                out[..., i, i + 1] -= cdiff
-                out[..., i + 1, i] -= cdiff
-            return out
-
-        # pair terms contribute at most (kappa/2) * lambda_max(path Laplacian) < 2 kappa
-        return Potential(n, c_eval, c_grad, c_hess,
-                         c_bound=g + 2.0 * kappa, c_source="exact", label="coupled_pendula")
-
-    raise ValueError(f"unknown potential family {family!r}; choose from {BUILTIN_FAMILIES}")
+    # pair terms contribute at most (kappa/2) * lambda_max(path Laplacian) < 2 kappa
+    bound = g + 2.0 * kappa if family == "coupled_pendula" else g
+    return Potential(n, c_eval, c_grad, c_hess, c_bound=bound, c_source="exact", label=family)
 
 
 def _sample_points(dim: int) -> np.ndarray:

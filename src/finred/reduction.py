@@ -35,7 +35,7 @@ from . import core
 from .core import MechanicalSystem, TailStats
 from .fourier import BoundaryProblem, SinePath
 from .functional import blocks_at
-from .morse import index_full, index_schur
+from .morse import index_full, index_schur, reduced_hessian
 
 __all__ = [
     "ReductionPlan",
@@ -56,6 +56,7 @@ DEFAULT_MULTISTART_SEED = 0xAC21
 DEFAULT_MULTISTART_COUNT = 64
 DEDUP_TOL = 1e-6
 REFINE_DRIFT_TOL = 1e-7
+MAX_REFINEMENTS = 2  # the most refinement levels a root is re-solved on
 ACTION_TIE_RTOL = 1e-10  # actions this close (relative) are ordered by head
 SAMPLE_RTOL = 1e-12  # slack of the check of a user bound against the sampled V''
 
@@ -215,6 +216,19 @@ def _system_for(bp: BoundaryProblem, plan: ReductionPlan) -> MechanicalSystem:
     return MechanicalSystem(bp, plan.M, plan.quad_points or None)
 
 
+def _tail_at(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
+             v0: SinePath | None = None, method: str = "newton"):
+    """The plan's system, its head size, u + v(u) as flat coefficients and the
+    tail solve's stats, the solve starting from the tail of v0 when given."""
+    system = _system_for(bp, plan)
+    head_dim = plan.N * system.n
+    u = np.asarray(u, dtype=float).reshape(head_dim)
+    v_start = None if v0 is None else system.flatten(v0.coeffs)[head_dim:]
+    v, stats = core.solve_tail(system, head_dim, u, v0=v_start,
+                               tol=plan.tail_tol, method=method)
+    return system, head_dim, np.concatenate([u, v]), stats
+
+
 def solve_tail(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
                v0: SinePath | None = None, method: str = "newton") -> tuple[SinePath, TailStats]:
     """Tail coefficients v(u) with residual below plan.tail_tol (H10 dual norm).
@@ -223,41 +237,27 @@ def solve_tail(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
     does not decrease the residual) is the default; ``method="picard"``
     runs the bare contraction.
     """
-    system = _system_for(bp, plan)
-    head_dim = plan.N * system.n
-    u = np.asarray(u, dtype=float).reshape(head_dim)
-    v_start = None
-    if v0 is not None:
-        v_start = system.flatten(v0.coeffs)[head_dim:]
-    v, stats = core.solve_tail(system, head_dim, u, v0=v_start,
-                               tol=plan.tail_tol, method=method)
-    return system.embed(np.concatenate([np.zeros(head_dim), v])), stats
+    system, head_dim, c, stats = _tail_at(bp, plan, u, v0, method)
+    c[:head_dim] = 0.0
+    return system.embed(c), stats
 
 
 def reduced_gradient(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
                      method: str = "newton") -> np.ndarray:
     """Head block of the stationarity residual at u + v(u), L2 convention."""
-    system = _system_for(bp, plan)
-    head_dim = plan.N * system.n
-    u = np.asarray(u, dtype=float).reshape(head_dim)
-    v, stats = core.solve_tail(system, head_dim, u, tol=plan.tail_tol, method=method)
+    system, head_dim, c, stats = _tail_at(bp, plan, u, method=method)
     if not stats.converged:
         raise RuntimeError(
             f"tail solve did not reach tolerance {plan.tail_tol} "
             f"(best residual {stats.residuals[-1]:.3e})")
-    r = system.residual(np.concatenate([u, v]))
-    return r[:head_dim].copy()  # the residual is the memo's, read-only
+    return system.residual(c)[:head_dim].copy()  # the residual is the memo's, read-only
 
 
 def reduced_hessian_matrix(bp: BoundaryProblem, plan: ReductionPlan,
                            u: np.ndarray) -> np.ndarray:
     """Schur complement of the tail block at u + v(u) (the reduced Hessian)."""
-    system = _system_for(bp, plan)
-    head_dim = plan.N * system.n
-    u = np.asarray(u, dtype=float).reshape(head_dim)
-    v, _ = core.solve_tail(system, head_dim, u, tol=plan.tail_tol)
-    b = blocks_at(system, head_dim, np.concatenate([u, v]))
-    return core.schur_matrix(b.A, b.B, b.D)
+    system, head_dim, c, _ = _tail_at(bp, plan, u)
+    return reduced_hessian(blocks_at(system, head_dim, c))
 
 
 def default_radius(bp: BoundaryProblem) -> float:
@@ -301,16 +301,16 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
     ``seed``; the radius must be finite and positive.  Seeds are solved in
     order; converged roots are deduplicated on head distance, and with
     ``refine=True`` each is re-solved on ``system.refined()`` until its
-    head moves by at most 1e-7 (at most twice), starting from the root one
-    level down with its tail padded by zeros (``core.reduced_newton``'s
-    ``v0``); each refinement level is built once per solve and shared by
-    the roots.  Reports are sorted by action value, then lexicographic
-    head (to DEDUP_TOL) among actions that agree to ACTION_TIE_RTOL
-    (``order_reports``).  With a certified plan the line search screens
-    trials with the tail certificate (``core.solve_tail``); the roots are
-    the same either way.  When a list is passed as ``seed_records`` it
-    receives the raw per-seed solve results in seed order (for
-    convergence logging).
+    head moves by at most 1e-7 (at most MAX_REFINEMENTS times), starting
+    from the root one level down with its tail padded by zeros
+    (``core.reduced_newton``'s ``v0``); each refinement level is built
+    once per solve and shared by the roots.  Reports are sorted by action
+    value, then lexicographic head (to DEDUP_TOL) among actions that agree
+    to ACTION_TIE_RTOL (``order_reports``).  With a certified plan the
+    line search screens trials with the tail certificate
+    (``core.solve_tail``); the roots are the same either way.  When a list
+    is passed as ``seed_records`` it receives the raw per-seed solve
+    results in seed order (for convergence logging).
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"multistart radius must be a positive real, got {radius}")
@@ -393,9 +393,9 @@ def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, ref
     )
 
 
-def _refine_root(levels: list, head_dim: int, res: core.ReducedResult, newton: dict,
-                 max_refinements: int = 2):
-    """Refine the system until the re-solved head moves less than the drift tolerance.
+def _refine_root(levels: list, head_dim: int, res: core.ReducedResult, newton: dict):
+    """Refine the system until the re-solved head moves less than the drift
+    tolerance, at most MAX_REFINEMENTS times.
 
     ``levels[j]`` is the system refined j times; a level is built (and
     appended) when a root first needs it, so each is built once per solve.
@@ -406,7 +406,7 @@ def _refine_root(levels: list, head_dim: int, res: core.ReducedResult, newton: d
     a finer list only appends modes above the coarse cut).
     """
     system, drift = levels[0], None
-    for j in range(1, max_refinements + 1):
+    for j in range(1, MAX_REFINEMENTS + 1):
         if len(levels) == j:
             levels.append(levels[-1].refined())
         fine = levels[j]

@@ -736,6 +736,38 @@ def test_config_error_messages(tmp_path, capsys):
     assert "line 5" in err and "bogus" in err
 
 
+CONFIG_ERRORS = [
+    ("malformed-header", PENDULUM_CFG.replace("[geometry]", "[geometry"),
+     "line 9: malformed section header '[geometry'"),
+    ("no-equals", PENDULUM_CFG.replace("T = 3.14", "T 3.14"),
+     "line 10: expected 'key = value', got 'T 3.141592653589793'"),
+    ("key-outside-section", "kind = mechanical\n" + PENDULUM_CFG,
+     "line 1: key outside of any [section]"),
+    ("no-potential", PENDULUM_CFG.replace("builtin = pendulum\nparams = 1.0\n", ""),
+     "section [potential] needs 'builtin' or 'expr'"),
+    ("mechanical-without-T", PENDULUM_CFG.replace("T = 3.141592653589793\n", ""),
+     "mechanical problems need geometry key 'T'"),
+    ("endpoint-entries", PENDULUM_CFG.replace("params = 1.0", "params = 1.0\ndim = 2")
+     .replace("qT = 1.0", "qT = 1.0, 2.0, 3.0"),
+     "line 13: endpoints must have dim = 2 entries, got 2 and 3"),
+    ("dirichlet-without-lengths", DIRICHLET_2D_CFG.replace("lengths = 1.0, 1.3\n", ""),
+     "dirichlet problems need geometry key 'lengths'"),
+    ("dirichlet-dim", DIRICHLET_2D_CFG.replace("c_bound = 30", "c_bound = 30\ndim = 2"),
+     "line 8: dirichlet problems take scalar potentials (dim = 1)"),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in CONFIG_ERRORS],
+                         ids=[case[0] for case in CONFIG_ERRORS])
+def test_config_errors_are_one_line_and_write_nothing(tmp_path, capsys, text, message):
+    cfg, out = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_config_type_errors():
     with pytest.raises(ConfigError, match="line 2.*mechanical"):
         load_config("[problem]\nkind = quantum\n")

@@ -387,6 +387,7 @@ def test_one_dimensional_systems_agree(family, T):
         assert np.array_equal(mech.curvature_matrix(c), diri.curvature_matrix(c))
         assert np.array_equal(mech.hessian_matrix(c), diri.hessian_matrix(c))
         assert mech.action(c) == diri.action(c)
+        assert diri.embed(c).h1_norm() == mech.embed(c).h1_norm()
 
 
 # ---------------------------------------------------------------------------

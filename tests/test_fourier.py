@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from finred import (BoundaryProblem, SinePath, affine_embed, analyze_on_grid,
                     builtin_potential, project_head, project_tail, sample_on_grid)
-from finred.fourier import affine_coeffs, grid_points, h1_inner, l2_inner, mode_eigenvalues
+from finred.core import gauss_sine_rule
+from finred.dirichlet import DirichletField, RectangleDomain, enumerate_modes
+from finred.fourier import (affine_coeffs, grid_points, h1_inner, l2_inner, mode_eigenvalues,
+                            sine_table, tensor_values)
 
 
 def make_bp(T=2.0, q0=(0.5,), qT=(-1.0,)):
@@ -48,6 +51,41 @@ def test_boundary_problem_rejects_non_finite(field, kwargs):
     args = {"T": 2.0, "q0": (0.5, 0.0), "qT": (-1.0, 1.0)} | kwargs
     with pytest.raises(ValueError, match=rf"\b{field}\b.*finite"):
         make_bp(**args)
+
+
+LINE = RectangleDomain((1.0,))
+
+
+@pytest.mark.parametrize("make, shape, attribute", [
+    (lambda a: SinePath(2.0, a), (6, 2), "coeffs"),
+    (lambda a: DirichletField(LINE, tuple(enumerate_modes(LINE, 400.0)), a), (6,), "coeffs"),
+    (lambda a: BoundaryProblem(builtin_potential("zero", dim=2), 2.0, a, np.zeros(2)), (2,), "q0"),
+    (lambda a: BoundaryProblem(builtin_potential("zero", dim=2), 2.0, np.zeros(2), a), (2,), "qT"),
+], ids=["SinePath", "DirichletField", "BoundaryProblem.q0", "BoundaryProblem.qT"])
+def test_constructors_freeze_a_copy_not_the_callers_array(make, shape, attribute):
+    a = np.arange(float(math.prod(shape))).reshape(shape)
+    held = getattr(make(a), attribute)
+    kept = held.copy()
+    a += 1.0  # the caller's array stays writeable
+    assert not held.flags.writeable
+    assert np.array_equal(held, kept)  # and the object does not see the change
+
+
+def test_the_basis_off_the_grid_is_one_table(rng):
+    L, K = 1.7, 9
+    x = rng.uniform(0.0, L, 13)
+    table = sine_table(L, K, x)
+    # the association of SinePath.evaluate and of the action's Gauss rule, bit for bit
+    k = np.arange(1, K + 1)
+    assert table.tobytes() == (np.sqrt(2.0 / L) * np.sin(np.outer(x, k) * np.pi / L)).tobytes()
+    coeffs = rng.standard_normal((K, 2))
+    assert SinePath(L, coeffs).evaluate(x).tobytes() == (table @ coeffs).tobytes()
+    nodes, _, basis = gauss_sine_rule(L, K)
+    assert basis.tobytes() == sine_table(L, K, nodes).tobytes()
+    line = RectangleDomain((L,))
+    field = DirichletField(line, tuple(enumerate_modes(line, (K * math.pi / L) ** 2)), coeffs[:, 0])
+    assert len(field.modes) == K
+    assert field.on_grid([x]).tobytes() == tensor_values([table], coeffs[:, 0]).tobytes()
 
 
 def test_sample_single_mode_closed_form():

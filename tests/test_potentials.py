@@ -92,6 +92,80 @@ def test_exact_bound_dominates_samples(family, params, dim):
     assert norms.max() <= pot.c_bound + 1e-12
 
 
+def reference_builtin(family, params, n):
+    """(V, V', V'') of the four families as each was written out on its own,
+    before they shared one chain and one diagonal-Hessian helper."""
+    def diagonal(q, d):
+        out = np.zeros(q.shape + (n,))
+        idx = np.arange(n)
+        out[..., idx, idx] = d
+        return out
+
+    if family == "zero":
+        return (lambda q: np.zeros(q.shape[:-1]), lambda q: np.zeros_like(q),
+                lambda q: np.zeros(q.shape + (n,)))
+    if family == "harmonic":
+        w2 = (np.full(n, params[0]) if len(params) == 1 else np.array(params)) ** 2
+        return (lambda q: 0.5 * np.sum(w2 * q * q, axis=-1), lambda q: w2 * q,
+                lambda q: diagonal(q, w2))
+    g = params[0]
+    if family == "pendulum":
+        return (lambda q: -g * np.sum(np.cos(q), axis=-1), lambda q: g * np.sin(q),
+                lambda q: diagonal(q, g * np.cos(q)))
+    kappa = params[1]
+
+    def c_eval(q):
+        on_site = -g * np.sum(np.cos(q), axis=-1)
+        if n == 1:
+            return on_site
+        return on_site - 0.5 * kappa * np.sum(np.cos(q[..., :-1] - q[..., 1:]), axis=-1)
+
+    def c_grad(q):
+        out = g * np.sin(q)
+        if n > 1:
+            s = 0.5 * kappa * np.sin(q[..., :-1] - q[..., 1:])
+            out[..., :-1] += s
+            out[..., 1:] -= s
+        return out
+
+    def c_hess(q):
+        out = diagonal(q, g * np.cos(q))
+        if n > 1:
+            cdiff = 0.5 * kappa * np.cos(q[..., :-1] - q[..., 1:])
+            i = np.arange(n - 1)
+            out[..., i, i] += cdiff
+            out[..., i + 1, i + 1] += cdiff
+            out[..., i, i + 1] -= cdiff
+            out[..., i + 1, i] -= cdiff
+        return out
+
+    return c_eval, c_grad, c_hess
+
+
+REFERENCE_CASES = [
+    ("zero", (), 1), ("zero", (), 3),
+    ("harmonic", (2.0,), 1), ("harmonic", (0.7,), 3), ("harmonic", (1.0, 0.5, 2.0), 3),
+    ("pendulum", (9.8,), 1), ("pendulum", (1.3,), 2), ("pendulum", (1.3,), 3),
+    ("coupled_pendula", (1.0, 0.4), 1), ("coupled_pendula", (1.0, 0.4), 2),
+    ("coupled_pendula", (2.0, 0.3), 4), ("coupled_pendula", (1.3, 0.0), 3),
+]
+
+
+@pytest.mark.parametrize("family,params,dim", REFERENCE_CASES,
+                         ids=[f"{f}-{p}-{d}" for f, p, d in REFERENCE_CASES])
+def test_builtins_are_bitwise_the_separate_families(family, params, dim, rng):
+    pot = builtin_potential(family, params, dim=dim)
+    expected = reference_builtin(family, params, dim)
+    for shape in ((40, dim), (3, 5, dim)):
+        q = rng.uniform(-3.0, 3.0, shape)
+        # signed zeros, where a zero coupling term would turn -0.0 into 0.0
+        q[rng.uniform(size=shape) < 0.3] = -0.0
+        q[rng.uniform(size=shape) < 0.1] = 0.0
+        for actual, reference in zip((pot.eval, pot.grad, pot.hess), expected):
+            assert same(actual(q), reference(q))
+    assert (pot.label, pot.dim) == (family, dim)
+
+
 # ---------------------------------------------------------------------------
 # expression parsing
 
