@@ -72,23 +72,18 @@ def _write(path: Path, text: str) -> None:
 
 
 def _csv(header: str, columns) -> str:
-    """One row per entry of the columns: integers as they are, floats with FLOAT_FMT."""
+    """One row per entry of the columns: floats with FLOAT_FMT, the rest as they are."""
     columns = [np.asarray(col) for col in columns]
-    row = ",".join("{}" if col.dtype.kind in "iu" else "{:" + FLOAT_FMT + "}"
+    row = ",".join("{:" + FLOAT_FMT + "}" if col.dtype.kind == "f" else "{}"
                    for col in columns).format
     rows = [header] + [row(*values) for values in zip(*(col.tolist() for col in columns))]
     return "\n".join(rows) + "\n"
 
 
 def _solutions_csv(reports) -> str:
-    rows = ["id,action,index,nullity,head_residual,tail_residual,certified"]
-    for i, rep in enumerate(reports):
-        rows.append(",".join([
-            f"{i:03d}", _fmt(rep.action), str(rep.index), str(rep.nullity),
-            _fmt(rep.head_residual), _fmt(rep.tail_residual),
-            str(rep.certified).lower(),
-        ]))
-    return "\n".join(rows) + "\n"
+    rows = [(f"{i:03d}", rep.action, rep.index, rep.nullity, rep.head_residual,
+             rep.tail_residual, str(rep.certified).lower()) for i, rep in enumerate(reports)]
+    return _csv("id,action,index,nullity,head_residual,tail_residual,certified", zip(*rows))
 
 
 def _trajectory_csv(bp, rep, points: int) -> str:
@@ -292,17 +287,13 @@ def main(argv=None) -> int:
             return cmd_solve(cfg)
         if args.command == "index":
             return cmd_index(cfg, args.solution_id)
-        if args.command == "weyl":
-            c_values = [float(v) for v in args.c_values.split(",")]
-            return cmd_weyl(cfg, c_values)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_weyl(cfg, [float(v) for v in args.c_values.split(",")])
     except (ConfigError, ValueError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a plan under the mode cap can still outgrow memory
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

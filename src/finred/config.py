@@ -1,7 +1,8 @@
 """Run configuration: a flat, sectioned key=value text format.
 
 Lines are ``[section]`` headers, ``key = value`` pairs, blank lines, or
-comments starting with '#'.  The fields of :class:`RunConfig` are the
+comments starting with '#'.  A key appears once in its section, even when
+the section's header is repeated.  The fields of :class:`RunConfig` are the
 one statement of the format: each is a key, with its section, parser,
 default and, for a key that one problem kind or potential form reads
 only, that kind in its metadata.  ``_SCHEMA`` (section -> key -> parser)
@@ -181,6 +182,9 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key not in _SCHEMA[current_name]:
             raise ConfigError(f"unknown key {key!r} in [{current_name}]", lineno)
+        if key in sections[current_name]:
+            raise ConfigError(f"key {key!r} in [{current_name}] is also given on line "
+                              f"{sections[current_name][key][1]}", lineno)
         sections[current_name][key] = (value.strip(), lineno)
     return sections
 

@@ -315,9 +315,6 @@ class GalerkinSystem:
     def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
         """W[a, b] = grid quadrature of V''(solution) phi_a phi_b, flat indexing;
         Toeplitz-minus-Hankel on each axis, see fourier.SineGrid."""
-        D = len(self.eigenvalues)
-        if self.potential.is_linear():
-            return np.zeros((D, D))
         return self.grid.curvature(self.potential.hess(self.grid_values(c)))
 
     @cached_property
@@ -436,6 +433,7 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
     falls back to a Picard step whenever a Newton step fails to decrease
     the residual.  Starts from v0 = 0 unless a warm start is given; stops,
     unconverged, after TAIL_NEWTON_STEPS or TAIL_PICARD_STEPS iterations.
+    An empty tail converges at the first check (its dual norm is 0).
 
     ``reject=(hnorm, kappa)`` screens a line-search trial: the solve stops
     early, with ``stats.rejected``, at the first unconverged iterate where
@@ -446,15 +444,9 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
     if method not in ("newton", "picard"):
         raise ValueError(f"unknown tail method {method!r}")
     eig_tail = system.eigenvalues[head_dim:]
-    tail_len = eig_tail.shape[0]
     u = np.asarray(u, dtype=float)
-    v = np.zeros(tail_len) if v0 is None else np.array(v0, dtype=float)
+    v = np.zeros(len(eig_tail)) if v0 is None else np.array(v0, dtype=float)
     stats = TailStats(method=method)
-
-    if tail_len == 0:
-        stats.converged = True
-        return v, stats
-
     for _ in range(TAIL_NEWTON_STEPS if method == "newton" else TAIL_PICARD_STEPS):
         c = np.concatenate([u, v])
         r = system.residual(c)
@@ -555,6 +547,8 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     A refined level passes the coarse root's tail, padded with zeros
     (``reduction._refine_root``): it is v(u0) to within truncation error.
     A line search that halves its step LINE_SEARCH_HALVINGS times ends it.
+    Every way out of the loop (converged, the iteration cap, a failed line
+    search, no head) builds the one result from the last iterate.
 
     With a certified curvature bound ``c_bound`` the line search stops the
     tail solve of a trial as soon as the rejection test of ``solve_tail``
@@ -566,8 +560,6 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     v = v0
     history = []
     tail_total = fallbacks = rejected = 0
-    hnorm = np.inf
-    tstats = TailStats(method=tail_method, converged=True)
     for it in range(max_iter + 1):
         v, tstats = solve_tail(system, head_dim, u, v0=v, tol=tail_tol, method=tail_method)
         tail_total += tstats.iterations
@@ -576,11 +568,8 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
         r = system.residual(c)
         hnorm = head_residual_norm(r, head_dim)
         history.append(hnorm)
-        if hnorm <= head_tol and tstats.converged:
-            return ReducedResult(u, v, True, it, hnorm,
-                                 tail_residual_norm(system, r, head_dim), history, tail_total,
-                                 rejected_trials=rejected, tail_fallbacks=fallbacks)
-        if it == max_iter or head_dim == 0:
+        converged = hnorm <= head_tol and tstats.converged
+        if converged or it == max_iter or head_dim == 0:
             break
         K = system.hessian_matrix(c)
         S = schur_matrix(K[:head_dim, :head_dim], K[:head_dim, head_dim:],
@@ -588,8 +577,6 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
         step = np.linalg.solve(S, r[:head_dim])
         reject = None if kappa is None else (hnorm, kappa)
         lam = 1.0
-        accepted = False
-        v_trial = v
         for _ in range(LINE_SEARCH_HALVINGS + 1):
             u_try = u - lam * step
             v_try, ts = solve_tail(system, head_dim, u_try, v0=v, tol=tail_tol,
@@ -600,16 +587,14 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
                 rejected += 1
             elif head_residual_norm(system.residual(np.concatenate([u_try, v_try])),
                                     head_dim) < hnorm:
-                u, v_trial = u_try, v_try
-                accepted = True
+                u, v = u_try, v_try
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             break
-        v = v_trial
     c = np.concatenate([u, v])
     r = system.residual(c)
-    return ReducedResult(u, v, False, len(history) - 1, head_residual_norm(r, head_dim),
+    return ReducedResult(u, v, converged, it, head_residual_norm(r, head_dim),
                          tail_residual_norm(system, r, head_dim), history, tail_total,
                          rejected_trials=rejected, tail_fallbacks=fallbacks)
 
@@ -640,11 +625,8 @@ def dedup_roots(results: list[ReducedResult], tol: float = 1e-6) -> list[Reduced
     for res in results:
         if not res.converged:
             continue
-        match = None
-        for i, other in enumerate(kept):
-            if np.linalg.norm(res.u - other.u) <= tol:
-                match = i
-                break
+        match = next((i for i, other in enumerate(kept)
+                      if np.linalg.norm(res.u - other.u) <= tol), None)
         if match is None:
             kept.append(res)
         elif res.head_residual < kept[match].head_residual:

@@ -295,25 +295,24 @@ class SineGrid:
         positions of m = |k-l| and m = k+l on the last axis, in C (1-D) or
         E (2-D), for W[a, b] with a = (k, i) and b = (l, j).
 
-        A position is a part of row a plus a part of column b plus m: in
-        2-D, S (((i n + j) K1 + k1-1) K1 + l1-1) + m with S = 2 K2 + 1, that
-        is S (i n K1^2 + (k1-1) K1) + S (j K1^2 + l1-1) + m (in 1-D,
-        S i n + S j + m).  So each table is one (D, D) outer operation and
-        in-place adds.
+        A position is a part of row a plus a part of column b plus m:
+        S (((i n + j) K1 + k1-1) K1 + l1-1) + m with S the last axis's 2K+1,
+        that is S (i n K1^2 + (k1-1) K1) + S (j K1^2 + l1-1) + m.  In 1-D
+        the leading extent K1 is 1 and k1-1 is 0.  So each table is one
+        (D, D) outer operation and in-place adds.
         """
         n, K = self.n, self.K
         k = np.repeat(self.modes, n, axis=0)
         i = np.tile(np.arange(n), len(self.modes))
         stride = 2 * K[-1] + 1
+        lead = math.prod(K[:-1])
+        rows = (k[:, :-1] - 1).sum(axis=1)  # k1 - 1, an empty sum in 1-D
+        row_part = stride * (i * (n * lead * lead) + rows * lead)
+        col_part = stride * (i * (lead * lead) + rows)
         pair = None
         if len(K) == 2:
             k1 = np.arange(1, K[0] + 1)
             pair = (np.abs(k1[:, None] - k1[None, :]), k1[:, None] + k1[None, :])
-            rows = k[:, 0] - 1
-            row_part = stride * (i * (n * K[0] * K[0]) + rows * K[0])
-            col_part = stride * (i * (K[0] * K[0]) + rows)
-        else:
-            row_part, col_part = stride * n * i, stride * i
         last = k[:, -1]
         toeplitz = np.subtract.outer(last, last)
         np.abs(toeplitz, out=toeplitz)

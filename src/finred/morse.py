@@ -97,12 +97,14 @@ def index_jacobi(bp: BoundaryProblem, c: SinePath,
     RK4 nodes themselves.  Zeros of det J in (0, T) are located on it: each
     sign change between nodes by 40 bisection steps on the cubic's
     coefficients, and each near-zero dip of |det J| at the vertex of the
-    parabola through three nodes (vertex below 1e-6 max |det J|).  Zeros
-    closer than 1.5 h are merged, and each is weighted by the rank drop of
-    the interpolated J there (singular values below 1e-7 max ||J||).  Zeros
-    within 0.75 h of T are left to the endpoint check: a singular J(T) is
-    reported as nullity.  A path whose components or horizon differ from
-    the problem's is a ValueError.
+    parabola through three nodes (vertex below 1e-6 max |det J|).  Sign
+    changes lie in distinct steps, so each counts as its own zero however
+    close to the next; a dip closer than 1.5 h to a counted zero merges
+    into it.  Each zero is weighted by the rank drop of the interpolated J
+    there (singular values below 1e-7 max ||J||).  Zeros within 0.75 h of
+    T are left to the endpoint check: a singular J(T) is reported as
+    nullity.  A path whose components or horizon differ from the
+    problem's is a ValueError.
     """
     points, end_sv, J_scale = _conjugate_points(bp, c, steps)
     margin = float(end_sv[-1] / J_scale) if J_scale > 0.0 else np.inf
@@ -157,17 +159,23 @@ def _conjugate_points(bp: BoundaryProblem, c: SinePath, steps: int):
         dip &= np.abs(vertex) < 1e-6 * det_scale
         candidates.append(i[dip] * h + np.clip(shift[dip], -h, h))
 
-    times = np.sort(np.concatenate(candidates))
-    times = times[times <= T - 0.75 * h]  # later zeros belong to the endpoint check
+    times = np.concatenate(candidates)
+    crossing = np.arange(times.size) < len(candidates[0])
+    keep = times <= T - 0.75 * h  # later zeros belong to the endpoint check
+    times, crossing = times[keep], crossing[keep]
     k = np.minimum(np.floor(times / h).astype(int), steps - 1)
     # one SVD call for J at every candidate and at T
     J_times = _horner(_hermite_cubic(Y, k, h), times / h - k)
     sv = np.linalg.svd(np.concatenate([J_times, Js[-1:]]), compute_uv=False)
-    points: list[tuple[float, int]] = []
-    for t_star, mult in zip(times.tolist(), _rank_drop(sv[:-1], J_scale).tolist()):
-        if mult > 0 and not (points and t_star - points[-1][0] < 1.5 * h):
-            points.append((t_star, mult))
-    return points, sv[-1], J_scale
+    mult = _rank_drop(sv[:-1], J_scale)
+    zero, touch = crossing & (mult > 0), ~crossing & (mult > 0)
+    # each sign change lies in its own step, so it is its own zero; a touch
+    # closer than 1.5 h to a counted zero is that zero seen again
+    points = list(zip(times[zero].tolist(), mult[zero].tolist()))
+    for t_star, m in zip(times[touch].tolist(), mult[touch].tolist()):
+        if all(abs(t_star - t) >= 1.5 * h for t, _ in points):
+            points.append((t_star, m))
+    return sorted(points), sv[-1], J_scale
 
 
 def _hermite_cubic(Y: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:

@@ -78,8 +78,8 @@ class ReductionPlan:
     tail_tol: float
     certified: bool
     c_bound: float
+    quad_points: int  # grid nodes of the system, at least 2M+1
     head_tol: float = 1e-9
-    quad_points: int = 0  # resolved to >= 2M+1 at construction
 
     def __post_init__(self):
         if self.N < 0:
@@ -88,7 +88,7 @@ class ReductionPlan:
             raise ValueError(f"truncation must exceed the cutoff, got M={self.M}, N={self.N}")
         if not 0.0 < self.mu <= 1.0:
             raise ValueError(f"monotonicity constant must be in (0, 1], got {self.mu}")
-        if self.quad_points and self.quad_points < 2 * self.M + 1:
+        if self.quad_points < 2 * self.M + 1:
             raise ValueError(
                 f"quadrature needs at least 2M+1 = {2 * self.M + 1} points, got {self.quad_points}")
 
@@ -212,15 +212,11 @@ def fixed_point_cutoff(c_tilde: float, T: float) -> int:
     return hi
 
 
-def _system_for(bp: BoundaryProblem, plan: ReductionPlan) -> MechanicalSystem:
-    return MechanicalSystem(bp, plan.M, plan.quad_points or None)
-
-
 def _tail_at(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
              v0: SinePath | None = None, method: str = "newton"):
     """The plan's system, its head size, u + v(u) as flat coefficients and the
     tail solve's stats, the solve starting from the tail of v0 when given."""
-    system = _system_for(bp, plan)
+    system = MechanicalSystem(bp, plan.M, plan.quad_points)
     head_dim = plan.N * system.n
     u = np.asarray(u, dtype=float).reshape(head_dim)
     v_start = None if v0 is None else system.flatten(v0.coeffs)[head_dim:]
@@ -282,7 +278,7 @@ def solve_reduced(bp: BoundaryProblem, plan: ReductionPlan,
     is re-solved at doubled truncation.  ``workers`` is accepted and
     ignored: seeds are solved in order.  See ``solve_system`` for the rest.
     """
-    return solve_system(_system_for(bp, plan), plan, seeds, count=count,
+    return solve_system(MechanicalSystem(bp, plan.M, plan.quad_points), plan, seeds, count=count,
                         radius=default_radius(bp) if radius is None else float(radius),
                         seed=seed, method=method, refine=refine,
                         with_oracles=with_oracles, seed_records=seed_records)

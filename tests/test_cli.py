@@ -754,6 +754,13 @@ CONFIG_ERRORS = [
      "dirichlet problems need geometry key 'lengths'"),
     ("dirichlet-dim", DIRICHLET_2D_CFG.replace("c_bound = 30", "c_bound = 30\ndim = 2"),
      "line 8: dirichlet problems take scalar potentials (dim = 1)"),
+    ("key-twice", PENDULUM_CFG.replace("count = 6", "count = 6\ncount = 7"),
+     "line 16: key 'count' in [multistart] is also given on line 15"),
+    ("key-twice-under-repeated-header", PENDULUM_CFG + "\n[multistart]\ncount = 7\n",
+     "line 21: key 'count' in [multistart] is also given on line 15"),
+    ("quad-points-zero",
+     PENDULUM_CFG.replace("[multistart]", "[plan]\nquad_points = 0\n\n[multistart]"),
+     "quadrature needs at least 2M+1 = 65 points, got 0"),
 ]
 
 

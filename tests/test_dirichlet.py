@@ -171,6 +171,19 @@ def test_plan_small_bound_gives_empty_head():
     assert plan.mu == pytest.approx(0.5)
 
 
+def test_plan_head_overrides_and_a_cut_without_tail():
+    dom = RectangleDomain((math.pi,))  # lambda_k = k^2
+    pot = parse_potential("cos(q1)", 1, c_bound=5.0)  # certified head N = 2
+    with pytest.raises(ValueError, match="head override 1 is below the certified minimum 2"):
+        dirichlet_plan(dom, pot, N=1)
+    # the first probe holds lambda <= 4 * 5 + 1, four modes; N = 30 needs it grown
+    plan = dirichlet_plan(dom, pot, N=30)
+    assert plan.N == 30 and plan.mu == pytest.approx(1.0 - 5.0 / 31**2, abs=1e-15)
+    assert plan.lambda_cut == pytest.approx(4.0 * 31**2) and len(plan.modes) == 62
+    with pytest.raises(ValueError, match="leaves no tail modes"):
+        dirichlet_plan(dom, pot, lambda_cut=9.0)  # lambda_3 = 9
+
+
 def test_plan_cutoff_matches_mechanical_formula():
     # m = 1 with L = T reproduces floor(T sqrt(C) / pi)
     for C in (0.3, 1.0, 5.0, 26.0, 80.0):
@@ -471,6 +484,10 @@ def test_curvature_of_linear_potential_is_zero(lengths):
         c = np.random.default_rng(3).normal(size=len(system.modes))
         W = system.curvature_matrix(c)
         assert W.shape == (len(system.modes),) * 2 and not W.any()
+        # the Hessian is diag(eigenvalues) with -0.0 off the diagonal, to the byte
+        H = np.negative(np.zeros(W.shape))
+        H.flat[::len(H) + 1] += system.eigenvalues
+        assert system.hessian_matrix(c).tobytes() == H.tobytes()
         assert not dense_curvature(system, c).any()
 
 

@@ -345,15 +345,27 @@ def conjugate_points_reference(bp, c, steps):
         vertex = np.where(flat, cur, cur - (nxt - prev) ** 2 / (8.0 * safe))
         dip &= np.abs(vertex) < 1e-6 * det_scale
         candidates.append(i[dip] * h + np.clip(shift[dip], -h, h))
-    times = np.sort(np.concatenate(candidates))
-    times = times[times <= T - 0.75 * h]
+    times = np.concatenate(candidates)
+    crossing = np.arange(times.size) < candidates[0].size
+    order = np.argsort(times, kind="stable")
+    times, crossing = times[order], crossing[order]
+    keep = times <= T - 0.75 * h
+    times, crossing = times[keep], crossing[keep]
     k = np.minimum(np.floor(times / h).astype(int), steps - 1)
     sv = np.linalg.svd(np.concatenate([hermite_reference(Y, k, times / h - k, h), Js[-1:]]),
                        compute_uv=False)
-    points = []
-    for t_star, mult in zip(times.tolist(), morse._rank_drop(sv[:-1], J_scale).tolist()):
-        if mult > 0 and not (points and t_star - points[-1][0] < 1.5 * h):
-            points.append((t_star, mult))
+    # in time order: a sign change always counts, and replaces a touch counted
+    # less than 1.5 h before it; a touch that close to the last count is dropped
+    points, last_touch = [], False
+    drops = morse._rank_drop(sv[:-1], J_scale)
+    for t_star, mult, crosses in zip(times.tolist(), drops.tolist(), crossing.tolist()):
+        near = bool(points) and t_star - points[-1][0] < 1.5 * h
+        if mult == 0 or (near and not crosses):
+            continue
+        if near and last_touch:
+            points.pop()
+        points.append((t_star, mult))
+        last_touch = not crosses
     return points, sv[-1], J_scale
 
 
@@ -387,6 +399,21 @@ def test_conjugate_points_match_sequential_reference_on_isotropic_touch():
         points = assert_conjugate_points_match_reference(bp, rep.path, steps)
         assert [m for _, m in points] == [2]
         assert abs(points[0][0] - np.pi) <= 1e-6
+
+
+def test_close_sign_changes_are_two_conjugate_points():
+    # a root of the coupled_chain workload's chain at a = 0.2 (found with 16 seeds): det J
+    # changes sign at t = 3.44780 and 3.45042, in adjacent steps 0.0026 < 1.5 h apart
+    pot = builtin_potential("coupled_pendula", (1.0, 0.5), dim=4)
+    bp = BoundaryProblem(pot, 4.0, np.zeros(4), 0.2 * np.array([1.0, 1 / 3, -1 / 3, -1.0]))
+    reports = solve_reduced(bp, make_plan(bp), count=16)
+    [rep] = [rep for rep in reports if abs(rep.action - 16.697665155) < 1e-8]
+    assert rep.index == 3
+    points = assert_conjugate_points_match_reference(bp, rep.path)
+    assert [m for _, m in points] == [1, 1, 1]
+    assert 0.0 < points[2][0] - points[1][0] < 1.5 * bp.T / morse.JACOBI_DEFAULT_STEPS
+    for steps in (morse.JACOBI_DEFAULT_STEPS, 8192):
+        assert index_jacobi(bp, rep.path, steps=steps).index == 3
 
 
 @pytest.mark.parametrize("M", [3, 15, 16, 17, 32, 40, 100])

@@ -116,6 +116,12 @@ def test_plan_rejects_truncation_above_cap(monkeypatch, dim, kw):
         make_plan(bp, **kw)
 
 
+@pytest.mark.parametrize("quad_points", [0, 64])
+def test_plan_rejects_quadrature_below_2m_plus_1(quad_points):
+    with pytest.raises(ValueError, match=rf"at least 2M\+1 = 65 points, got {quad_points}$"):
+        make_plan(bp_with_bound(1.0, math.pi), quad_points=quad_points)
+
+
 def test_plan_at_cap_and_refined_level_above_it(monkeypatch):
     bp = BoundaryProblem(builtin_potential("harmonic", (1.0,) * 4), math.pi,
                          [0.0] * 4, [1.0] * 4)
@@ -372,6 +378,26 @@ def test_refinement_records_drift():
         assert rep.truncation_drift <= 1e-7
 
 
+def test_refinement_keeps_the_coarse_root_when_a_finer_level_does_not_converge(monkeypatch):
+    bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3 * math.pi, [0.0], [0.3])
+    plan = make_plan(bp)
+    [coarse] = solve_reduced(bp, plan, count=1, refine=False)
+    newton, fine = core.reduced_newton, []
+
+    def no_fine_root(system, head_dim, u0, **kw):
+        if len(system.eigenvalues) == plan.M:
+            return newton(system, head_dim, u0, **kw)
+        fine.append(newton(system, head_dim, u0, **{**kw, "head_tol": -1.0}))  # never met
+        return fine[-1]
+
+    monkeypatch.setattr(core, "reduced_newton", no_fine_root)
+    [rep] = solve_reduced(bp, plan, count=1)
+    assert len(fine) == 1 and not fine[0].converged  # the first finer level stops refinement
+    assert rep.converged and rep.path.M == plan.M
+    assert np.array_equal(rep.head, coarse.head) and rep.action == coarse.action
+    assert rep.truncation_drift == float(np.linalg.norm(fine[0].u - coarse.head))
+
+
 def test_reduced_hessian_is_schur_of_blocks(rng):
     bp, plan = random_pendulum_problem(rng)
     u = rng.uniform(-0.5, 0.5, plan.N)
@@ -392,6 +418,8 @@ def test_tail_cap_exceeded_reports_best_effort():
     assert not stats.converged
     assert stats.residuals[-1] < 1e-12  # best effort is still excellent
     assert stats.iterations > 0
+    with pytest.raises(RuntimeError, match="tail solve did not reach tolerance 1e-30"):
+        reduced_gradient(bp, plan, np.zeros(plan.N))
 
 
 def test_solve_reduced_with_picard_tail():
