@@ -127,7 +127,8 @@ def _convergence_log(reports, seed_records) -> str:
         lines.append(
             f"seed {i:03d} converged={str(res.converged).lower()} "
             f"newton_iterations={res.iterations} tail_iterations={res.tail_iterations} "
-            f"head_residual={_fmt(res.head_residual)} tail_residual={_fmt(res.tail_residual)}")
+            f"head_residual={_fmt(res.head_residual)} tail_residual={_fmt(res.tail_residual)}"
+            + (f" reason={res.reason}" if res.reason else ""))
         if res.head_history:
             lines.append("  head_residual_history: " + " ".join(_fmt(r) for r in res.head_history))
     lines.append("# deduplicated solutions (sorted by action)")
@@ -145,7 +146,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     plan = cfg.build_plan()
     seed_records: list = []
     options = dict(count=cfg.count, radius=cfg.radius, seed=cfg.seed, method=cfg.method,
-                   workers=cfg.workers, refine=cfg.refine, seed_records=seed_records)
+                   refine=cfg.refine, seed_records=seed_records)
     if cfg.kind == "mechanical":
         bp = cfg.boundary_problem()
         cfg.N, cfg.M, cfg.quad_points = plan.N, plan.M, plan.quad_points
@@ -247,22 +248,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="path to the config file")
-        p.add_argument("--out", help="override [output] directory")
-        p.add_argument("--seeds", help="override [multistart] count")
-        p.add_argument("--seed", help="override [multistart] seed (accepts hex, e.g. 0xAC21)")
-        p.add_argument("--method", choices=("newton", "picard"), help="override tail solver")
-
+    # each command declares the flags it reads, and only those
     p_plan = sub.add_parser("plan", help="print the certified reduction parameters")
-    add_common(p_plan)
     p_solve = sub.add_parser("solve", help="run the solver and write CSV artifacts")
-    add_common(p_solve)
     p_index = sub.add_parser("index", help="cross-check Morse indices of a stored solution")
-    add_common(p_index)
-    p_index.add_argument("solution_id", type=int, help="solution id from solutions.csv")
     p_weyl = sub.add_parser("weyl", help="print the eigenvalue-count table")
-    add_common(p_weyl)
+    for p in (p_plan, p_solve, p_index, p_weyl):
+        p.add_argument("--config", required=True, help="path to the config file")
+    for p in (p_solve, p_index):
+        p.add_argument("--out", help="override [output] directory")
+    p_solve.add_argument("--seeds", help="override [multistart] count")
+    p_solve.add_argument("--seed", help="override [multistart] seed (accepts hex, e.g. 0xAC21)")
+    p_solve.add_argument("--method", choices=("newton", "picard"), help="override tail solver")
+    p_index.add_argument("solution_id", type=int, help="solution id from solutions.csv")
     p_weyl.add_argument("--c-values", default="100,1000,10000",
                         help="comma-separated thresholds (default 100,1000,10000)")
     return parser
@@ -276,10 +274,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {("output", "directory"): args.out, ("multistart", "count"): args.seeds,
-                     ("multistart", "seed"): args.seed, ("multistart", "method"): args.method}
+        flags = {("output", "directory"): "out", ("multistart", "count"): "seeds",
+                 ("multistart", "seed"): "seed", ("multistart", "method"): "method"}
+        given = vars(args)  # only the flags of the parsed command
         cfg = load_config(Path(args.config).read_text(encoding="utf-8"),
-                          {key: text for key, text in overrides.items() if text is not None})
+                          {key: given[flag] for key, flag in flags.items()
+                           if given.get(flag) is not None})
 
         if args.command == "plan":
             return cmd_plan(cfg)

@@ -20,7 +20,7 @@ Schema (see README for the full description):
     [potential]  builtin+params | expr (+ c_bound), dim, allow_uncertified
     [geometry]   T, q0, qT (mechanical) | lengths (dirichlet)
     [plan]       N, M, quad_points, lambda_cut, tail_tol, head_tol, refine
-    [multistart] count, radius, seed, method, workers
+    [multistart] count, radius, seed, method
     [output]     directory, trajectory_points, field_points
 """
 
@@ -124,7 +124,6 @@ class RunConfig:
     radius: float | None = setting("multistart", positive_real, None)
     seed: int = setting("multistart", nonnegative_int, DEFAULT_MULTISTART_SEED)
     method: str = setting("multistart", choice("newton", "picard"), "newton")
-    workers: int = setting("multistart", integer, 1)
     directory: str = setting("output", str, "out")
     trajectory_points: int = setting("output", points, 512)
     field_points: int = setting("output", points, 65)

@@ -218,6 +218,10 @@ class ReducedResult:
     seed_index: int = -1  # position in the multistart list; set by solve_system
     rejected_trials: int = 0  # line-search trials stopped by the tail certificate
     tail_fallbacks: int = 0  # Picard fallbacks of the tail Newton solves
+    # why the solve stopped unconverged, empty when it converged: line_search_exhausted,
+    # iteration_cap, tail_not_converged (an empty head whose tail stopped at its cap)
+    # or tail_not_positive_definite
+    reason: str = ""
 
 
 class _State:
@@ -546,9 +550,11 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     None); every later one starts from the tail of the current iterate.
     A refined level passes the coarse root's tail, padded with zeros
     (``reduction._refine_root``): it is v(u0) to within truncation error.
-    A line search that halves its step LINE_SEARCH_HALVINGS times ends it.
-    Every way out of the loop (converged, the iteration cap, a failed line
-    search, no head) builds the one result from the last iterate.
+    A line search that halves its step LINE_SEARCH_HALVINGS times ends it,
+    and so does a tail block that is not positive definite (a
+    TruncationError of a tail Newton step or of the Schur complement): that
+    failure stays with this seed.  Every way out of the loop builds the one
+    result from the last iterate, with the ``reason`` it stopped unconverged.
 
     With a certified curvature bound ``c_bound`` the line search stops the
     tail solve of a trial as soon as the rejection test of ``solve_tail``
@@ -557,46 +563,54 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     """
     kappa = None if c_bound is None else rejection_slope(system, head_dim, c_bound)
     u = np.array(u0, dtype=float)
-    v = v0
+    v = np.zeros(len(system.eigenvalues) - head_dim) if v0 is None else v0
     history = []
     tail_total = fallbacks = rejected = 0
-    for it in range(max_iter + 1):
-        v, tstats = solve_tail(system, head_dim, u, v0=v, tol=tail_tol, method=tail_method)
-        tail_total += tstats.iterations
-        fallbacks += tstats.fallbacks
-        c = np.concatenate([u, v])
-        r = system.residual(c)
-        hnorm = head_residual_norm(r, head_dim)
-        history.append(hnorm)
-        converged = hnorm <= head_tol and tstats.converged
-        if converged or it == max_iter or head_dim == 0:
-            break
-        K = system.hessian_matrix(c)
-        S = schur_matrix(K[:head_dim, :head_dim], K[:head_dim, head_dim:],
-                         K[head_dim:, head_dim:])
-        step = np.linalg.solve(S, r[:head_dim])
-        reject = None if kappa is None else (hnorm, kappa)
-        lam = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS + 1):
-            u_try = u - lam * step
-            v_try, ts = solve_tail(system, head_dim, u_try, v0=v, tol=tail_tol,
-                                   method=tail_method, reject=reject)
-            tail_total += ts.iterations
-            fallbacks += ts.fallbacks
-            if ts.rejected:
-                rejected += 1
-            elif head_residual_norm(system.residual(np.concatenate([u_try, v_try])),
-                                    head_dim) < hnorm:
-                u, v = u_try, v_try
+    converged, reason = False, ""
+    try:
+        for it in range(max_iter + 1):
+            v, tstats = solve_tail(system, head_dim, u, v0=v, tol=tail_tol, method=tail_method)
+            tail_total += tstats.iterations
+            fallbacks += tstats.fallbacks
+            c = np.concatenate([u, v])
+            r = system.residual(c)
+            hnorm = head_residual_norm(r, head_dim)
+            history.append(hnorm)
+            converged = hnorm <= head_tol and tstats.converged
+            if converged or head_dim == 0 or it == max_iter:
+                reason = ("" if converged else "tail_not_converged" if head_dim == 0
+                          else "iteration_cap")
                 break
-            lam *= 0.5
-        else:
-            break
+            K = system.hessian_matrix(c)
+            S = schur_matrix(K[:head_dim, :head_dim], K[:head_dim, head_dim:],
+                             K[head_dim:, head_dim:])
+            step = np.linalg.solve(S, r[:head_dim])
+            reject = None if kappa is None else (hnorm, kappa)
+            lam = 1.0
+            for _ in range(LINE_SEARCH_HALVINGS + 1):
+                u_try = u - lam * step
+                v_try, ts = solve_tail(system, head_dim, u_try, v0=v, tol=tail_tol,
+                                       method=tail_method, reject=reject)
+                tail_total += ts.iterations
+                fallbacks += ts.fallbacks
+                if ts.rejected:
+                    rejected += 1
+                elif head_residual_norm(system.residual(np.concatenate([u_try, v_try])),
+                                        head_dim) < hnorm:
+                    u, v = u_try, v_try
+                    break
+                lam *= 0.5
+            else:
+                reason = "line_search_exhausted"
+                break
+    except TruncationError:
+        reason = "tail_not_positive_definite"
     c = np.concatenate([u, v])
     r = system.residual(c)
-    return ReducedResult(u, v, converged, it, head_residual_norm(r, head_dim),
-                         tail_residual_norm(system, r, head_dim), history, tail_total,
-                         rejected_trials=rejected, tail_fallbacks=fallbacks)
+    return ReducedResult(u, v, converged, it,
+                         head_residual_norm(r, head_dim), tail_residual_norm(system, r, head_dim),
+                         history, tail_total, rejected_trials=rejected, tail_fallbacks=fallbacks,
+                         reason=reason)
 
 
 # ---------------------------------------------------------------------------

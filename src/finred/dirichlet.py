@@ -165,7 +165,6 @@ class DirichletPlan:
     modes: tuple  # EigenMode, ascending; head = first N entries
     N: int
     mu: float
-    contraction: float
     lambda_cut: float
     tail_tol: float
     certified: bool
@@ -178,6 +177,11 @@ class DirichletPlan:
             raise ValueError(f"monotonicity constant must be in (0, 1], got {self.mu}")
         if self.N < 0 or self.N >= len(self.modes):
             raise ValueError(f"head size {self.N} incompatible with {len(self.modes)} modes")
+
+    @property
+    def contraction(self) -> float:
+        """1 - mu, the guaranteed Picard rate on the tail."""
+        return 1.0 - self.mu
 
 
 def dirichlet_plan(dom: RectangleDomain, pot: Potential, *,
@@ -216,7 +220,7 @@ def dirichlet_plan(dom: RectangleDomain, pot: Potential, *,
     if grid_shape is None:
         kmax = _box_extents(modes, dom.m)
         grid_shape = tuple(2 * k + 1 for k in kmax)
-    return DirichletPlan(domain=dom, modes=modes, N=int(N), mu=mu, contraction=1.0 - mu,
+    return DirichletPlan(domain=dom, modes=modes, N=int(N), mu=mu,
                          lambda_cut=float(lambda_cut), tail_tol=tail_tol, head_tol=head_tol,
                          certified=pot.certified, c_bound=C, grid_shape=tuple(grid_shape))
 
@@ -314,13 +318,12 @@ def solve_dirichlet(dom: RectangleDomain, pot: Potential, plan: DirichletPlan,
                     seeds: list[np.ndarray] | None = None, *,
                     count: int = DEFAULT_MULTISTART_COUNT, radius: float | None = None,
                     seed: int = DEFAULT_MULTISTART_SEED, method: str = "newton",
-                    workers: int = 1, refine: bool = True,
-                    with_oracles: bool = False,
+                    refine: bool = True, with_oracles: bool = False,
                     seed_records: list | None = None) -> list[SolutionReport]:
     """Multistart reduced Newton for the Dirichlet problem; see solve_reduced.
 
     The radius defaults to DEFAULT_MULTISTART_RADIUS; refinement re-plans
-    with four times the eigenvalue cut.  ``workers`` is accepted and ignored.
+    with four times the eigenvalue cut.
     """
     return solve_system(DirichletSystem(dom, pot, plan), plan, seeds, count=count,
                         radius=DEFAULT_MULTISTART_RADIUS if radius is None else float(radius),

@@ -98,10 +98,11 @@ def _as_points(q: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _diagonal_hessian(q: np.ndarray, diagonal) -> np.ndarray:
-    """Hessians, shape q.shape + (n,), with ``diagonal`` on their diagonals."""
-    out = np.zeros(q.shape + q.shape[-1:])
-    idx = np.arange(q.shape[-1])
-    out[..., idx, idx] = diagonal
+    """Hessians, shape q.shape + (n,), with ``diagonal`` on their diagonals,
+    written through the flat (..., n*n) view, where a step of n + 1 walks it."""
+    n = q.shape[-1]
+    out = np.zeros(q.shape + (n,))
+    out.reshape(q.shape[:-1] + (n * n,))[..., ::n + 1] = diagonal
     return out
 
 
@@ -194,11 +195,11 @@ def builtin_potential(family: str, params=(), dim: int | None = None) -> Potenti
         out = _diagonal_hessian(q, g * np.cos(q))
         if coupled:
             cdiff = 0.5 * kappa * np.cos(q[..., :-1] - q[..., 1:])
-            i = np.arange(n - 1)
-            out[..., i, i] += cdiff
-            out[..., i + 1, i + 1] += cdiff
-            out[..., i, i + 1] -= cdiff
-            out[..., i + 1, i] -= cdiff
+            flat = out.reshape(q.shape[:-1] + (n * n,))  # entry (i, j) sits at i n + j
+            flat[..., :-1:n + 1] += cdiff
+            flat[..., n + 1::n + 1] += cdiff
+            flat[..., 1::n + 1] -= cdiff
+            flat[..., n::n + 1] -= cdiff
         return out
 
     # pair terms contribute at most (kappa/2) * lambda_max(path Laplacian) < 2 kappa

@@ -73,7 +73,6 @@ class ReductionPlan:
 
     N: int
     mu: float
-    contraction: float  # 1 - mu, the guaranteed Picard rate on the tail
     M: int
     tail_tol: float
     certified: bool
@@ -91,6 +90,11 @@ class ReductionPlan:
         if self.quad_points < 2 * self.M + 1:
             raise ValueError(
                 f"quadrature needs at least 2M+1 = {2 * self.M + 1} points, got {self.quad_points}")
+
+    @property
+    def contraction(self) -> float:
+        """1 - mu, the guaranteed Picard rate on the tail."""
+        return 1.0 - self.mu
 
 
 @dataclass
@@ -179,10 +183,8 @@ def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None
     if quad_points is None:
         quad_points = 2 * M + 1
     core.check_truncation(M, bp.n, quad_points)
-    return ReductionPlan(N=int(N), mu=mu, contraction=1.0 - mu, M=int(M),
-                         tail_tol=tail_tol, head_tol=head_tol,
-                         certified=pot.certified, c_bound=C,
-                         quad_points=int(quad_points))
+    return ReductionPlan(N=int(N), mu=mu, M=int(M), tail_tol=tail_tol, head_tol=head_tol,
+                         certified=pot.certified, c_bound=C, quad_points=int(quad_points))
 
 
 def fixed_point_cutoff(c_tilde: float, T: float) -> int:
@@ -266,7 +268,6 @@ def solve_reduced(bp: BoundaryProblem, plan: ReductionPlan,
                   radius: float | None = None,
                   seed: int = DEFAULT_MULTISTART_SEED,
                   method: str = "newton",
-                  workers: int = 1,
                   refine: bool = True,
                   with_oracles: bool = False,
                   seed_records: list | None = None) -> list[SolutionReport]:
@@ -275,8 +276,7 @@ def solve_reduced(bp: BoundaryProblem, plan: ReductionPlan,
     Seeds default to a multistart draw: the origin plus ``count - 1``
     points uniform in the radius ball (radius 2 (1 + |qT - q0|) unless
     given), from a fixed-seed generator.  With ``refine=True`` every root
-    is re-solved at doubled truncation.  ``workers`` is accepted and
-    ignored: seeds are solved in order.  See ``solve_system`` for the rest.
+    is re-solved at doubled truncation.  See ``solve_system`` for the rest.
     """
     return solve_system(MechanicalSystem(bp, plan.M, plan.quad_points), plan, seeds, count=count,
                         radius=default_radius(bp) if radius is None else float(radius),
@@ -304,9 +304,12 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
     value, then lexicographic head (to DEDUP_TOL) among actions that agree
     to ACTION_TIE_RTOL (``order_reports``).  With a certified plan the
     line search screens trials with the tail certificate
-    (``core.solve_tail``); the roots are the same either way.  When a list
-    is passed as ``seed_records`` it receives the raw per-seed solve
-    results in seed order (for convergence logging).
+    (``core.solve_tail``); the roots are the same either way.  A seed that
+    fails (a tail block that is not positive definite included) stops with
+    its ``reason`` and leaves the other seeds as they were; a refinement
+    level that fails keeps the root at the level below.  When a list is
+    passed as ``seed_records`` it receives the raw per-seed solve results
+    in seed order (for convergence logging).
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"multistart radius must be a positive real, got {radius}")
@@ -323,9 +326,9 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
         res.seed_index = i
         results.append(res)
         if not res.converged:
-            log.debug("seed %d stopped unconverged after %d Newton iterations at head "
+            log.debug("seed %d stopped unconverged (%s) after %d Newton iterations at head "
                       "residual %.3e: %d line-search trials rejected by the tail "
-                      "certificate, %d tail Picard fallbacks", i, res.iterations,
+                      "certificate, %d tail Picard fallbacks", i, res.reason, res.iterations,
                       res.head_residual, res.rejected_trials, res.tail_fallbacks)
     if seed_records is not None:
         seed_records.extend(results)

@@ -222,21 +222,65 @@ def test_solve_wrong_curvature_bound_is_clean_error(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_solve_tail_not_positive_definite_is_clean_error(tmp_path, capsys):
+def test_solve_tail_not_positive_definite_fails_per_seed(tmp_path, capsys):
     # an uncertified plan (quartic growth, opted in) on a bound that V'' exceeds
-    # near the path: the tail block is indefinite, a TruncationError in the solve
+    # near the path: the tail block is indefinite at every seed, and each seed
+    # stops there on its own, so the solve writes its artifacts and exits 2
     text = WRONG_BOUND_CFG.replace("expr = -5*cos(q1)", "expr = -5*cos(q1) + 0.001*q1^4").replace(
         "c_bound = 0.5", "c_bound = 0.5\nallow_uncertified = true")
     cfg, out = write_cfg(tmp_path, text)
     assert main(["plan", "--config", str(cfg)]) == 0
     assert "certified = false" in capsys.readouterr().out
+    assert main(["solve", "--config", str(cfg), "--seeds", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"0 solution(s) converged; artifacts in {out}\n"
+    assert (out / "solutions.csv").read_text().splitlines() == [
+        "id,action,index,nullity,head_residual,tail_residual,certified"]
+    seeds = [line for line in (out / "convergence.log").read_text().splitlines()
+             if line.startswith("seed ")]
+    assert len(seeds) == 8
+    assert all(" converged=false " in line and line.endswith(" reason=tail_not_positive_definite")
+               for line in seeds)
+    assert "count = 8" in (out / "resolved.cfg").read_text()
+
+
+def test_workers_is_an_unknown_key(tmp_path, capsys):
+    text = PENDULUM_CFG.replace("count = 6", "count = 6\nworkers = 1")
+    line = text.splitlines().index("workers = 1") + 1
+    cfg, out = write_cfg(tmp_path, text)
     assert main(["solve", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: tail curvature block is not positive definite")
+    assert captured.err.splitlines() == [
+        f"error: line {line}: unknown key 'workers' in [multistart]"]
     assert not out.exists()
+
+
+UNREAD_FLAGS = {"plan": ["--out", "--seeds", "--seed", "--method"],
+                "index": ["--seeds", "--seed", "--method"],
+                "weyl": ["--out", "--seeds", "--seed", "--method"]}
+
+
+@pytest.mark.parametrize("command,flag", [(command, flag) for command, flags in
+                                          UNREAD_FLAGS.items() for flag in flags])
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    cfg, out = write_cfg(tmp_path, PENDULUM_CFG)
+    given = f"{flag}={'newton' if flag == '--method' else '3'}"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", str(cfg), given, *(["0"] if command == "index" else [])])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {given}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_takes_all_four_overrides(tmp_path, capsys):
+    cfg, _ = write_cfg(tmp_path, PENDULUM_CFG)
+    alt = tmp_path / "alt"
+    assert main(["solve", "--config", str(cfg), "--out", str(alt), "--seeds", "2",
+                 "--seed", "0x7", "--method", "picard"]) == 0
+    echo = (alt / "resolved.cfg").read_text().splitlines()
+    assert {"count = 2", "seed = 0x7", "method = picard", f"directory = {alt}"} <= set(echo)
 
 
 def test_solve_non_finite_endpoint_is_clean_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Rectangle eigenmodes, Dirichlet plans, Weyl counts, field solves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,14 @@ def test_plan_cutoff_matches_mechanical_formula():
             mplan = make_plan(bp)
             assert dplan.N == mplan.N == int(math.floor(T * math.sqrt(C) / math.pi))
             assert dplan.mu == pytest.approx(mplan.mu, rel=1e-12)
+
+
+def test_plan_contraction_is_derived_from_mu():
+    dom = RectangleDomain((1.0, 1.3))
+    plan = dirichlet_plan(dom, parse_potential("-20*cos(q1)", 1, c_bound=20.0))
+    assert plan.contraction == 1.0 - plan.mu
+    assert "contraction" not in {f.name for f in dataclasses.fields(plan)}
+    assert dataclasses.replace(plan, mu=0.25).contraction == 0.75
 
 
 def test_plan_requires_scalar_potential():

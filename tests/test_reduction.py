@@ -39,6 +39,13 @@ def test_plan_free_particle():
     assert plan.N == 0 and plan.mu == 1.0 and plan.contraction == 0.0
 
 
+def test_plan_contraction_is_derived_from_mu():
+    plan = make_plan(BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3.0, [0.0], [1.0]))
+    assert plan.contraction == 1.0 - plan.mu
+    assert "contraction" not in {f.name for f in dataclasses.fields(plan)}
+    assert dataclasses.replace(plan, mu=0.25).contraction == 0.75
+
+
 def test_plan_formula_example():
     plan = make_plan(bp_with_bound(1.0, math.pi))
     assert plan.N == 1
@@ -361,13 +368,75 @@ def test_multistart_is_deterministic():
         assert ra.action == rb.action
 
 
-def test_workers_do_not_change_results():
+def test_solvers_take_no_workers_option():
     bp, plan = random_pendulum_problem(np.random.default_rng(33))
-    a = solve_reduced(bp, plan, count=6, workers=1)
-    b = solve_reduced(bp, plan, count=6, workers=3)
-    assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.head, rb.head)
+    with pytest.raises(TypeError, match="workers"):
+        solve_reduced(bp, plan, count=2, workers=1)
+    dom = RectangleDomain((1.0,))
+    pot = parse_potential("-20*cos(q1)", 1, c_bound=20.0)
+    with pytest.raises(TypeError, match="workers"):
+        solve_dirichlet(dom, pot, dirichlet_plan(dom, pot), count=2, workers=1)
+
+
+def _seed_results(result):
+    return (result.u.tobytes(), result.v.tobytes(), result.converged, result.iterations,
+            result.tail_iterations, result.head_residual, result.tail_residual,
+            list(result.head_history), result.reason)
+
+
+def test_a_seed_whose_tail_block_fails_stays_alone(monkeypatch):
+    # a tail block that is not positive definite at one seed's first tail step
+    # ends that seed with its reason; every other seed is solved bit for bit as before
+    bp = BoundaryProblem(builtin_potential("pendulum", (2.0,)), 4.0, [0.0], [1.0])
+    plan = make_plan(bp)
+    system = MechanicalSystem(bp, plan.M, plan.quad_points)
+    head_dim = plan.N * system.n
+    seeds = core.draw_seeds(head_dim, 6, default_radius(bp), 0xAC21)
+    options = dict(count=len(seeds), radius=1.0, seed=0, method="newton", refine=False,
+                   with_oracles=False)
+    clean: list = []
+    reduction.solve_system(system, plan, seeds, seed_records=clean, **options)
+
+    bad = 3
+    hessian = system.hessian_matrix
+
+    def poisoned(c):
+        K = hessian(c)
+        if np.array_equal(c[:head_dim], seeds[bad]):
+            K[head_dim:, head_dim:] *= -1.0
+        return K
+
+    monkeypatch.setattr(system, "hessian_matrix", poisoned)
+    records: list = []
+    reports = reduction.solve_system(system, plan, seeds, seed_records=records, **options)
+    assert not records[bad].converged
+    assert records[bad].reason == "tail_not_positive_definite"
+    assert records[bad].u.tobytes() == seeds[bad].tobytes()
+    assert [_seed_results(r) for i, r in enumerate(records) if i != bad] == \
+        [_seed_results(r) for i, r in enumerate(clean) if i != bad]
+    assert all(r.converged for i, r in enumerate(records) if i != bad)
+    assert reports
+
+
+def test_unconverged_results_name_their_reason():
+    dom = RectangleDomain((1.0, 1.0))
+    pot = parse_potential("-56.49*cos(q1)", 1, c_bound=56.49)
+    plan = dirichlet_plan(dom, pot)
+    system = DirichletSystem(dom, pot, plan)
+    options = dict(head_tol=plan.head_tol, tail_tol=plan.tail_tol, c_bound=plan.c_bound)
+    seeds = core.draw_seeds(plan.N, 4, 2.0, 0xAC21)
+    results = [core.reduced_newton(system, plan.N, u0, **options) for u0 in seeds]
+    assert [(r.converged, r.reason) for r in results] == [
+        (True, ""), (False, "line_search_exhausted"), (True, ""),
+        (False, "line_search_exhausted")]
+    capped = core.reduced_newton(system, plan.N, seeds[2], max_iter=1, **options)
+    assert (capped.converged, capped.reason, capped.iterations) == (False, "iteration_cap", 1)
+
+    bp = BoundaryProblem(builtin_potential("pendulum", (0.5,)), 2.0, [0.0], [1.0])
+    mplan = make_plan(bp)
+    assert mplan.N == 0
+    empty = core.reduced_newton(MechanicalSystem(bp, mplan.M), 0, np.zeros(0), tail_tol=1e-30)
+    assert (empty.converged, empty.reason) == (False, "tail_not_converged")
 
 
 def test_refinement_records_drift():

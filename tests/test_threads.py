@@ -10,11 +10,13 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import finred
 from finred import cli, core, morse, reduction
 from finred.fourier import BoundaryProblem
+from finred.functional import blocks_at
 from finred.potentials import builtin_potential
 
 
@@ -84,15 +86,17 @@ def test_pin_restores_the_callers_count(setters, caller, monkeypatch):
         assert _counts() == ones  # the outer scope still holds
     assert _counts() == callers
 
-    # an exception inside the scope: a tail block below the certified cutoff
+    # an exception inside the scope: a tail block below the certified cutoff,
+    # which a solve keeps with its seed, so the Schur index raises it
     bp = BoundaryProblem(builtin_potential("pendulum", (50.0,)), 3.0, [0.0], [0.0])
     plan = replace(reduction.make_plan(bp), N=1, certified=False)
+    blocks = blocks_at(core.MechanicalSystem(bp, plan.M), plan.N, np.zeros(plan.M))
     with pytest.raises(core.TruncationError):
-        reduction.solve_reduced(bp, plan, count=1)
+        morse.index_schur(blocks)
     assert _counts() == callers
     with core.single_blas_thread:
         with pytest.raises(core.TruncationError):
-            reduction.solve_reduced(bp, plan, count=1)
+            morse.index_schur(blocks)
         assert _counts() == ones
     assert _counts() == callers
 
