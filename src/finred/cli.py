@@ -19,6 +19,7 @@ import logging
 import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,8 @@ def _convergence_log(reports, seed_records) -> str:
             f"seed {i:03d} converged={str(res.converged).lower()} "
             f"newton_iterations={res.iterations} tail_iterations={res.tail_iterations} "
             f"head_residual={_fmt(res.head_residual)} tail_residual={_fmt(res.tail_residual)}"
+            + (f" tail_min_eigenvalue={_fmt(res.tail_min_eigenvalue)}"
+               if res.tail_min_eigenvalue is not None else "")
             + (f" reason={res.reason}" if res.reason else ""))
         if res.head_history:
             lines.append("  head_residual_history: " + " ".join(_fmt(r) for r in res.head_history))
@@ -239,7 +242,9 @@ def cmd_weyl(cfg: RunConfig, c_values: list[float]) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it as it is)."""
     parser = argparse.ArgumentParser(
         prog="finred",
         description="Stationary paths and fields by exact finite-dimensional reduction, "

@@ -81,12 +81,14 @@ On entry it calls ``openblas_set_num_threads_local(1)`` (OpenBLAS
 count its call returned, in reverse order, so a library that both load
 ends at the caller's count.  The setters are found once
 per process, on first entry, by dlsym on the handles of the two
-extension modules; without them (another BLAS, an older OpenBLAS) the pin
-does nothing.  The count is thread-local only in OpenMP builds of
-OpenBLAS; the pthreads builds that numpy and scipy wheels ship hold one
-count for the process, so scopes nest by a process-wide depth: the first
-to enter sets the count and the last to leave restores it, and other
-threads' BLAS calls run on one thread meanwhile.
+extension modules (numpy's core and ``scipy.linalg._flapack``, which
+``fourier.scipy_extension`` has registered, so finding it runs no
+``scipy.linalg`` package code); without them (another BLAS, an older
+OpenBLAS) the pin does nothing.  The count is thread-local only in OpenMP
+builds of OpenBLAS; the pthreads builds that numpy and scipy wheels ship
+hold one count for the process, so scopes nest by a process-wide depth:
+the first to enter sets the count and the last to leave restores it, and
+other threads' BLAS calls run on one thread meanwhile.
 """
 
 from __future__ import annotations
@@ -101,10 +103,13 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .fourier import (TABLE_CACHE_SIZE, BoundaryProblem, SineGrid, SinePath, affine_coeffs,
-                      grid_points, mode_eigenvalues, sine_table, tensor_values)
+                      grid_points, mode_eigenvalues, scipy_extension, sine_table, tensor_values)
+
+# the functions scipy.linalg.lapack exports, without scipy.linalg's __init__
+_flapack = scipy_extension("scipy.linalg._flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 GAUSS_NODES_PER_PANEL = 8
 GAUSS_MIN_PANELS = 16
@@ -124,7 +129,16 @@ def check_truncation(M: int, n: int, quad_points: int) -> None:
 
 
 class TruncationError(RuntimeError):
-    """Tail curvature block failed to be positive definite."""
+    """Tail curvature block failed to be positive definite: ``smallest`` is
+    its smallest eigenvalue, and ``tail`` the TailStats of the tail solve it
+    stopped (None when the block was not a tail solve's)."""
+
+    tail = None
+
+    def __init__(self, smallest: float):
+        super().__init__(f"tail curvature block is not positive definite (smallest "
+                         f"eigenvalue {smallest:.3e}); increase the cutoff or truncation")
+        self.smallest = smallest
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +236,8 @@ class ReducedResult:
     # iteration_cap, tail_not_converged (an empty head whose tail stopped at its cap)
     # or tail_not_positive_definite
     reason: str = ""
+    # the smallest eigenvalue of the tail block that stopped a tail_not_positive_definite solve
+    tail_min_eigenvalue: float | None = None
 
 
 class _State:
@@ -473,7 +489,11 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
             continue
         # Newton step on the tail block
         K = system.hessian_matrix(c)
-        step = _cholesky_solve(_tail_cholesky(K[head_dim:, head_dim:]), r[head_dim:])
+        try:
+            step = _cholesky_solve(_tail_cholesky(K[head_dim:, head_dim:]), r[head_dim:])
+        except TruncationError as exc:
+            exc.tail = stats  # the step that failed counts
+            raise
         v_try = v - step
         r_try = system.residual(np.concatenate([u, v_try]))
         res_try = tail_residual_norm(system, r_try, head_dim)
@@ -498,10 +518,7 @@ def _tail_cholesky(D: np.ndarray) -> np.ndarray:
     TruncationError if the block is not positive definite."""
     L, info = dpotrf(D, lower=1, clean=0)
     if info > 0:
-        smallest = float(np.min(np.linalg.eigvalsh(D)))
-        raise TruncationError(
-            f"tail curvature block is not positive definite "
-            f"(smallest eigenvalue {smallest:.3e}); increase the cutoff or truncation")
+        raise TruncationError(float(np.min(np.linalg.eigvalsh(D))))
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return L
@@ -553,8 +570,10 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     A line search that halves its step LINE_SEARCH_HALVINGS times ends it,
     and so does a tail block that is not positive definite (a
     TruncationError of a tail Newton step or of the Schur complement): that
-    failure stays with this seed.  Every way out of the loop builds the one
-    result from the last iterate, with the ``reason`` it stopped unconverged.
+    failure stays with this seed, with the block's smallest eigenvalue as
+    ``tail_min_eigenvalue`` and the steps of the tail solve it stopped
+    counted.  Every way out of the loop builds the one result from the last
+    iterate, with the ``reason`` it stopped unconverged.
 
     With a certified curvature bound ``c_bound`` the line search stops the
     tail solve of a trial as soon as the rejection test of ``solve_tail``
@@ -566,7 +585,7 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     v = np.zeros(len(system.eigenvalues) - head_dim) if v0 is None else v0
     history = []
     tail_total = fallbacks = rejected = 0
-    converged, reason = False, ""
+    converged, reason, margin = False, "", None
     try:
         for it in range(max_iter + 1):
             v, tstats = solve_tail(system, head_dim, u, v0=v, tol=tail_tol, method=tail_method)
@@ -603,14 +622,17 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
             else:
                 reason = "line_search_exhausted"
                 break
-    except TruncationError:
-        reason = "tail_not_positive_definite"
+    except TruncationError as exc:
+        reason, margin = "tail_not_positive_definite", exc.smallest
+        if exc.tail is not None:
+            tail_total += exc.tail.iterations
+            fallbacks += exc.tail.fallbacks
     c = np.concatenate([u, v])
     r = system.residual(c)
     return ReducedResult(u, v, converged, it,
                          head_residual_norm(r, head_dim), tail_residual_norm(system, r, head_dim),
                          history, tail_total, rejected_trials=rejected, tail_fallbacks=fallbacks,
-                         reason=reason)
+                         reason=reason, tail_min_eigenvalue=margin)
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,35 @@ one engine, ``SineGrid``, for paths (one axis, n components) and for
 fields on rectangles (m axes, one component); its docstring states the
 DST-I scaling, the grid rule and the Toeplitz-minus-Hankel identity.
 
-The transform is ``scipy.fftpack.dst``, bound once as ``fourier.dst``.
-It runs the same pocketfft kernel as ``scipy.fft.dst`` and gives the same
-bits, without the backend dispatch of ``scipy.fft``, which is a large
-part of a call on small grids: one synthesis step of a 5 x 11 box onto
-11 x 11 points took 6.3 us, against 11.6 us with a pad array and
-``scipy.fft.dst``, and an op set makes thousands of such calls.
-``scipy.fftpack`` is scipy's legacy FFT interface, public, documented and
-issuing no warning (scipy 1.17).  Synthesis zero-pads through the
-transform's ``n=P``.
+The transform is finred's own ``dst``: scipy's pocketfft DST-I kernel,
+called as ``scipy.fftpack.dst`` calls it and giving the same bits,
+without the argument handling and backend dispatch of scipy's wrappers,
+which are a large part of a call on small grids (about 3 us a call
+against 5-7 us through ``scipy.fftpack.dst``), and an op set makes
+thousands of such calls.  Synthesis zero-pads through the transform's
+``n=P``.
+
+The kernel, and core's LAPACK ``dpotrf``/``dpotrs``, are compiled scipy
+modules loaded from their own files by ``scipy_extension``, so that
+``import finred`` does not run the ``__init__`` of ``scipy.fft`` and
+``scipy.linalg``: those import ``scipy.special`` and scipy's array-API
+layer, which imports ``numpy.f2py``, ``numpy.testing`` and more, about
+0.45 s of a 0.45-0.65 s ``import finred`` on a 2-core host (numpy 2.4,
+scipy 1.17), for two kernels.  The modules are the ones a later ``import
+scipy.linalg`` or ``import scipy.fft`` uses.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from importlib import machinery, util
 
 import numpy as np
-from scipy.fftpack import dst
 
 from .potentials import Potential
 
@@ -51,6 +61,52 @@ __all__ = [
     "h1_inner",
     "l2_inner",
 ]
+
+
+def scipy_extension(name: str):
+    """The compiled scipy module ``name``, e.g. "scipy.linalg._flapack",
+    without the ``__init__`` of the subpackages above it.
+
+    A module already in ``sys.modules`` is reused.  Otherwise the file is
+    found under ``scipy.__path__`` (after ``import scipy``, which sets up
+    scipy's shared libraries) and loaded and registered under ``name``, so
+    that a later import of its package reuses it.  Without such a file the
+    module comes from a plain import of ``name``, the slow way."""
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy
+
+    package = name.split(".")[1:-1]
+    finder = machinery.FileFinder(os.path.join(scipy.__path__[0], *package),
+                                  (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        return importlib.import_module(name)
+    module = sys.modules[name] = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = scipy_extension("scipy.fft._pocketfft.pypocketfft")
+
+
+def dst(x, type: int = 1, n: int | None = None, axis: int = -1) -> np.ndarray:
+    """``scipy.fftpack.dst(x, type, n, axis)`` of a float array, bit for bit:
+    the unnormalised DST of that type along ``axis``, of x zero-padded to n
+    points there, by pocketfft on one thread."""
+    x = np.asarray(x, dtype=float)
+    out = None
+    if n is not None and n != x.shape[axis]:
+        shape = list(x.shape)
+        shape[axis] = n
+        out = np.zeros(shape)
+        index = [slice(None)] * x.ndim
+        index[axis] = slice(0, x.shape[axis])
+        out[tuple(index)] = x
+        x = out  # transformed in place, as scipy.fftpack does with its padded copy
+    return _pocketfft.dst(x, type, (axis,), 0, out, 1)
+
 
 # geometry-only tables (cosine rows here, Gauss rules in core) kept per process
 TABLE_CACHE_SIZE = 8

@@ -242,6 +242,14 @@ def test_solve_tail_not_positive_definite_fails_per_seed(tmp_path, capsys):
     assert len(seeds) == 8
     assert all(" converged=false " in line and line.endswith(" reason=tail_not_positive_definite")
                for line in seeds)
+    # each line says by how much the block failed, and counts the tail step that found it
+    margins = []
+    for line in seeds:
+        *_, tail_iterations, _, _, margin, _ = line.split()
+        assert int(tail_iterations.removeprefix("tail_iterations=")) >= 1
+        margins.append(float(margin.removeprefix("tail_min_eigenvalue=")))
+    assert all(margin < 0.0 for margin in margins)
+    assert margins[0] == pytest.approx(-3.278, abs=5e-4)
     assert "count = 8" in (out / "resolved.cfg").read_text()
 
 
@@ -408,6 +416,69 @@ def test_expressions_load_no_computer_algebra(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert (out / "solutions.csv").exists()
+
+
+# scipy subpackages (and what their __init__ imports) that finred's two kernels do without
+HEAVY_MODULES = ("scipy.linalg", "scipy.fft", "scipy.special", "numpy.f2py")
+FLAPACK, POCKETFFT = "scipy.linalg._flapack", "scipy.fft._pocketfft.pypocketfft"
+
+
+def _python(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(Path(finred.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_commands_load_no_scipy_subpackage(tmp_path):
+    cfg, out = write_cfg(tmp_path, DIRICHLET_2D_CFG)
+    script = (
+        "import sys, finred, finred.cli\n"
+        "from finred import core\n"
+        "assert finred.cli.main(['solve', '--config', sys.argv[1]]) == 0\n"
+        "assert finred.cli.main(['index', '--config', sys.argv[1], '0']) == 0\n"
+        f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)), len(core.openblas_setters()))\n")
+    light = _python(script, cfg).splitlines()[-1]
+    assert (out / "solutions.csv").exists()
+    # the pin reaches as many OpenBLAS libraries as after a full scipy.linalg import
+    full = _python("import scipy.linalg\nfrom finred import core\n"
+                   "print(len(core.openblas_setters()))\n")
+    assert light == f"[] {full.strip()}"
+
+
+@pytest.mark.parametrize("first", ["finred", "scipy"])
+def test_kernels_are_scipys_in_either_import_order(first):
+    imports = ["from finred import core, fourier", "import scipy.fft, scipy.linalg.lapack"]
+    script = "\n".join(imports if first == "finred" else imports[::-1]) + (
+        "\nimport sys, scipy.integrate, scipy.optimize\n"
+        "assert core.dpotrf is scipy.linalg.lapack.dpotrf\n"
+        "assert core.dpotrs is scipy.linalg.lapack.dpotrs\n"
+        f"assert core._flapack is sys.modules[{FLAPACK!r}]\n"
+        f"assert fourier._pocketfft is sys.modules[{POCKETFFT!r}]\n"
+        "assert fourier._pocketfft is scipy.fft._pocketfft.realtransforms.pfft\n")
+    _python(script)
+
+
+def test_a_missed_kernel_file_falls_back_to_the_full_import(tmp_path):
+    # with no file found, the kernels come from scipy's own packages, and a
+    # solve writes the same bytes
+    cfg, out = write_cfg(tmp_path, DIRICHLET_2D_CFG)
+    outputs = []
+    for miss, loaded in (("", "[]"), ("['.missing']", "['scipy.fft', 'scipy.linalg']")):
+        script = (
+            "import importlib.machinery, sys\n"
+            + (f"importlib.machinery.EXTENSION_SUFFIXES = {miss}\n" if miss else "")
+            + "from finred import cli, core, fourier\n"
+            "loaded = sorted({'scipy.fft', 'scipy.linalg'} & set(sys.modules))\n"
+            "import scipy.fft, scipy.linalg.lapack\n"
+            "assert core.dpotrf is scipy.linalg.lapack.dpotrf\n"
+            "assert fourier._pocketfft is scipy.fft._pocketfft.realtransforms.pfft\n"
+            "assert cli.main(['solve', '--config', sys.argv[1]]) == 0\n"
+            "print(loaded)\n")
+        assert _python(script, cfg).splitlines()[-1] == loaded
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 def test_convergence_log_has_per_seed_records(tmp_path):
@@ -770,6 +841,15 @@ def test_cli_overrides(tmp_path):
     assert "count = 3" in resolved
     assert "seed = 0xBEEF" in resolved
     assert "method = picard" in resolved
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    cfg, out = write_cfg(tmp_path, PENDULUM_CFG)
+    assert main(["solve", "--config", str(cfg), "--seeds", "3", "--method", "picard"]) == 0
+    assert main(["solve", "--config", str(cfg)]) == 0  # the overrides above do not stay
+    resolved = (out / "resolved.cfg").read_text()
+    assert "count = 6" in resolved and "method = newton" in resolved
 
 
 def test_config_error_messages(tmp_path, capsys):

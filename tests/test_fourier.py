@@ -222,7 +222,13 @@ def test_dst_binding_and_per_class_methods(monkeypatch):
     for cls in (MechanicalSystem, DirichletSystem):
         for name in ("nonlinear_coeffs", "curvature_matrix", "action"):
             assert name in vars(cls), (cls.__name__, name)
-    assert fourier.dst is scipy.fftpack.dst
+    rng = np.random.default_rng(5)
+    box, values = rng.normal(size=(4, 5, 2)), rng.normal(size=(9, 11, 2))
+    for axis, n in ((0, 9), (1, 11)):
+        assert (fourier.dst(values, type=1, axis=axis).tobytes()
+                == scipy.fftpack.dst(values, type=1, axis=axis).tobytes())
+        assert (fourier.dst(box, type=1, n=n, axis=axis).tobytes()
+                == scipy.fftpack.dst(box, type=1, n=n, axis=axis).tobytes())
 
     calls = []
 

@@ -411,6 +411,7 @@ def test_a_seed_whose_tail_block_fails_stays_alone(monkeypatch):
     reports = reduction.solve_system(system, plan, seeds, seed_records=records, **options)
     assert not records[bad].converged
     assert records[bad].reason == "tail_not_positive_definite"
+    assert records[bad].tail_min_eigenvalue < 0.0 and records[bad].tail_iterations == 1
     assert records[bad].u.tobytes() == seeds[bad].tobytes()
     assert [_seed_results(r) for i, r in enumerate(records) if i != bad] == \
         [_seed_results(r) for i, r in enumerate(clean) if i != bad]
