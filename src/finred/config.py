@@ -12,16 +12,7 @@ table, followed by the rules that tie keys together; the echo
 exactly from it.  Overrides (the CLI's ``--out``, ``--seeds``, ...) are
 text for a ``(section, key)`` and go through the same parsers and checks
 as file keys.  Unknown sections/keys, type errors and rule violations
-are rejected with line-anchored messages.
-
-Schema (see README for the full description):
-
-    [problem]    kind = mechanical | dirichlet
-    [potential]  builtin+params | expr (+ c_bound), dim, allow_uncertified
-    [geometry]   T, q0, qT (mechanical) | lengths (dirichlet)
-    [plan]       N, M, quad_points, lambda_cut, tail_tol, head_tol, refine
-    [multistart] count, radius, seed, method
-    [output]     directory, trajectory_points, field_points
+are rejected with line-anchored messages.  The README describes each key.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ Tables that depend on the geometry alone, a grid's per-axis cosine rows
 (``gauss_sine_rule``, keyed by (L, K)), are built once per process and
 shared read-only by every system, in caches of TABLE_CACHE_SIZE entries.
 
-``reduced_newton`` starts its first tail solve from a given tail ``v0``;
-a refined level starts from the coarse root's tail, padded with zeros.
+The reduced function f(u) = L(u + v(u)) at one head u is one object,
+``ReducedPoint``; every consumer of u + v(u), the gradient of f and its
+Hessian (the Schur complement of the tail block) reads them from it.
 
 Each system keeps a one-entry memo of the last state it evaluated: a
 private read-only copy of c, its grid values, the coefficients of V'
@@ -65,30 +66,27 @@ So the screen changes no iterate, only the tail work, unless a full solve
 would have run out of iterations short of tol.  It needs a certified C
 (``reduction.solve_system`` passes one only for certified plans).
 
-One BLAS thread.  The reduction leaves small dense kernels: the tail-block
-Cholesky, the Schur complement and the signatures, at D <= 380 on the
-benchmark.  OpenBLAS's default of one thread per core makes them slower,
-and makes their last bits depend on the thread count: on a 2-core host,
-one seed-0 dirichlet_cli op set took 1.64 s at 2 threads and 1.03 s at
-one (self times: ``index_full`` 264 -> 103 ms, tail solves 260 -> 160 ms,
-Schur complements 104 -> 46 ms), and 27 artifact files of its six refined
-2-D Dirichlet solves differed between the two counts.  So every numerical
-entry point (``reduction.solve_system``, the three ``morse`` indices and
-the CLI's solve and index commands) runs under ``single_blas_thread``.
-On entry it calls ``openblas_set_num_threads_local(1)`` (OpenBLAS
->= 0.3.27) in the OpenBLAS of numpy (matmul, eigvalsh) and of scipy
-(dpotrf, dpotrs); on exit, normal or by an exception, it hands each the
-count its call returned, in reverse order, so a library that both load
-ends at the caller's count.  The setters are found once
-per process, on first entry, by dlsym on the handles of the two
-extension modules (numpy's core and ``scipy.linalg._flapack``, which
-``fourier.scipy_extension`` has registered, so finding it runs no
-``scipy.linalg`` package code); without them (another BLAS, an older
-OpenBLAS) the pin does nothing.  The count is thread-local only in OpenMP
-builds of OpenBLAS; the pthreads builds that numpy and scipy wheels ship
-hold one count for the process, so scopes nest by a process-wide depth:
-the first to enter sets the count and the last to leave restores it, and
-other threads' BLAS calls run on one thread meanwhile.
+One BLAS thread.  The reduction leaves small dense kernels (the tail-block
+Cholesky, the Schur complement, the signatures; D <= 380 on the
+benchmark), which OpenBLAS's default of one thread per core makes slower
+and leaves with last bits that depend on the thread count (measured in the
+README, "Determinism").  So every numerical entry point
+(``reduction.solve_system``, the three ``morse`` indices and the CLI's
+solve and index commands) runs under ``single_blas_thread``.  On entry it
+calls ``openblas_set_num_threads_local(1)`` (OpenBLAS >= 0.3.27) in the
+OpenBLAS of numpy (matmul, eigvalsh) and of scipy (dpotrf, dpotrs); on
+exit, normal or by an exception, it hands each the count its call
+returned, in reverse order, so a library that both load ends at the
+caller's count.  The setters are found once per process, on first entry,
+by dlsym on the handles of the two extension modules (numpy's core and
+``scipy.linalg._flapack``, which ``fourier.scipy_extension`` has
+registered, so finding it runs no ``scipy.linalg`` package code); without
+them (another BLAS, an older OpenBLAS) the pin does nothing.  The count is
+thread-local only in OpenMP builds of OpenBLAS; the pthreads builds that
+numpy and scipy wheels ship hold one count for the process, so scopes nest
+by a process-wide depth: the first to enter sets the count and the last to
+leave restores it, and other threads' BLAS calls run on one thread
+meanwhile.
 """
 
 from __future__ import annotations
@@ -217,6 +215,38 @@ class TailStats:
     rejected: bool = False  # stopped by the certified rejection test
     residuals: list = field(default_factory=list)
     increments: list = field(default_factory=list)  # H1 sizes of Picard steps
+
+
+@dataclass(frozen=True)
+class HessianBlocks:
+    """Second-variation matrix partitioned at mode N into head/tail blocks.
+
+    ``A`` is the head block (nN x nN), ``D`` the tail block, ``B`` couples
+    head rows to tail columns; the full matrix is [[A, B], [B^T, D]].
+    """
+
+    N: int
+    M: int
+    n: int
+    A: np.ndarray
+    B: np.ndarray
+    D: np.ndarray
+    metric: str = "l2_coeff"  # 'l2_coeff' | 'h1_coeff'
+
+    def full(self) -> np.ndarray:
+        return np.block([[self.A, self.B], [self.B.T, self.D]])
+
+    def to_h1(self, T: float) -> "HessianBlocks":
+        """Congruence by the positive diagonal mapping to H1-orthonormal modes."""
+        if self.metric == "h1_coeff":
+            return self
+        eig = np.repeat(mode_eigenvalues(T, self.M), self.n)
+        scale = 1.0 / np.sqrt(eig)
+        hd = self.N * self.n
+        K = self.full() * scale[:, None] * scale[None, :]
+        return HessianBlocks(self.N, self.M, self.n,
+                             A=K[:hd, :hd], B=K[:hd, hd:], D=K[hd:, hd:],
+                             metric="h1_coeff")
 
 
 @dataclass
@@ -542,6 +572,60 @@ def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+class ReducedPoint:
+    """The reduced function f(u) = L(u + v(u)) at one head u: ``c`` = (u, v),
+    flat, ``u`` and ``v`` views of it, and ``tail`` the TailStats of the solve
+    that gave v (None for a given c).  The system's ``residual`` at c, its
+    head block ``gradient`` (the gradient of f), their norms ``head_residual``
+    and ``tail_residual`` (``tail_residual_norm``), the Hessian ``blocks``,
+    their Schur complement ``schur`` (the Hessian of f) and ``value`` (f) are
+    each computed once, on first read, through the system's memo: read while
+    the memo still holds c, right after the tail solve, they evaluate no new
+    state."""
+
+    def __init__(self, system, head_dim: int, c: np.ndarray, tail: TailStats | None = None):
+        self.system, self.head_dim, self.tail = system, head_dim, tail
+        self.c = np.asarray(c, dtype=float)
+        self.u, self.v = self.c[:head_dim], self.c[head_dim:]
+
+    @classmethod
+    def solve(cls, system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = None,
+              **options) -> "ReducedPoint":
+        """The point at the flat head u, its tail by ``solve_tail(..., v0=v0, **options)``."""
+        v, tail = solve_tail(system, head_dim, u, v0=v0, **options)
+        return cls(system, head_dim, np.concatenate([u, v]), tail)
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        return self.system.residual(self.c)
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return self.residual[:self.head_dim]
+
+    @cached_property
+    def head_residual(self) -> float:
+        return head_residual_norm(self.residual, self.head_dim)
+
+    @cached_property
+    def tail_residual(self) -> float:
+        return tail_residual_norm(self.system, self.residual, self.head_dim)
+
+    @cached_property
+    def blocks(self) -> HessianBlocks:
+        K, h, n = self.system.hessian_matrix(self.c), self.head_dim, self.system.n
+        return HessianBlocks(N=h // n, M=len(self.system.eigenvalues) // n, n=n,
+                             A=K[:h, :h], B=K[:h, h:], D=K[h:, h:])
+
+    @cached_property
+    def schur(self) -> np.ndarray:
+        return schur_matrix(self.blocks.A, self.blocks.B, self.blocks.D)
+
+    @cached_property
+    def value(self) -> float:
+        return self.system.action(self.c)
+
+
 def rejection_slope(system, head_dim: int, c_bound: float) -> float | None:
     """kappa = C / (mu sqrt(lam_t)), the certified rate at which |r_head| can
     move per unit of tail residual: | |r_head(v)| - |r_head(v*)| | <= kappa res(v).
@@ -561,62 +645,47 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
                    tail_method: str = "newton", max_iter: int = 60,
                    c_bound: float | None = None,
                    v0: np.ndarray | None = None) -> ReducedResult:
-    """Damped Newton on the reduced gradient, Jacobian = Schur complement.
+    """Damped Newton on the gradient of f, Jacobian = its Schur complement.
 
-    The first tail solve, at u0, starts from the tail ``v0`` (zero when
-    None); every later one starts from the tail of the current iterate.
-    A refined level passes the coarse root's tail, padded with zeros
-    (``reduction._refine_root``): it is v(u0) to within truncation error.
-    A line search that halves its step LINE_SEARCH_HALVINGS times ends it,
-    and so does a tail block that is not positive definite (a
-    TruncationError of a tail Newton step or of the Schur complement): that
-    failure stays with this seed, with the block's smallest eigenvalue as
+    Every iterate and every line-search trial is a ReducedPoint, one tail
+    solve each, the first from the tail ``v0`` (zero when None; a refined
+    level passes the coarse root's tail padded with zeros) and every later
+    one from the tail of the current iterate.  A line search that halves its
+    step LINE_SEARCH_HALVINGS times ends the solve, and so does a tail block
+    that is not positive definite (a TruncationError of a tail Newton step or
+    of the Schur complement), with the block's smallest eigenvalue as
     ``tail_min_eigenvalue`` and the steps of the tail solve it stopped
-    counted.  Every way out of the loop builds the one result from the last
-    iterate, with the ``reason`` it stopped unconverged.
-
-    With a certified curvature bound ``c_bound`` the line search stops the
-    tail solve of a trial as soon as the rejection test of ``solve_tail``
-    proves the trial will be rejected; iterates, roots and histories are
-    the same as without it, only tail iterations are saved.
+    counted.  Every way out builds the one result from the last iterate,
+    with the ``reason`` it stopped unconverged.  With a certified
+    ``c_bound`` the line search screens trials by the rejection test of
+    ``solve_tail``: the iterates are the same, only tail iterations are saved.
     """
     kappa = None if c_bound is None else rejection_slope(system, head_dim, c_bound)
+    options = dict(tol=tail_tol, method=tail_method)
     u = np.array(u0, dtype=float)
     v = np.zeros(len(system.eigenvalues) - head_dim) if v0 is None else v0
-    history = []
-    tail_total = fallbacks = rejected = 0
+    history, tails = [], []  # tails: the TailStats of every tail solve
     converged, reason, margin = False, "", None
     try:
         for it in range(max_iter + 1):
-            v, tstats = solve_tail(system, head_dim, u, v0=v, tol=tail_tol, method=tail_method)
-            tail_total += tstats.iterations
-            fallbacks += tstats.fallbacks
-            c = np.concatenate([u, v])
-            r = system.residual(c)
-            hnorm = head_residual_norm(r, head_dim)
-            history.append(hnorm)
-            converged = hnorm <= head_tol and tstats.converged
+            point = ReducedPoint.solve(system, head_dim, u, v, **options)
+            v = point.v
+            tails.append(point.tail)
+            history.append(point.head_residual)
+            converged = point.head_residual <= head_tol and point.tail.converged
             if converged or head_dim == 0 or it == max_iter:
                 reason = ("" if converged else "tail_not_converged" if head_dim == 0
                           else "iteration_cap")
                 break
-            K = system.hessian_matrix(c)
-            S = schur_matrix(K[:head_dim, :head_dim], K[:head_dim, head_dim:],
-                             K[head_dim:, head_dim:])
-            step = np.linalg.solve(S, r[:head_dim])
-            reject = None if kappa is None else (hnorm, kappa)
+            step = np.linalg.solve(point.schur, point.gradient)
+            reject = None if kappa is None else (point.head_residual, kappa)
             lam = 1.0
             for _ in range(LINE_SEARCH_HALVINGS + 1):
-                u_try = u - lam * step
-                v_try, ts = solve_tail(system, head_dim, u_try, v0=v, tol=tail_tol,
-                                       method=tail_method, reject=reject)
-                tail_total += ts.iterations
-                fallbacks += ts.fallbacks
-                if ts.rejected:
-                    rejected += 1
-                elif head_residual_norm(system.residual(np.concatenate([u_try, v_try])),
-                                        head_dim) < hnorm:
-                    u, v = u_try, v_try
+                trial = ReducedPoint.solve(system, head_dim, u - lam * step, v, reject=reject,
+                                           **options)
+                tails.append(trial.tail)
+                if not trial.tail.rejected and trial.head_residual < point.head_residual:
+                    u, v = trial.u, trial.v
                     break
                 lam *= 0.5
             else:
@@ -625,13 +694,13 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     except TruncationError as exc:
         reason, margin = "tail_not_positive_definite", exc.smallest
         if exc.tail is not None:
-            tail_total += exc.tail.iterations
-            fallbacks += exc.tail.fallbacks
-    c = np.concatenate([u, v])
-    r = system.residual(c)
-    return ReducedResult(u, v, converged, it,
-                         head_residual_norm(r, head_dim), tail_residual_norm(system, r, head_dim),
-                         history, tail_total, rejected_trials=rejected, tail_fallbacks=fallbacks,
+            tails.append(exc.tail)
+    # (u, v) is the last iterate, or the accepted trial whose re-solve raised
+    end = ReducedPoint(system, head_dim, np.concatenate([u, v]))
+    return ReducedResult(u, v, converged, it, end.head_residual, end.tail_residual, history,
+                         sum(t.iterations for t in tails),
+                         rejected_trials=sum(t.rejected for t in tails),
+                         tail_fallbacks=sum(t.fallbacks for t in tails),
                          reason=reason, tail_min_eigenvalue=margin)
 
 

@@ -11,13 +11,11 @@ replacing (pi k / T)^2: the head collects the modes with lambda <= C, the
 tail constant is mu = 1 - C / lambda_{N+1}, and the reduced Hessian is the
 Schur complement of the tail block.  Dimensions m in {1, 2} are supported.
 
-DirichletSystem only constructs a ``core.GalerkinSystem``: the grid of its
-mode list (a field is the m-axis case of fourier.SineGrid with one
-component, and P_i >= 2 kbox_i + 1 on every axis), the eigenvalues, and
-V'(0) with its exact coefficients as the boundary part of V'; a field has
-no drift and no boundary kinetic energy.  So solves run through the same
-solve loop as mechanical problems (``reduction.solve_system``), and in 1-D
-the system is the n = 1 mechanical system with zero endpoints.
+DirichletSystem only builds the data of a ``core.GalerkinSystem``: the
+m-axis SineGrid of its mode list with one component (P_i >= 2 kbox_i + 1),
+the eigenvalues, and V'(0) as the boundary part of V', with no drift.  So
+solves run through ``reduction.solve_system`` as mechanical ones do, and in
+1-D the system is the n = 1 mechanical system with zero endpoints.
 """
 
 from __future__ import annotations

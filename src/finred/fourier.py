@@ -12,21 +12,15 @@ fields on rectangles (m axes, one component); its docstring states the
 DST-I scaling, the grid rule and the Toeplitz-minus-Hankel identity.
 
 The transform is finred's own ``dst``: scipy's pocketfft DST-I kernel,
-called as ``scipy.fftpack.dst`` calls it and giving the same bits,
-without the argument handling and backend dispatch of scipy's wrappers,
-which are a large part of a call on small grids (about 3 us a call
-against 5-7 us through ``scipy.fftpack.dst``), and an op set makes
-thousands of such calls.  Synthesis zero-pads through the transform's
-``n=P``.
-
+called as ``scipy.fftpack.dst`` calls it and giving the same bits, without
+the argument handling and dispatch of scipy's wrappers (half or more of a
+call on small grids).  Synthesis zero-pads through the transform's ``n=P``.
 The kernel, and core's LAPACK ``dpotrf``/``dpotrs``, are compiled scipy
 modules loaded from their own files by ``scipy_extension``, so that
 ``import finred`` does not run the ``__init__`` of ``scipy.fft`` and
-``scipy.linalg``: those import ``scipy.special`` and scipy's array-API
-layer, which imports ``numpy.f2py``, ``numpy.testing`` and more, about
-0.45 s of a 0.45-0.65 s ``import finred`` on a 2-core host (numpy 2.4,
-scipy 1.17), for two kernels.  The modules are the ones a later ``import
-scipy.linalg`` or ``import scipy.fft`` uses.
+``scipy.linalg`` (about 0.45 s, see the README's "Dependencies"); a later
+import of either package reuses the modules and binds them as its
+attributes (``_BindOnImport``).
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ __all__ = [
     "SinePath",
     "SineGrid",
     "BoundaryProblem",
-    "zero_path",
     "grid_points",
     "mode_eigenvalues",
     "affine_embed",
@@ -77,17 +70,38 @@ def scipy_extension(name: str):
         return module
     import scipy
 
-    package = name.split(".")[1:-1]
-    finder = machinery.FileFinder(os.path.join(scipy.__path__[0], *package),
+    package, _, attr = name.rpartition(".")
+    finder = machinery.FileFinder(os.path.join(scipy.__path__[0], *package.split(".")[1:]),
                                   (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
     if spec is None:
         return importlib.import_module(name)
     module = sys.modules[name] = util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    _BindOnImport.children[package] = attr, module
     return module
 
 
+class _BindOnImport:
+    """``sys.meta_path`` finder: a package imported after ``scipy_extension``
+    registered a child of it gets the child as its attribute once its
+    ``__init__`` has run, as an import that loads the child would bind it."""
+
+    children: dict = {}  # package name -> (attribute, module)
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        child = cls.children.pop(name, None)
+        spec = None if child is None else machinery.PathFinder.find_spec(name, path, target)
+        if spec is not None:
+            def exec_module(module, run=spec.loader.exec_module):
+                run(module)
+                setattr(module, *child)
+            spec.loader.exec_module = exec_module
+        return spec
+
+
+sys.meta_path.insert(0, _BindOnImport)
 _pocketfft = scipy_extension("scipy.fft._pocketfft.pypocketfft")
 
 
@@ -166,10 +180,6 @@ class SinePath:
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-
-def zero_path(T: float, M: int, n: int) -> SinePath:
-    return SinePath(T, np.zeros((M, n)))
 
 
 @dataclass(frozen=True)

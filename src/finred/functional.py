@@ -14,48 +14,12 @@ free (V = 0) operator is the diagonal (pi k/T)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import MechanicalSystem
-from .fourier import BoundaryProblem, SinePath, mode_eigenvalues
+from .core import HessianBlocks, MechanicalSystem, ReducedPoint
+from .fourier import BoundaryProblem, SinePath
 
 __all__ = ["HessianBlocks", "action_value", "blocks_at", "gradient", "hessian_blocks"]
-
-
-@dataclass(frozen=True)
-class HessianBlocks:
-    """Second-variation matrix partitioned at mode N into head/tail blocks.
-
-    ``A`` is the head block (nN x nN), ``D`` the tail block, ``B`` couples
-    head rows to tail columns; the full matrix is [[A, B], [B^T, D]].
-    """
-
-    N: int
-    M: int
-    n: int
-    A: np.ndarray
-    B: np.ndarray
-    D: np.ndarray
-    metric: str = "l2_coeff"  # 'l2_coeff' | 'h1_coeff'
-
-    def full(self) -> np.ndarray:
-        top = np.hstack([self.A, self.B])
-        bottom = np.hstack([self.B.T, self.D])
-        return np.vstack([top, bottom])
-
-    def to_h1(self, T: float) -> "HessianBlocks":
-        """Congruence by the positive diagonal mapping to H1-orthonormal modes."""
-        if self.metric == "h1_coeff":
-            return self
-        eig = np.repeat(mode_eigenvalues(T, self.M), self.n)
-        scale = 1.0 / np.sqrt(eig)
-        hd = self.N * self.n
-        K = self.full() * scale[:, None] * scale[None, :]
-        return HessianBlocks(self.N, self.M, self.n,
-                             A=K[:hd, :hd], B=K[:hd, hd:], D=K[hd:, hd:],
-                             metric="h1_coeff")
 
 
 def action_value(bp: BoundaryProblem, c: SinePath, quad_points: int | None = None) -> float:
@@ -83,11 +47,7 @@ def gradient(bp: BoundaryProblem, c: SinePath, convention: str = "euler_lagrange
 
 def blocks_at(system, head_dim: int, c: np.ndarray) -> HessianBlocks:
     """Head/tail blocks of a system's Hessian at coefficients c, head = first head_dim entries."""
-    K = system.hessian_matrix(c)
-    n = system.n
-    return HessianBlocks(N=head_dim // n, M=len(system.eigenvalues) // n, n=n,
-                         A=K[:head_dim, :head_dim], B=K[:head_dim, head_dim:],
-                         D=K[head_dim:, head_dim:])
+    return ReducedPoint(system, head_dim, c).blocks
 
 
 def hessian_blocks(bp: BoundaryProblem, c: SinePath, N: int,

@@ -13,22 +13,11 @@ Eigenvalues within theta = 1e-8 (1 + ||matrix||) of zero count as null;
 degenerate cases are flagged through a positive nullity rather than
 silently classified.
 
-The Jacobi oracle integrates Y = [J; J'] with fixed-step classical RK4.
-Because Y' = A(t) Y is linear, each step is one 2n x 2n transfer matrix
-built from V'' at the step's start, midpoint and end; all of them are
-built in one batched pass.  They are applied in blocks of about
-sqrt(steps) steps: the block products and the states inside the blocks
-are batched matmuls over all blocks, so the propagation takes O(sqrt(steps))
-numpy calls, not one per step, and only the block-start states round
-differently from stepping in sequence (``_propagate``).  The RK4 half-grid
-t_j = j T / (2 steps) is the DST-I grid with P + 1 = 2 steps, so the path
-is sampled there by one transform (on a grid r times finer when the path
-has M >= steps modes).  The node states [J; J'] fix a cubic Hermite model
-of J on every step, held as its four coefficient matrices, and everything
-between nodes is read off it: each zero of det J is located on the model,
-and J there gives the rank drop that counts the conjugate point (singular
-values below JACOBI_RANK_TOL max ||J||).  So V'' is sampled once per call
-and nothing is integrated twice.
+The Jacobi oracle (``index_jacobi``) integrates Y = [J; J'] by fixed-step
+classical RK4 as one batched product of 2n x 2n transfer matrices, from
+V'' sampled once by one transform, and reads every zero of det J and its
+rank drop off a cubic Hermite model of J between nodes, so nothing is
+integrated twice.
 """
 
 from __future__ import annotations
@@ -37,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import schur_matrix, single_blas_thread
+from .core import HessianBlocks, schur_matrix, single_blas_thread
 from .fourier import BoundaryProblem, SineGrid, SinePath
-from .functional import HessianBlocks
 
 __all__ = ["IndexReport", "reduced_hessian", "index_schur", "index_full", "index_jacobi"]
 

@@ -85,10 +85,6 @@ class Potential:
     def certified(self) -> bool:
         return self.c_source in ("exact", "user_supplied") and not self.unbounded_warning
 
-    def is_linear(self) -> bool:
-        """True when V'' vanishes identically (certified c_bound == 0)."""
-        return self.c_bound == 0.0 and self.certified
-
 
 def _as_points(q: np.ndarray, dim: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)

@@ -15,11 +15,12 @@ gradient.  The reduced Hessian used as the Newton Jacobian is the Schur
 complement of the tail block and carries the full Morse data.
 
 The multistart -> dedup -> refine -> report pipeline (``solve_system``) is
-shared by the mechanical and the Dirichlet problem.  It works against the
-system surface documented in ``core``: ``eigenvalues``, ``n``,
-``residual``, ``hessian_matrix``, ``action``, ``refined`` and ``embed``.
-``solve_reduced`` and ``dirichlet.solve_dirichlet`` are thin front ends
-that build their system, pick their default radius and call it.
+shared by the mechanical and the Dirichlet problem.  It works against
+``core.ReducedPoint``, f at a head with its gradient and Schur complement,
+and the system's ``n``, ``refined`` and ``embed``.  ``solve_reduced`` and
+``dirichlet.solve_dirichlet`` build their system, pick their default radius
+and call it; ``solve_tail``, ``reduced_gradient`` and
+``reduced_hessian_matrix`` read one point on the plan's system.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 from . import core
 from .core import MechanicalSystem, TailStats
 from .fourier import BoundaryProblem, SinePath
-from .functional import blocks_at
-from .morse import index_full, index_schur, reduced_hessian
+from .morse import index_full, index_schur
 
 __all__ = [
     "ReductionPlan",
@@ -127,14 +127,6 @@ class SolutionReport:
         return self.path
 
 
-def cutoff_formula(C: float, T: float) -> int:
-    return int(math.floor(T * math.sqrt(C) / math.pi))
-
-
-def monotonicity_constant(C: float, T: float, N: int) -> float:
-    return 1.0 - C * T * T / (math.pi * (N + 1)) ** 2
-
-
 def curvature_bound(pot, allow_uncertified: bool) -> float:
     """The potential's bound C; it must be finite, and certified unless opted out.
 
@@ -172,12 +164,12 @@ def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None
     """
     pot = bp.potential
     C = curvature_bound(pot, allow_uncertified)
-    n_min = cutoff_formula(C, bp.T)
+    n_min = int(math.floor(bp.T * math.sqrt(C) / math.pi))
     if N is None:
         N = n_min
     elif N < n_min:
         raise ValueError(f"cutoff override {N} is below the certified minimum {n_min}")
-    mu = monotonicity_constant(C, bp.T, N)
+    mu = 1.0 - C * bp.T * bp.T / (math.pi * (N + 1)) ** 2
     if M is None:
         M = max(2 * N + 8, 32)
     if quad_points is None:
@@ -214,17 +206,15 @@ def fixed_point_cutoff(c_tilde: float, T: float) -> int:
     return hi
 
 
-def _tail_at(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
-             v0: SinePath | None = None, method: str = "newton"):
-    """The plan's system, its head size, u + v(u) as flat coefficients and the
-    tail solve's stats, the solve starting from the tail of v0 when given."""
+def _plan_point(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
+                v0: SinePath | None = None, method: str = "newton") -> core.ReducedPoint:
+    """The reduced function at head u on the plan's system, its tail solved
+    to plan.tail_tol from the tail of v0 when given."""
     system = MechanicalSystem(bp, plan.M, plan.quad_points)
     head_dim = plan.N * system.n
     u = np.asarray(u, dtype=float).reshape(head_dim)
     v_start = None if v0 is None else system.flatten(v0.coeffs)[head_dim:]
-    v, stats = core.solve_tail(system, head_dim, u, v0=v_start,
-                               tol=plan.tail_tol, method=method)
-    return system, head_dim, np.concatenate([u, v]), stats
+    return core.ReducedPoint.solve(system, head_dim, u, v_start, tol=plan.tail_tol, method=method)
 
 
 def solve_tail(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
@@ -235,27 +225,25 @@ def solve_tail(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
     does not decrease the residual) is the default; ``method="picard"``
     runs the bare contraction.
     """
-    system, head_dim, c, stats = _tail_at(bp, plan, u, v0, method)
-    c[:head_dim] = 0.0
-    return system.embed(c), stats
+    point = _plan_point(bp, plan, u, v0, method)
+    return point.system.embed(np.concatenate([np.zeros(point.head_dim), point.v])), point.tail
 
 
 def reduced_gradient(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
                      method: str = "newton") -> np.ndarray:
     """Head block of the stationarity residual at u + v(u), L2 convention."""
-    system, head_dim, c, stats = _tail_at(bp, plan, u, method=method)
-    if not stats.converged:
+    point = _plan_point(bp, plan, u, method=method)
+    if not point.tail.converged:
         raise RuntimeError(
             f"tail solve did not reach tolerance {plan.tail_tol} "
-            f"(best residual {stats.residuals[-1]:.3e})")
-    return system.residual(c)[:head_dim].copy()  # the residual is the memo's, read-only
+            f"(best residual {point.tail.residuals[-1]:.3e})")
+    return point.gradient.copy()  # the residual is the memo's, read-only
 
 
 def reduced_hessian_matrix(bp: BoundaryProblem, plan: ReductionPlan,
                            u: np.ndarray) -> np.ndarray:
     """Schur complement of the tail block at u + v(u) (the reduced Hessian)."""
-    system, head_dim, c, _ = _tail_at(bp, plan, u)
-    return reduced_hessian(blocks_at(system, head_dim, c))
+    return _plan_point(bp, plan, u).schur
 
 
 def default_radius(bp: BoundaryProblem) -> float:
@@ -295,21 +283,15 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
     the certification flag.  Without explicit ``seeds`` the origin plus
     ``count - 1`` points uniform in the ``radius`` ball are drawn from
     ``seed``; the radius must be finite and positive.  Seeds are solved in
-    order; converged roots are deduplicated on head distance, and with
-    ``refine=True`` each is re-solved on ``system.refined()`` until its
-    head moves by at most 1e-7 (at most MAX_REFINEMENTS times), starting
-    from the root one level down with its tail padded by zeros
-    (``core.reduced_newton``'s ``v0``); each refinement level is built
-    once per solve and shared by the roots.  Reports are sorted by action
-    value, then lexicographic head (to DEDUP_TOL) among actions that agree
-    to ACTION_TIE_RTOL (``order_reports``).  With a certified plan the
-    line search screens trials with the tail certificate
-    (``core.solve_tail``); the roots are the same either way.  A seed that
-    fails (a tail block that is not positive definite included) stops with
-    its ``reason`` and leaves the other seeds as they were; a refinement
-    level that fails keeps the root at the level below.  When a list is
-    passed as ``seed_records`` it receives the raw per-seed solve results
-    in seed order (for convergence logging).
+    order; converged roots are deduplicated on head distance, with
+    ``refine=True`` re-solved on refined systems (``_refine_root``), and
+    sorted (``order_reports``).  With a certified plan the line search
+    screens trials with the tail certificate (``core.solve_tail``); the
+    roots are the same either way.  A seed that fails (a tail block that is
+    not positive definite included) stops with its ``reason`` and leaves the
+    other seeds as they were.  When a list is passed as ``seed_records`` it
+    receives the raw per-seed solve results in seed order (for convergence
+    logging).
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"multistart radius must be a positive real, got {radius}")
@@ -370,13 +352,12 @@ def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, ref
     res, drift = root, None
     if refine:
         system, res, drift = _refine_root(levels, head_dim, root, newton)
-    c = np.concatenate([res.u, res.v])
-    blocks = blocks_at(system, head_dim, c)
-    idx = index_schur(blocks)
+    point = core.ReducedPoint(system, head_dim, np.concatenate([res.u, res.v]))
+    idx = index_schur(point.blocks)
     return SolutionReport(
         head=res.u.copy(),
-        path=system.embed(c),
-        action=system.action(c),
+        path=system.embed(point.c),
+        action=point.value,
         head_residual=res.head_residual,
         tail_residual=res.tail_residual,
         index=idx.index,
@@ -385,7 +366,7 @@ def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, ref
         converged=res.converged,
         newton_iterations=res.iterations,
         tail_iterations=res.tail_iterations,
-        oracle_index=index_full(blocks).index if with_oracles else None,
+        oracle_index=index_full(point.blocks).index if with_oracles else None,
         seed_index=root.seed_index,  # the refined result carries no seed
         truncation_drift=drift,
         residual_history=list(res.head_history),
@@ -394,7 +375,8 @@ def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, ref
 
 def _refine_root(levels: list, head_dim: int, res: core.ReducedResult, newton: dict):
     """Refine the system until the re-solved head moves less than the drift
-    tolerance, at most MAX_REFINEMENTS times.
+    tolerance, at most MAX_REFINEMENTS times; a level whose solve does not
+    converge leaves the root at the level below.
 
     ``levels[j]`` is the system refined j times; a level is built (and
     appended) when a root first needs it, so each is built once per solve.

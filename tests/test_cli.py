@@ -456,7 +456,10 @@ def test_kernels_are_scipys_in_either_import_order(first):
         "assert core.dpotrs is scipy.linalg.lapack.dpotrs\n"
         f"assert core._flapack is sys.modules[{FLAPACK!r}]\n"
         f"assert fourier._pocketfft is sys.modules[{POCKETFFT!r}]\n"
-        "assert fourier._pocketfft is scipy.fft._pocketfft.realtransforms.pfft\n")
+        "assert fourier._pocketfft is scipy.fft._pocketfft.realtransforms.pfft\n"
+        # the package attributes, bound after the packages' import in either order
+        "assert scipy.linalg._flapack is core._flapack\n"
+        "assert scipy.fft._pocketfft.pypocketfft is fourier._pocketfft\n")
     _python(script)
 
 

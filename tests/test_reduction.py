@@ -1,8 +1,10 @@
 """Plan formulas, tail solvers, reduced system, multistart behavior."""
 
 import dataclasses
+import inspect
 import logging
 import math
+import re
 from functools import cache
 from types import SimpleNamespace
 
@@ -438,6 +440,44 @@ def test_unconverged_results_name_their_reason():
     assert mplan.N == 0
     empty = core.reduced_newton(MechanicalSystem(bp, mplan.M), 0, np.zeros(0), tail_tol=1e-30)
     assert (empty.converged, empty.reason) == (False, "tail_not_converged")
+
+
+def test_newton_calls_one_tail_solve_per_point_and_one_schur_per_step(monkeypatch):
+    # the benchmark's tracer counts these calls and derives the line-search halvings
+    # from them: one tail solve at each iterate (I; after an accepted trial the memo
+    # holds the trial's state, so no tail step), one per trial (T), one Schur
+    # complement per Newton step (S); it reads the iteration cap from the signature
+    assert inspect.signature(core.reduced_newton).parameters["max_iter"].default == 60
+    dom, pot, plan, seeds = stalled_dirichlet()
+    system = DirichletSystem(dom, pot, plan)
+    solve_tail_, schur_matrix_, events, iterate_steps = core.solve_tail, core.schur_matrix, [], []
+
+    def counted_tail(*args, **kwargs):
+        v, stats = solve_tail_(*args, **kwargs)
+        trial = "reject" in kwargs  # a line-search trial passes the tail screen
+        events.append("T" if trial else "I")
+        if not trial:
+            iterate_steps.append(stats.iterations)
+        return v, stats
+
+    def counted_schur(*args):
+        events.append("S")
+        return schur_matrix_(*args)
+
+    monkeypatch.setattr(core, "solve_tail", counted_tail)
+    monkeypatch.setattr(core, "schur_matrix", counted_schur)
+    exhausted = f"(IST+)*IST{{{core.LINE_SEARCH_HALVINGS + 1}}}"
+    for i, reason, pattern in ((2, "", "(IST+)*I"), (1, "line_search_exhausted", exhausted)):
+        events.clear()
+        iterate_steps.clear()
+        res = core.reduced_newton(system, plan.N, seeds[i], head_tol=plan.head_tol,
+                                  tail_tol=plan.tail_tol, c_bound=plan.c_bound)
+        assert (res.converged, res.reason) == (not reason, reason)
+        trace = "".join(events)
+        assert re.fullmatch(pattern, trace), trace
+        assert trace.count("I") == len(res.head_history) >= 2
+        assert trace.count("S") == len(res.head_history) - res.converged
+        assert iterate_steps[0] > 0 and not any(iterate_steps[1:])
 
 
 def test_refinement_records_drift():
