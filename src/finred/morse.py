@@ -15,9 +15,10 @@ silently classified.
 
 The Jacobi oracle (``index_jacobi``) integrates Y = [J; J'] by fixed-step
 classical RK4 as one batched product of 2n x 2n transfer matrices, from
-V'' sampled once by one transform, and reads every zero of det J and its
-rank drop off a cubic Hermite model of J between nodes, so nothing is
-integrated twice.
+V'' sampled once by one transform, and counts conjugate points as the
+winding of det(k J + iJ') over the nodes (k^2 bounds V''), the Maslov
+index against the vertical Lagrangian: no zero of det J is searched for,
+and a conjugate endpoint (an angle within JACOBI_ANGLE_TOL) is nullity.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .fourier import BoundaryProblem, SineGrid, SinePath
 __all__ = ["IndexReport", "reduced_hessian", "index_schur", "index_full", "index_jacobi"]
 
 NULL_THRESHOLD_SCALE = 1e-8
-JACOBI_RANK_TOL = 1e-7
+JACOBI_ANGLE_TOL = 1e-7
 JACOBI_DEFAULT_STEPS = 2048
 
 
@@ -74,113 +75,66 @@ def index_full(blocks: HessianBlocks) -> IndexReport:
 @single_blas_thread
 def index_jacobi(bp: BoundaryProblem, c: SinePath,
                  steps: int = JACOBI_DEFAULT_STEPS) -> IndexReport:
-    """Count conjugate points along the path by integrating the variation ODE.
+    """Count conjugate points along the path by the winding of det(k J + iJ').
 
     The state Y = [J; J'] obeys Y' = A(t) Y with A = [[0, I], [-V''(t), 0]],
     so one classical RK4 step of size h = T / steps is multiplication by a
     fixed 2n x 2n matrix (``_step_matrices``), built from V'' sampled once on
     the RK4 half-grid (``_half_grid_path``) and applied in blocks from
-    Y(0) = [0; I] (``_propagate``).  Between nodes J is the cubic Hermite
-    interpolant of the node states (``_hermite_cubic``), as accurate as the
-    RK4 nodes themselves.  Zeros of det J in (0, T) are located on it: each
-    sign change between nodes by 40 bisection steps on the cubic's
-    coefficients, and each near-zero dip of |det J| at the vertex of the
-    parabola through three nodes (vertex below 1e-6 max |det J|).  Sign
-    changes lie in distinct steps, so each counts as its own zero however
-    close to the next; a dip closer than 1.5 h to a counted zero merges
-    into it.  Each zero is weighted by the rank drop of the interpolated J
-    there (singular values below 1e-7 max ||J||).  Zeros within 0.75 h of
-    T are left to the endpoint check: a singular J(T) is reported as
-    nullity.  A path whose components or horizon differ from the
-    problem's is a ValueError.
+    Y(0) = [0; I] (``_propagate``).
+
+    The columns of Y, and so those of [X; J'] with X = k J, where
+    k^2 = max(1, greatest row sum of |V''|), span Lagrangian planes that
+    meet the vertical one at the same times.  U = (X + iJ')(X - iJ')^{-1}
+    is unitary, and J v = 0 exactly when -1 is an eigenvalue of U.  Write
+    its eigenvalues as -exp(-i phi_k).  At t = 0 every phi_k is 0, and a
+    conjugate time is a phi_k passing a multiple of 2 pi.  The sum
+    Psi = sum phi_k = n pi - 2 arg det(X + iJ') is read at every node,
+    unwrapped from the first step, where it takes its small positive
+    branch.  The Legendre condition (the kinetic term is the identity)
+    makes every passage upward (Duistermaat 1976; Robbin and Salamon
+    1993), so each conjugate point counts once with its multiplicity,
+    however close to the next and whether or not det J changes sign.  At T the phases mod 2 pi are
+    r_k = 2 atan(w_k), w_k the eigenvalues of the symmetric X(T) J'(T)^{-1},
+    and the index is (Psi(T) - sum r_k) / 2 pi, rounded.  A phase within
+    JACOBI_ANGLE_TOL of 0 mod 2 pi is a conjugate endpoint: it counts as
+    nullity, and as not yet passed (r_k + 2 pi when r_k is just above 0).
+    The margin ``min_abs_eigenvalue`` is the least angle between an
+    eigenvalue of U(T) and -1.  The unwrap needs Psi to turn by less than
+    pi per step: as k^2 bounds V'', each phi_k turns by at most 2 k h, so
+    n k h < pi / 2 (4n steps per period 2 pi / k) suffices.  A path whose
+    components or horizon differ from the problem's is a ValueError.
     """
-    points, end_sv, J_scale = _conjugate_points(bp, c, steps)
-    margin = float(end_sv[-1] / J_scale) if J_scale > 0.0 else np.inf
-    return IndexReport(sum(mult for _, mult in points), int(_rank_drop(end_sv, J_scale)),
-                       "jacobi_oracle", margin)
+    return _winding_count(_jacobi_states(bp, c, steps))
 
 
-def _conjugate_points(bp: BoundaryProblem, c: SinePath, steps: int):
-    """Interior conjugate points as (time, multiplicity) pairs in time order,
-    the singular values of J(T) and the size scale max ||J|| of J."""
+def _jacobi_states(bp: BoundaryProblem, c: SinePath, steps: int) -> np.ndarray:
+    """States Y_i = [k J; J'](i T / steps), shape (steps + 1, 2n, n)."""
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     bp.check_path(c)
-    steps = int(steps)
-    n, T = bp.n, bp.T
-    h = T / steps
+    steps, n = int(steps), bp.n
     hess_half = bp.potential.hess(_half_grid_path(bp, c, steps))  # (2 steps + 1, n, n)
-    Y0 = np.vstack([np.zeros((n, n)), np.eye(n)])  # [J(0); J'(0)]
-    Y = _propagate(_step_matrices(hess_half, h), Y0)
-    Js = Y[:, :n]
-
-    dets = np.linalg.det(Js)
-    det_scale = float(np.max(np.abs(dets)))
-    # size scale of J along the whole trajectory; rank drops are relative to it
-    J_scale = float(np.max(np.linalg.norm(Js, axis=(1, 2))))
-
-    i = np.arange(1, steps)
-    k = i[(dets[i] == 0.0) | (dets[i] * dets[i + 1] < 0.0)]
-    # bisection on s in [0, 1] for det J(t_k + s h) = 0, all sign changes at once;
-    # a zero at a node (dets[k] == 0) is kept at s = 0
-    cubic, left_det = _hermite_cubic(Y, k, h), dets[k]
-    lo, hi = np.zeros(k.size), np.ones(k.size)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        left = left_det * np.linalg.det(_horner(cubic, mid)) <= 0.0
-        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
-    candidates = [(k + 0.5 * (lo + hi)) * h]
-    # even-order touches: interior dips of |det| without sign change.  The
-    # grid may straddle the touch, so candidacy is judged on the vertex of
-    # the parabola through the three samples; the rank test downstream is
-    # what actually confirms a conjugate point.
-    if det_scale > 0.0:
-        i = np.arange(2, steps - 1)
-        prev, cur, nxt = dets[i - 1], dets[i], dets[i + 1]
-        dip = ((np.abs(cur) <= np.abs(prev)) & (np.abs(cur) < np.abs(nxt))
-               & (prev * cur > 0.0) & (cur * nxt > 0.0))
-        denom = nxt - 2.0 * cur + prev
-        flat = denom == 0.0
-        safe = np.where(flat, 1.0, denom)
-        shift = np.where(flat, 0.0, -0.5 * h * (nxt - prev) / safe)
-        vertex = np.where(flat, cur, cur - (nxt - prev) ** 2 / (8.0 * safe))
-        dip &= np.abs(vertex) < 1e-6 * det_scale
-        candidates.append(i[dip] * h + np.clip(shift[dip], -h, h))
-
-    times = np.concatenate(candidates)
-    crossing = np.arange(times.size) < len(candidates[0])
-    keep = times <= T - 0.75 * h  # later zeros belong to the endpoint check
-    times, crossing = times[keep], crossing[keep]
-    k = np.minimum(np.floor(times / h).astype(int), steps - 1)
-    # one SVD call for J at every candidate and at T
-    J_times = _horner(_hermite_cubic(Y, k, h), times / h - k)
-    sv = np.linalg.svd(np.concatenate([J_times, Js[-1:]]), compute_uv=False)
-    mult = _rank_drop(sv[:-1], J_scale)
-    zero, touch = crossing & (mult > 0), ~crossing & (mult > 0)
-    # each sign change lies in its own step, so it is its own zero; a touch
-    # closer than 1.5 h to a counted zero is that zero seen again
-    points = list(zip(times[zero].tolist(), mult[zero].tolist()))
-    for t_star, m in zip(times[touch].tolist(), mult[touch].tolist()):
-        if all(abs(t_star - t) >= 1.5 * h for t, _ in points):
-            points.append((t_star, m))
-    return sorted(points), sv[-1], J_scale
+    Y = _propagate(_step_matrices(hess_half, bp.T / steps),
+                   np.vstack([np.zeros((n, n)), np.eye(n)]))  # from [J(0); J'(0)]
+    Y[:, :n] *= np.sqrt(max(1.0, float(np.max(np.abs(hess_half).sum(axis=-1)))))
+    return Y
 
 
-def _hermite_cubic(Y: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
-    """Coefficients (c0, c1, c2, c3), shape (4, len(k), n, n), of the cubic
-    Hermite model J(t_k + s h) = ((c3 s + c2) s + c1) s + c0 that matches the
-    node states Y[k] = [J_k; J'_k] and Y[k + 1] at s = 0 and s = 1."""
+def _winding_count(Y: np.ndarray) -> IndexReport:
+    """Conjugate points in (0, T) and at T from the node states Y = [k J; J']."""
     n = Y.shape[-1]
-    a, b = Y[k], Y[k + 1]
-    J0, dJ0, J1, dJ1 = a[:, :n], h * a[:, n:], b[:, :n], h * b[:, n:]
-    jump = J1 - J0
-    return np.stack([J0, dJ0, 3.0 * jump - 2.0 * dJ0 - dJ1, dJ0 + dJ1 - 2.0 * jump])
-
-
-def _horner(cubic: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The cubic model at s (one value per model), shape (len(s), n, n)."""
-    s = s[:, None, None]
-    return ((cubic[3] * s + cubic[2]) * s + cubic[1]) * s + cubic[0]
+    J, dJ = Y[1:, :n], Y[1:, n:]
+    psi = np.unwrap(n * np.pi - 2.0 * np.angle(np.linalg.det(J + 1j * dJ)))
+    psi_T = psi[-1] - 2.0 * np.pi * np.round(psi[0] / (2.0 * np.pi))
+    # eigvalsh reads the lower triangle of (k J J'^{-1})^T, symmetric on a Lagrangian frame
+    r = np.mod(2.0 * np.arctan(np.linalg.eigvalsh(np.linalg.solve(dJ[-1].T, J[-1].T))),
+               2.0 * np.pi)
+    gap = np.minimum(r, 2.0 * np.pi - r)
+    null = gap <= JACOBI_ANGLE_TOL
+    r = np.where(null & (r < np.pi), r + 2.0 * np.pi, r)
+    index = int(np.round((psi_T - np.sum(r)) / (2.0 * np.pi)))
+    return IndexReport(index, int(np.sum(null)), "jacobi_oracle", float(np.min(gap)))
 
 
 def _half_grid_path(bp: BoundaryProblem, c: SinePath, steps: int) -> np.ndarray:
@@ -255,7 +209,3 @@ def _propagate(Phi: np.ndarray, Y0: np.ndarray) -> np.ndarray:
         Y[j + 1::L][:count] = Phi[j::L] @ Y[j::L][:count]
     return Y
 
-
-def _rank_drop(sv: np.ndarray, scale: float) -> np.ndarray:
-    """Singular values below JACOBI_RANK_TOL scale, counted along the last axis."""
-    return np.sum(sv < JACOBI_RANK_TOL * scale, axis=-1)

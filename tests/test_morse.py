@@ -11,8 +11,9 @@ from finred import (BoundaryProblem, HessianBlocks, SinePath, builtin_potential,
                     hessian_blocks, index_full, index_jacobi, index_schur,
                     make_plan, reduced_hessian, solve_reduced)
 from finred import morse
-from finred.core import TruncationError
+from finred.core import TruncationError, draw_seeds
 from finred.fourier import mode_eigenvalues
+from finred.reduction import DEFAULT_MULTISTART_SEED, default_radius
 
 
 def random_blocks(rng, head=4, tail=7, margin=0.3):
@@ -167,7 +168,25 @@ def test_jacobi_endpoint_degeneracy_warning():
     reports = solve_reduced(bp, plan, seeds=[np.zeros(plan.N)], refine=False)
     jac = index_jacobi(bp, reports[0].path)
     assert jac.nullity >= 1  # J(T) = sin(pi) = 0: conjugate endpoint
+    assert jac.index == 0  # ... and not a conjugate point inside (0, T)
     assert jac.min_abs_eigenvalue < 1e-6
+
+
+def test_jacobi_counts_two_conjugate_points_inside_one_step():
+    # a root of the coupled_chain workload's chain at a = 0.5, from the 37th seed of its
+    # multistart draw: two conjugate points near t = 3.242 lie inside one RK4 step, so
+    # det J touches zero there without a sign change
+    pot = builtin_potential("coupled_pendula", (1.0, 0.5), dim=4)
+    bp = BoundaryProblem(pot, 4.0, np.zeros(4), 0.5 * np.array([1.0, 1 / 3, -1 / 3, -1.0]))
+    plan = make_plan(bp)
+    seed = draw_seeds(plan.N * bp.n, 37, default_radius(bp), DEFAULT_MULTISTART_SEED)[36]
+    [rep] = solve_reduced(bp, plan, seeds=[seed], refine=False)
+    assert abs(rep.action - 14.0091734257) < 1e-8
+    assert (rep.index, rep.nullity) == (2, 0)
+    jac = index_jacobi(bp, rep.path)
+    assert (jac.index, jac.nullity) == (2, 0)
+    det = np.linalg.det(morse._jacobi_states(bp, rep.path, morse.JACOBI_DEFAULT_STEPS)[1:, :4])
+    assert np.all(np.sign(det) == np.sign(det[0]))
 
 
 def test_schur_jacobi_agree_on_pendulum_solutions(rng):
@@ -185,6 +204,39 @@ def test_schur_jacobi_agree_on_pendulum_solutions(rng):
             agreements += 1
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jacobi_equals_schur_and_full_on_chains_and_anisotropic_harmonics(rng, n):
+    checked = 0
+    for _ in range(3):
+        g, k = rng.uniform(0.3, 1.5), rng.uniform(0.1, 0.8)
+        pot = builtin_potential("coupled_pendula", (g, k), dim=n)
+        bp = BoundaryProblem(pot, rng.uniform(2.0, 5.0), np.zeros(n), rng.uniform(-1.0, 1.0, n))
+        for rep in solve_reduced(bp, make_plan(bp), count=3, refine=False, with_oracles=True):
+            if rep.nullity == 0:
+                assert index_jacobi(bp, rep.path).index == rep.index == rep.oracle_index
+                checked += 1
+    assert checked >= 3
+    # the zero path of distinct frequencies: index sum_i floor(omega_i T / pi), and at
+    # T just past (or before) a conjugate time, within either tolerance, nullity instead.
+    # The time is the lowest frequency's: at k pi / max(omega) the cutoff N sits on
+    # lambda_{N+1} = C, where the plan has mu = 0
+    for _ in range(3):
+        omega = rng.uniform(0.3, 2.5, n)
+        pot = builtin_potential("harmonic", tuple(omega), dim=n)
+        crossing = rng.integers(1, 3) * np.pi / np.min(omega) + rng.uniform(-1e-9, 1e-9)
+        for T, null in [(rng.uniform(1.0, 6.0), False), (crossing, True)]:
+            bp = BoundaryProblem(pot, T, np.zeros(n), np.zeros(n))
+            c = SinePath(T, np.zeros((make_plan(bp).M, n)))
+            blocks = hessian_blocks(bp, c, N=make_plan(bp).N)
+            reports = [index_schur(blocks), index_full(blocks), index_jacobi(bp, c)]
+            assert len({rep.index for rep in reports}) == 1
+            if null:
+                assert min(rep.nullity for rep in reports) >= 1
+            else:
+                assert reports[0].index == np.sum(np.floor(omega * T / np.pi))
+                assert max(rep.nullity for rep in reports) == 0
+
+
 @pytest.mark.parametrize("steps", [0, -4, 1, 2.5, True, "64"])
 def test_jacobi_rejects_bad_steps(steps):
     bp, rep = solve_one(builtin_potential("harmonic", (1.0,)), 3 * np.pi / 2, [0.0], [1.0])
@@ -199,14 +251,28 @@ def test_jacobi_accepts_numpy_integer_steps():
 
 @pytest.mark.parametrize("omega", [1.0, 2.0, 3.0])
 def test_jacobi_conjugate_times_of_harmonic(omega):
-    # J = sin(omega t) / omega: conjugate times k pi / omega, whatever the path
-    T = 3 * np.pi + 0.5
-    bp = BoundaryProblem(builtin_potential("harmonic", (omega,)), T, [0.0], [1.0])
-    points, _, _ = morse._conjugate_points(bp, SinePath(T, np.zeros((32, 1))),
-                                           morse.JACOBI_DEFAULT_STEPS)
-    expected = np.arange(1, int(omega * T / np.pi) + 1) * np.pi / omega
-    assert [mult for _, mult in points] == [1] * len(expected)
-    assert np.max(np.abs(np.array([t for t, _ in points]) - expected)) <= 1e-9 * T
+    # J = sin(omega t) / omega: conjugate times k pi / omega, whatever the path.  At
+    # offset 1e-3 the conjugate point lies within a step of T, yet inside (0, T)
+    for k in (1, 2, 3):
+        for offset in (-0.1, -1e-3, 1e-3, 0.1):
+            T = k * np.pi / omega + offset
+            bp = BoundaryProblem(builtin_potential("harmonic", (omega,)), T, [0.0], [1.0])
+            jac = index_jacobi(bp, SinePath(T, np.zeros((32, 1))))
+            assert (jac.index, jac.nullity) == (k - (offset < 0), 0), (k, offset)
+            assert jac.min_abs_eigenvalue > 1e-3
+
+
+@pytest.mark.parametrize("omega, T, steps", [(20.0, 20.0, 2048), (10.0, 10.0, 256),
+                                             ((20.0, 15.0, 9.0), 20.0, 2048)],
+                         ids=["omega20", "omega10-256-steps", "omega20-15-9"])
+def test_jacobi_counts_stiff_harmonic(omega, T, steps):
+    # omega h = 0.2 or 0.39: resolved by RK4, yet on [J; J'] a phase turns by up to
+    # 2 omega^2 h > pi in a step across a zero of J'; on [k J; J'], k = max omega, by 2 k h
+    omega = np.atleast_1d(omega)
+    bp = BoundaryProblem(builtin_potential("harmonic", tuple(omega)), T,
+                         np.zeros(omega.size), np.zeros(omega.size))
+    jac = index_jacobi(bp, SinePath(T, np.zeros((8, omega.size))), steps)
+    assert (jac.index, jac.nullity) == (int(np.sum(np.floor(omega * T / np.pi))), 0)
 
 
 @pytest.mark.parametrize("params, T, qT", [((1.0,), 3 * np.pi, [1.0]),  # sign changes
@@ -304,79 +370,22 @@ def propagate_reference(Phi, Y0):
     return Y
 
 
-def hermite_reference(Y, k, s, h):
-    """The cubic Hermite model in basis-function form, rebuilt from Y[k], Y[k + 1]."""
-    n = Y.shape[-1]
-    a, b = Y[k], Y[k + 1]
-    s = s[:, None, None]
-    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * a[:, :n] + h * s * (1.0 - s) ** 2 * a[:, n:]
-            + s * s * (3.0 - 2.0 * s) * b[:, :n] - h * s * s * (1.0 - s) * b[:, n:])
-
-
-def conjugate_points_reference(bp, c, steps):
-    """morse._conjugate_points computed by sequential propagation and the
-    40-round bisection on hermite_reference."""
-    n, T = bp.n, bp.T
-    h = T / steps
+def states_reference(bp, c, steps):
+    """morse._jacobi_states computed by sequential propagation: [k J; J'] at the nodes."""
+    n = bp.n
     hess_half = bp.potential.hess(morse._half_grid_path(bp, c, steps))
     Y0 = np.vstack([np.zeros((n, n)), np.eye(n)])
-    Y = propagate_reference(morse._step_matrices(hess_half, h), Y0)
-    Js = Y[:, :n]
-    dets = np.linalg.det(Js)
-    det_scale = float(np.max(np.abs(dets)))
-    J_scale = float(np.max(np.linalg.norm(Js, axis=(1, 2))))
-    i = np.arange(1, steps)
-    k = i[(dets[i] == 0.0) | (dets[i] * dets[i + 1] < 0.0)]
-    lo, hi = np.zeros(k.size), np.ones(k.size)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        left = dets[k] * np.linalg.det(hermite_reference(Y, k, mid, h)) <= 0.0
-        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
-    candidates = [(k + 0.5 * (lo + hi)) * h]
-    if det_scale > 0.0:
-        i = np.arange(2, steps - 1)
-        prev, cur, nxt = dets[i - 1], dets[i], dets[i + 1]
-        dip = ((np.abs(cur) <= np.abs(prev)) & (np.abs(cur) < np.abs(nxt))
-               & (prev * cur > 0.0) & (cur * nxt > 0.0))
-        denom = nxt - 2.0 * cur + prev
-        flat = denom == 0.0
-        safe = np.where(flat, 1.0, denom)
-        shift = np.where(flat, 0.0, -0.5 * h * (nxt - prev) / safe)
-        vertex = np.where(flat, cur, cur - (nxt - prev) ** 2 / (8.0 * safe))
-        dip &= np.abs(vertex) < 1e-6 * det_scale
-        candidates.append(i[dip] * h + np.clip(shift[dip], -h, h))
-    times = np.concatenate(candidates)
-    crossing = np.arange(times.size) < candidates[0].size
-    order = np.argsort(times, kind="stable")
-    times, crossing = times[order], crossing[order]
-    keep = times <= T - 0.75 * h
-    times, crossing = times[keep], crossing[keep]
-    k = np.minimum(np.floor(times / h).astype(int), steps - 1)
-    sv = np.linalg.svd(np.concatenate([hermite_reference(Y, k, times / h - k, h), Js[-1:]]),
-                       compute_uv=False)
-    # in time order: a sign change always counts, and replaces a touch counted
-    # less than 1.5 h before it; a touch that close to the last count is dropped
-    points, last_touch = [], False
-    drops = morse._rank_drop(sv[:-1], J_scale)
-    for t_star, mult, crosses in zip(times.tolist(), drops.tolist(), crossing.tolist()):
-        near = bool(points) and t_star - points[-1][0] < 1.5 * h
-        if mult == 0 or (near and not crosses):
-            continue
-        if near and last_touch:
-            points.pop()
-        points.append((t_star, mult))
-        last_touch = not crosses
-    return points, sv[-1], J_scale
+    Y = propagate_reference(morse._step_matrices(hess_half, bp.T / steps), Y0)
+    Y[:, :n] *= np.sqrt(max(1.0, np.max(np.abs(hess_half).sum(axis=-1))))
+    return Y
 
 
-def assert_conjugate_points_match_reference(bp, c, steps=morse.JACOBI_DEFAULT_STEPS):
-    points, end_sv, J_scale = morse._conjugate_points(bp, c, steps)
-    ref_points, ref_end_sv, ref_scale = conjugate_points_reference(bp, c, steps)
-    assert [m for _, m in points] == [m for _, m in ref_points]
-    for (t, _), (t_ref, _) in zip(points, ref_points):
-        assert abs(t - t_ref) <= 1e-12 * bp.T
-    assert morse._rank_drop(end_sv, J_scale) == morse._rank_drop(ref_end_sv, ref_scale)
-    return points
+def assert_count_matches_reference(bp, c, steps=morse.JACOBI_DEFAULT_STEPS):
+    count = morse._winding_count(morse._jacobi_states(bp, c, steps))
+    ref = morse._winding_count(states_reference(bp, c, steps))
+    assert (count.index, count.nullity) == (ref.index, ref.nullity)
+    assert abs(count.min_abs_eigenvalue - ref.min_abs_eigenvalue) <= 1e-9
+    return count
 
 
 @pytest.mark.parametrize("qT", [-1.1, -0.5, 0.0, 0.4, 1.0])
@@ -386,9 +395,9 @@ def test_conjugate_points_match_sequential_reference_on_pendulum_roots(qT):
     reports = solve_reduced(bp, make_plan(bp), count=3)
     assert reports
     for rep in reports:
-        assert_conjugate_points_match_reference(bp, rep.path)
+        assert assert_count_matches_reference(bp, rep.path).index == rep.index
     for steps in (47, 2049):  # partial last blocks
-        assert_conjugate_points_match_reference(bp, reports[0].path, steps)
+        assert_count_matches_reference(bp, reports[0].path, steps)
 
 
 def test_conjugate_points_match_sequential_reference_on_isotropic_touch():
@@ -396,22 +405,22 @@ def test_conjugate_points_match_sequential_reference_on_isotropic_touch():
     bp, rep = solve_one(builtin_potential("harmonic", (1.0, 1.0)), 3 * np.pi / 2,
                         [0.0, 0.0], [1.0, 0.5])
     for steps in (morse.JACOBI_DEFAULT_STEPS, 2049):
-        points = assert_conjugate_points_match_reference(bp, rep.path, steps)
-        assert [m for _, m in points] == [2]
-        assert abs(points[0][0] - np.pi) <= 1e-6
+        count = assert_count_matches_reference(bp, rep.path, steps)
+        assert (count.index, count.nullity) == (2, 0)
 
 
 def test_close_sign_changes_are_two_conjugate_points():
     # a root of the coupled_chain workload's chain at a = 0.2 (found with 16 seeds): det J
-    # changes sign at t = 3.44780 and 3.45042, in adjacent steps 0.0026 < 1.5 h apart
+    # changes sign at t = 3.44780 and 3.45042, in adjacent steps
     pot = builtin_potential("coupled_pendula", (1.0, 0.5), dim=4)
     bp = BoundaryProblem(pot, 4.0, np.zeros(4), 0.2 * np.array([1.0, 1 / 3, -1 / 3, -1.0]))
     reports = solve_reduced(bp, make_plan(bp), count=16)
     [rep] = [rep for rep in reports if abs(rep.action - 16.697665155) < 1e-8]
     assert rep.index == 3
-    points = assert_conjugate_points_match_reference(bp, rep.path)
-    assert [m for _, m in points] == [1, 1, 1]
-    assert 0.0 < points[2][0] - points[1][0] < 1.5 * bp.T / morse.JACOBI_DEFAULT_STEPS
+    det = np.linalg.det(morse._jacobi_states(bp, rep.path, morse.JACOBI_DEFAULT_STEPS)[1:, :4])
+    changes = np.flatnonzero(np.diff(np.sign(det)))
+    assert changes.size == 3 and changes[2] - changes[1] == 1
+    assert assert_count_matches_reference(bp, rep.path).index == 3
     for steps in (morse.JACOBI_DEFAULT_STEPS, 8192):
         assert index_jacobi(bp, rep.path, steps=steps).index == 3
 

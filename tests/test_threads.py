@@ -58,7 +58,7 @@ def _entry_points(monkeypatch, probe):
     """Each pinned entry point, called so that its first callee is ``probe``."""
     monkeypatch.setattr(core, "draw_seeds", probe)
     monkeypatch.setattr(morse, "reduced_hessian", probe)
-    monkeypatch.setattr(morse, "_conjugate_points", probe)
+    monkeypatch.setattr(morse, "_jacobi_states", probe)
     plan = SimpleNamespace(N=1)
     cfg = SimpleNamespace(build_plan=probe)
     return {
