@@ -205,8 +205,8 @@ def cmd_index(cfg: RunConfig, solution_id: int) -> int:
               f"refinement level of the config has that many", file=sys.stderr)
         return 1
     blocks = blocks_at(system, plan.N * system.n, coeffs)
-    # frees the grid's (D, D) gather index pairs and the state memo before the
-    # signatures are computed; the shared cosine rows stay in their bounded cache
+    # frees the grid's (D, D) gather index pairs before the signatures are
+    # computed; the shared cosine rows stay in their bounded cache
     del system
 
     schur = index_schur(blocks)

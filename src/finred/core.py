@@ -6,14 +6,15 @@ reduced Newton with the Schur-complement Jacobian, multistart) is written
 against that surface.  Coefficient vectors are flat, head block first.
 The surface is
 
-    eigenvalues          flat diagonal stiffness, head block first
-    n                    components per mode (1 for Dirichlet fields)
-    vprime(c)            nonlinear_coeffs(c), the coefficients of V'
-    residual(c)          eigenvalues * c - vprime(c)
-    hessian_matrix(c)    diag(eigenvalues) - curvature_matrix(c)
-    action(c)            value of the functional
-    refined()            the same problem at a finer truncation
-    embed(c)             the path or field that c stands for
+    eigenvalues            flat diagonal stiffness, head block first
+    n                      components per mode (1 for Dirichlet fields)
+    grid_values(c)         the path or field of c on the grid
+    nonlinear_coeffs(c)    the coefficients of V'
+    residual(c)            eigenvalues * c - nonlinear_coeffs(c)
+    hessian_matrix(c)      diag(eigenvalues) - curvature_matrix(c)
+    action(c)              value of the functional
+    refined()              the same problem at a finer truncation
+    embed(c)               the path or field that c stands for
 
 GalerkinSystem defines all of it but ``refined`` and ``embed``, which each
 subclass (MechanicalSystem, dirichlet.DirichletSystem) provides, with the
@@ -32,19 +33,16 @@ Tables that depend on the geometry alone, a grid's per-axis cosine rows
 (``gauss_sine_rule``, keyed by (L, K)), are built once per process and
 shared read-only by every system, in caches of TABLE_CACHE_SIZE entries.
 
-The reduced function f(u) = L(u + v(u)) at one head u is one object,
-``ReducedPoint``; every consumer of u + v(u), the gradient of f and its
-Hessian (the Schur complement of the tail block) reads them from it.
-
-Each system keeps a one-entry memo of the last state it evaluated: a
-private read-only copy of c, its grid values, the coefficients of V'
-(``vprime``) and the residual.  A call at a c with the same bit pattern
-(so -0.0 is not 0.0, and a NaN matches itself) reuses them, so a repeated
-``residual(c)`` does no work and ``hessian_matrix(c)`` after
-``residual(c)`` synthesizes no grid values.  The arrays the memo hands out
-are read-only and stay valid after the memo moves on; ``nonlinear_coeffs``
-and ``curvature_matrix`` are the real work, done once per state.  One
-state per system, so a system is not for concurrent use.
+A system holds no state between calls: every method computes from c, so
+one system may be shared, also between threads (a system and its grid
+build only geometry tables, on first use).  ``nonlinear_coeffs``, ``curvature_matrix``
+and ``hessian_matrix`` also take grid values the caller already holds.
+One state's evaluation lives in its ``ReducedPoint``, the reduced function
+f(u) = L(u + v(u)) at one head u, which every consumer of u + v(u), the
+gradient of f and its Hessian (the Schur complement of the tail block)
+reads.  ``solve_tail`` walks from point to point, and ``reduced_newton``
+starts each iterate from the accepted trial's point and keeps its last
+point in its result, so no state is evaluated twice.
 
 Certified early rejection.  The line search of ``reduced_newton`` solves
 the tail at every trial head, only to compare the head residual with the
@@ -251,6 +249,7 @@ class HessianBlocks:
 
 @dataclass
 class ReducedResult:
+    point: ReducedPoint  # the last iterate; u, v and the residual norms below are its
     u: np.ndarray
     v: np.ndarray  # tail coefficients (flat, length D - head)
     converged: bool
@@ -270,28 +269,14 @@ class ReducedResult:
     tail_min_eigenvalue: float | None = None
 
 
-class _State:
-    """The memo entry: a read-only copy of one c, keyed by its bit pattern,
-    and what has been derived from it so far."""
-
-    __slots__ = ("key", "c", "values", "vprime", "residual")
-
-    def __init__(self, c: np.ndarray):
-        self.key = c.tobytes()
-        self.c = np.frombuffer(self.key).reshape(c.shape)  # read-only, as bytes are
-        self.values = self.vprime = self.residual = None
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
 class GalerkinSystem:
-    """The system surface from a subclass's data (see the module docstring),
-    through the one-entry state memo."""
-
-    _memo: _State | None = None
+    """The system surface from a subclass's data (see the module docstring);
+    every method computes from its arguments alone."""
 
     def __init__(self, grid: SineGrid, potential, eigenvalues: np.ndarray, boundary_grad,
                  boundary_coeffs: np.ndarray, drift=None, kinetic: float = 0.0):
@@ -313,39 +298,18 @@ class GalerkinSystem:
         i = np.tile(np.arange(grid.n), len(grid.modes))
         self._box_index = np.ravel_multi_index(tuple(k.T) + (i,), grid.K + (grid.n,))
 
-    def _state(self, c) -> _State:
-        c = np.asarray(c, dtype=float)
-        memo = self._memo
-        if memo is None or memo.c.shape != c.shape or memo.key != c.tobytes():
-            memo = self._memo = _State(c)
-        return memo
-
     def grid_values(self, c: np.ndarray) -> np.ndarray:
-        """Grid values at c, read-only, synthesized once per state."""
-        state = self._state(c)
-        if state.values is None:
-            values = self.grid.synthesize(self._box(state.c))
-            if self._drift_values is not None:
-                values = self._drift_values + values
-            state.values = _read_only(values)
-        return state.values
-
-    def vprime(self, c: np.ndarray) -> np.ndarray:
-        """``nonlinear_coeffs(c)``, read-only, evaluated once per state."""
-        state = self._state(c)
-        if state.vprime is None:
-            state.vprime = _read_only(self.nonlinear_coeffs(state.c))
-        return state.vprime
+        """The path (drift included) or field of c on the grid, shape grid.P + (n,)."""
+        values = self.grid.synthesize(self._box(c))
+        return values if self._drift_values is None else self._drift_values + values
 
     def residual(self, c: np.ndarray) -> np.ndarray:
-        """eigenvalues * c - vprime(c), read-only, evaluated once per state."""
-        state = self._state(c)
-        if state.residual is None:
-            state.residual = _read_only(self.eigenvalues * state.c - self.vprime(state.c))
-        return state.residual
+        """eigenvalues * c - nonlinear_coeffs(c)."""
+        return self.eigenvalues * c - self.nonlinear_coeffs(c)
 
-    def hessian_matrix(self, c: np.ndarray) -> np.ndarray:
-        K = self.curvature_matrix(c)  # a fresh array, so negated in place
+    def hessian_matrix(self, c: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+        """diag(eigenvalues) - curvature_matrix(c, values), a fresh array."""
+        K = self.curvature_matrix(c, values)  # a fresh array, so negated in place
         np.negative(K, out=K)
         K.flat[::K.shape[0] + 1] += self.eigenvalues  # the diagonal, strided
         return K
@@ -356,16 +320,19 @@ class GalerkinSystem:
         box[self._box_index] = c
         return box.reshape(self.grid.K + (self.n,))
 
-    def nonlinear_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients of V'(solution), the boundary part's share added exactly."""
-        F = self.potential.grad(self.grid_values(c))
+    def nonlinear_coeffs(self, c: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients of V'(solution), the boundary part's share added exactly;
+        ``values`` are the grid values of c, synthesized when None."""
+        F = self.potential.grad(self.grid_values(c) if values is None else values)
         return (self.grid.analyze(F - self._boundary_grad).reshape(-1)[self._box_index]
                 + self._boundary_coeffs)
 
-    def curvature_matrix(self, c: np.ndarray) -> np.ndarray:
+    def curvature_matrix(self, c: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
         """W[a, b] = grid quadrature of V''(solution) phi_a phi_b, flat indexing;
-        Toeplitz-minus-Hankel on each axis, see fourier.SineGrid."""
-        return self.grid.curvature(self.potential.hess(self.grid_values(c)))
+        Toeplitz-minus-Hankel on each axis, see fourier.SineGrid.  ``values``
+        as in ``nonlinear_coeffs``."""
+        return self.grid.curvature(self.potential.hess(self.grid_values(c) if values is None
+                                                       else values))
 
     @cached_property
     def _gauss(self):
@@ -475,15 +442,19 @@ def tail_h1_norm(system, v: np.ndarray, head_dim: int) -> float:
 
 def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = None,
                tol: float = 1e-10, method: str = "newton",
-               reject: tuple[float, float] | None = None) -> tuple[np.ndarray, TailStats]:
+               reject: tuple[float, float] | None = None,
+               start: ReducedPoint | None = None) -> tuple[np.ndarray, TailStats, ReducedPoint]:
     """Solve the tail stationarity equations at frozen head u.
 
     ``picard`` iterates the contraction v <- g_tail / eig_tail (guaranteed
     rate 1 - mu); ``newton`` uses the tail curvature block as Jacobian and
     falls back to a Picard step whenever a Newton step fails to decrease
-    the residual.  Starts from v0 = 0 unless a warm start is given; stops,
+    the residual.  Starts from v0 = 0 unless a warm start is given, or from
+    ``start``, the point at (u, v0) when the caller holds it; stops,
     unconverged, after TAIL_NEWTON_STEPS or TAIL_PICARD_STEPS iterations.
-    An empty tail converges at the first check (its dual norm is 0).
+    An empty tail converges at the first check (its dual norm is 0).  Each
+    iterate is a ReducedPoint; returns the last one's tail (a fresh array),
+    the stats and that point.
 
     ``reject=(hnorm, kappa)`` screens a line-search trial: the solve stops
     early, with ``stats.rejected``, at the first unconverged iterate where
@@ -494,49 +465,40 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
     if method not in ("newton", "picard"):
         raise ValueError(f"unknown tail method {method!r}")
     eig_tail = system.eigenvalues[head_dim:]
-    u = np.asarray(u, dtype=float)
-    v = np.zeros(len(eig_tail)) if v0 is None else np.array(v0, dtype=float)
-    stats = TailStats(method=method)
+    if start is None:
+        start = ReducedPoint(system, head_dim,
+                             np.concatenate([u, np.zeros(len(eig_tail)) if v0 is None else v0]))
+    point, stats = start, TailStats(method=method)
     for _ in range(TAIL_NEWTON_STEPS if method == "newton" else TAIL_PICARD_STEPS):
-        c = np.concatenate([u, v])
-        r = system.residual(c)
-        res = tail_residual_norm(system, r, head_dim)
+        res = point.tail_residual
         stats.residuals.append(res)
         if res <= tol:
             stats.converged = True
-            return v, stats
+            break
         if reject is not None:
             hnorm, kappa = reject
-            if head_residual_norm(r, head_dim) - kappa * (res + tol) >= hnorm:
+            if point.head_residual - kappa * (res + tol) >= hnorm:
                 stats.rejected = True
-                return v, stats
+                break
         stats.iterations += 1
-        g = system.vprime(c)  # held here: the trial step below moves the memo on
+        if method == "newton":  # a Newton step on the tail block
+            try:
+                step = _cholesky_solve(_tail_cholesky(point.blocks.D), point.residual[head_dim:])
+            except TruncationError as exc:
+                exc.tail = stats  # the step that failed counts
+                raise
+            trial = point.with_tail(point.v - step)
+            if trial.tail_residual < res:
+                point = trial
+                continue
+            stats.fallbacks += 1  # to the contraction step, which is always safe
+        v = point.vprime[head_dim:] / eig_tail
         if method == "picard":
-            v_new = g[head_dim:] / eig_tail
-            stats.increments.append(tail_h1_norm(system, v_new - v, head_dim))
-            v = v_new
-            continue
-        # Newton step on the tail block
-        K = system.hessian_matrix(c)
-        try:
-            step = _cholesky_solve(_tail_cholesky(K[head_dim:, head_dim:]), r[head_dim:])
-        except TruncationError as exc:
-            exc.tail = stats  # the step that failed counts
-            raise
-        v_try = v - step
-        r_try = system.residual(np.concatenate([u, v_try]))
-        res_try = tail_residual_norm(system, r_try, head_dim)
-        if res_try < res:
-            v = v_try
-            continue
-        # contraction step is always safe
-        stats.fallbacks += 1
-        v = g[head_dim:] / eig_tail
-    # cap exceeded: report best effort
-    c = np.concatenate([u, v])
-    stats.residuals.append(tail_residual_norm(system, system.residual(c), head_dim))
-    return v, stats
+            stats.increments.append(tail_h1_norm(system, v - point.v, head_dim))
+        point = point.with_tail(v)
+    else:  # cap exceeded: report best effort
+        stats.residuals.append(point.tail_residual)
+    return point.v.copy(), stats, point
 
 
 # ---------------------------------------------------------------------------
@@ -573,31 +535,46 @@ def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 class ReducedPoint:
-    """The reduced function f(u) = L(u + v(u)) at one head u: ``c`` = (u, v),
-    flat, ``u`` and ``v`` views of it, and ``tail`` the TailStats of the solve
-    that gave v (None for a given c).  The system's ``residual`` at c, its
-    head block ``gradient`` (the gradient of f), their norms ``head_residual``
-    and ``tail_residual`` (``tail_residual_norm``), the Hessian ``blocks``,
-    their Schur complement ``schur`` (the Hessian of f) and ``value`` (f) are
-    each computed once, on first read, through the system's memo: read while
-    the memo still holds c, right after the tail solve, they evaluate no new
-    state."""
+    """The reduced function f(u) = L(u + v(u)) at one head u, and the one
+    holder of an evaluation: ``c`` = (u, v), flat, a read-only copy of the
+    coefficients it is given, ``u`` and ``v`` views of it, and ``tail`` the
+    TailStats of the last tail solve that ended here (None for a given c).
+    Its grid ``values``, the coefficients ``vprime`` of V', the ``residual``
+    eigenvalues * c - vprime, its head block ``gradient`` (the gradient of
+    f), their norms ``head_residual`` and ``tail_residual``
+    (``tail_residual_norm``), the Hessian ``blocks`` (from the same grid
+    values), their Schur complement ``schur`` (the Hessian of f) and
+    ``value`` (f) are each computed once, on first read; every array it
+    keeps is read-only."""
 
-    def __init__(self, system, head_dim: int, c: np.ndarray, tail: TailStats | None = None):
-        self.system, self.head_dim, self.tail = system, head_dim, tail
-        self.c = np.asarray(c, dtype=float)
+    def __init__(self, system, head_dim: int, c: np.ndarray):
+        self.system, self.head_dim, self.tail = system, head_dim, None
+        self.c = _read_only(np.array(c, dtype=float))
         self.u, self.v = self.c[:head_dim], self.c[head_dim:]
 
     @classmethod
     def solve(cls, system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = None,
               **options) -> "ReducedPoint":
         """The point at the flat head u, its tail by ``solve_tail(..., v0=v0, **options)``."""
-        v, tail = solve_tail(system, head_dim, u, v0=v0, **options)
-        return cls(system, head_dim, np.concatenate([u, v]), tail)
+        _, tail, point = solve_tail(system, head_dim, u, v0=v0, **options)
+        point.tail = tail
+        return point
+
+    def with_tail(self, v: np.ndarray) -> "ReducedPoint":
+        """The point at the same head with tail v."""
+        return ReducedPoint(self.system, self.head_dim, np.concatenate([self.u, v]))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _read_only(self.system.grid_values(self.c))
+
+    @cached_property
+    def vprime(self) -> np.ndarray:
+        return _read_only(self.system.nonlinear_coeffs(self.c, self.values))
 
     @cached_property
     def residual(self) -> np.ndarray:
-        return self.system.residual(self.c)
+        return _read_only(self.system.eigenvalues * self.c - self.vprime)
 
     @property
     def gradient(self) -> np.ndarray:
@@ -613,13 +590,14 @@ class ReducedPoint:
 
     @cached_property
     def blocks(self) -> HessianBlocks:
-        K, h, n = self.system.hessian_matrix(self.c), self.head_dim, self.system.n
+        h, n = self.head_dim, self.system.n
+        K = _read_only(self.system.hessian_matrix(self.c, self.values))
         return HessianBlocks(N=h // n, M=len(self.system.eigenvalues) // n, n=n,
                              A=K[:h, :h], B=K[:h, h:], D=K[h:, h:])
 
     @cached_property
     def schur(self) -> np.ndarray:
-        return schur_matrix(self.blocks.A, self.blocks.B, self.blocks.D)
+        return _read_only(schur_matrix(self.blocks.A, self.blocks.B, self.blocks.D))
 
     @cached_property
     def value(self) -> float:
@@ -649,27 +627,28 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
 
     Every iterate and every line-search trial is a ReducedPoint, one tail
     solve each, the first from the tail ``v0`` (zero when None; a refined
-    level passes the coarse root's tail padded with zeros) and every later
-    one from the tail of the current iterate.  A line search that halves its
-    step LINE_SEARCH_HALVINGS times ends the solve, and so does a tail block
-    that is not positive definite (a TruncationError of a tail Newton step or
-    of the Schur complement), with the block's smallest eigenvalue as
+    level passes the coarse root's tail padded with zeros), every trial
+    from the tail of the current iterate and every later iterate from the
+    accepted trial's point.  A line search that halves its step
+    LINE_SEARCH_HALVINGS times ends the solve, and so does a tail block that
+    is not positive definite (a TruncationError of a tail Newton step or of
+    the Schur complement), with the block's smallest eigenvalue as
     ``tail_min_eigenvalue`` and the steps of the tail solve it stopped
-    counted.  Every way out builds the one result from the last iterate,
-    with the ``reason`` it stopped unconverged.  With a certified
-    ``c_bound`` the line search screens trials by the rejection test of
-    ``solve_tail``: the iterates are the same, only tail iterations are saved.
+    counted.  Every way out builds the one result from the last iterate's
+    point, which the result keeps, with the ``reason`` it stopped
+    unconverged.  With a certified ``c_bound`` the line search screens
+    trials by the rejection test of ``solve_tail``: the iterates are the
+    same, only tail iterations are saved.
     """
     kappa = None if c_bound is None else rejection_slope(system, head_dim, c_bound)
     options = dict(tol=tail_tol, method=tail_method)
-    u = np.array(u0, dtype=float)
     v = np.zeros(len(system.eigenvalues) - head_dim) if v0 is None else v0
+    point = ReducedPoint(system, head_dim, np.concatenate([u0, v]))
     history, tails = [], []  # tails: the TailStats of every tail solve
     converged, reason, margin = False, "", None
     try:
         for it in range(max_iter + 1):
-            point = ReducedPoint.solve(system, head_dim, u, v, **options)
-            v = point.v
+            point = ReducedPoint.solve(system, head_dim, point.u, point.v, start=point, **options)
             tails.append(point.tail)
             history.append(point.head_residual)
             converged = point.head_residual <= head_tol and point.tail.converged
@@ -681,11 +660,11 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
             reject = None if kappa is None else (point.head_residual, kappa)
             lam = 1.0
             for _ in range(LINE_SEARCH_HALVINGS + 1):
-                trial = ReducedPoint.solve(system, head_dim, u - lam * step, v, reject=reject,
-                                           **options)
+                trial = ReducedPoint.solve(system, head_dim, point.u - lam * step, point.v,
+                                           reject=reject, **options)
                 tails.append(trial.tail)
                 if not trial.tail.rejected and trial.head_residual < point.head_residual:
-                    u, v = trial.u, trial.v
+                    point = trial
                     break
                 lam *= 0.5
             else:
@@ -695,10 +674,9 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
         reason, margin = "tail_not_positive_definite", exc.smallest
         if exc.tail is not None:
             tails.append(exc.tail)
-    # (u, v) is the last iterate, or the accepted trial whose re-solve raised
-    end = ReducedPoint(system, head_dim, np.concatenate([u, v]))
-    return ReducedResult(u, v, converged, it, end.head_residual, end.tail_residual, history,
-                         sum(t.iterations for t in tails),
+    # point is the last iterate, or the seed or accepted trial whose tail solve raised
+    return ReducedResult(point, point.u, point.v, converged, it, point.head_residual,
+                         point.tail_residual, history, sum(t.iterations for t in tails),
                          rejected_trials=sum(t.rejected for t in tails),
                          tail_fallbacks=sum(t.fallbacks for t in tails),
                          reason=reason, tail_min_eigenvalue=margin)

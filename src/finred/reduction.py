@@ -237,13 +237,13 @@ def reduced_gradient(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
         raise RuntimeError(
             f"tail solve did not reach tolerance {plan.tail_tol} "
             f"(best residual {point.tail.residuals[-1]:.3e})")
-    return point.gradient.copy()  # the residual is the memo's, read-only
+    return point.gradient.copy()  # the point's residual is read-only
 
 
 def reduced_hessian_matrix(bp: BoundaryProblem, plan: ReductionPlan,
                            u: np.ndarray) -> np.ndarray:
     """Schur complement of the tail block at u + v(u) (the reduced Hessian)."""
-    return _plan_point(bp, plan, u).schur
+    return _plan_point(bp, plan, u).schur.copy()  # the point's Schur complement is read-only
 
 
 def default_radius(bp: BoundaryProblem) -> float:
@@ -352,7 +352,7 @@ def _root_report(levels: list, plan, root: core.ReducedResult, newton: dict, ref
     res, drift = root, None
     if refine:
         system, res, drift = _refine_root(levels, head_dim, root, newton)
-    point = core.ReducedPoint(system, head_dim, np.concatenate([res.u, res.v]))
+    point = res.point
     idx = index_schur(point.blocks)
     return SolutionReport(
         head=res.u.copy(),

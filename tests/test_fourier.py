@@ -216,7 +216,7 @@ def test_dst_binding_and_per_class_methods(monkeypatch):
     import scipy.fftpack
 
     from finred import RectangleDomain, dirichlet_plan, fourier
-    from finred.core import MechanicalSystem
+    from finred.core import MechanicalSystem, ReducedPoint
     from finred.dirichlet import DirichletSystem
 
     for cls in (MechanicalSystem, DirichletSystem):
@@ -248,14 +248,15 @@ def test_dst_binding_and_per_class_methods(monkeypatch):
         calls.clear()
         system.residual(c)
         assert len(calls) == expected
-        # the state memo: the same state again costs no transform, and the
-        # Hessian there reuses the residual's grid values
-        system.residual(c.copy())
+        # a point's Hessian, read after its residual, reuses the residual's grid values
+        point = ReducedPoint(system, 0, c)
+        point.residual
+        assert len(calls) == 2 * expected
+        point.blocks
+        assert len(calls) == 2 * expected
+        # without grid values the Hessian synthesizes once: one transform per axis
         system.hessian_matrix(c)
-        assert len(calls) == expected
-        # at a new state the Hessian synthesizes once: one transform per axis
-        system.hessian_matrix(c + 0.1)
-        assert len(calls) == expected + expected // 2
+        assert len(calls) == 2 * expected + expected // 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import inspect
 import logging
 import math
 import re
+import sys
+import threading
 from functools import cache
 from types import SimpleNamespace
 
@@ -402,8 +404,8 @@ def test_a_seed_whose_tail_block_fails_stays_alone(monkeypatch):
     bad = 3
     hessian = system.hessian_matrix
 
-    def poisoned(c):
-        K = hessian(c)
+    def poisoned(c, *args):
+        K = hessian(c, *args)
         if np.array_equal(c[:head_dim], seeds[bad]):
             K[head_dim:, head_dim:] *= -1.0
         return K
@@ -444,8 +446,8 @@ def test_unconverged_results_name_their_reason():
 
 def test_newton_calls_one_tail_solve_per_point_and_one_schur_per_step(monkeypatch):
     # the benchmark's tracer counts these calls and derives the line-search halvings
-    # from them: one tail solve at each iterate (I; after an accepted trial the memo
-    # holds the trial's state, so no tail step), one per trial (T), one Schur
+    # from them: one tail solve at each iterate (I; after an accepted trial it starts
+    # from the trial's point, so no tail step), one per trial (T), one Schur
     # complement per Newton step (S); it reads the iteration cap from the signature
     assert inspect.signature(core.reduced_newton).parameters["max_iter"].default == 60
     dom, pot, plan, seeds = stalled_dirichlet()
@@ -453,12 +455,12 @@ def test_newton_calls_one_tail_solve_per_point_and_one_schur_per_step(monkeypatc
     solve_tail_, schur_matrix_, events, iterate_steps = core.solve_tail, core.schur_matrix, [], []
 
     def counted_tail(*args, **kwargs):
-        v, stats = solve_tail_(*args, **kwargs)
+        v, stats, end = solve_tail_(*args, **kwargs)
         trial = "reject" in kwargs  # a line-search trial passes the tail screen
         events.append("T" if trial else "I")
         if not trial:
             iterate_steps.append(stats.iterations)
-        return v, stats
+        return v, stats, end
 
     def counted_schur(*args):
         events.append("S")
@@ -734,9 +736,9 @@ def test_refined_systems():
 
 
 # ---------------------------------------------------------------------------
-# the one-entry state memo
+# a point holds its evaluation, and a system holds none
 
-def memo_system(kind):
+def sample_system(kind):
     """A fresh system: mechanical with n = 2 and a drift, or Dirichlet in 2-D."""
     if kind == "mechanical":
         pot = builtin_potential("coupled_pendula", (1.5, 0.5), dim=2)
@@ -746,44 +748,58 @@ def memo_system(kind):
     return DirichletSystem(dom, pot, dirichlet_plan(dom, pot))
 
 
-def evaluated(system, c):
-    """Bit patterns of everything the memo serves at c, then the Hessian."""
-    return [a.tobytes() for a in (system.grid_values(c), system.vprime(c),
-                                  system.residual(c), system.hessian_matrix(c))]
+def head_of(system):
+    """A head size above which the tail block is positive definite at every c."""
+    return system.plan.N if isinstance(system, DirichletSystem) else 2 * system.n
+
+
+def evaluated(point):
+    """Bit patterns of what a point derives at its c: grid values, V', the
+    residual and the Hessian blocks."""
+    blocks = point.blocks
+    return [a.tobytes() for a in (point.values, point.vprime, point.residual,
+                                  blocks.A, blocks.B, blocks.D)]
+
+
+def fresh(kind, c):
+    """The same from the methods of a fresh system."""
+    system = sample_system(kind)
+    h, K = head_of(system), system.hessian_matrix(c)
+    return [a.tobytes() for a in (system.grid_values(c), system.nonlinear_coeffs(c),
+                                  system.residual(c), K[:h, :h], K[:h, h:], K[h:, h:])]
 
 
 @pytest.mark.parametrize("kind", ["mechanical", "dirichlet"])
-def test_state_memo_is_bitwise_a_fresh_system(kind):
-    system = memo_system(kind)
-    D = len(system.eigenvalues)
+def test_a_point_is_bitwise_a_fresh_system(kind):
+    system = sample_system(kind)
+    D, head = len(system.eigenvalues), head_of(system)
     rng = np.random.default_rng(17)
     c1, c2 = (rng.normal(size=D) / np.arange(1, D + 1) for _ in range(2))
 
-    def fresh(c):
-        return evaluated(memo_system(kind), c)
+    def point_at(c):
+        return core.ReducedPoint(system, head, c)
 
-    # the memo keeps its own copy of c: a caller mutating its array after a
-    # call changes neither what is derived later at the old state nor the
-    # arrays handed out before
+    # a point keeps its own copy of c: a caller changing its array after
+    # building the point changes nothing the point derives
     c = c1.copy()
-    values = system.grid_values(c)  # the state holds its grid values only
+    point = point_at(c)
     c[:] = c2
-    assert evaluated(system, c1) == fresh(c1)
-    assert evaluated(system, c) == fresh(c2)
-    assert values.tobytes() == fresh(c1)[0]
-    for c in (c1, c2, c1, c1):  # alternate two states, then repeat one
-        assert evaluated(system, c) == fresh(c)
-    # keys are bit patterns: -0.0 is a state of its own, and a NaN matches itself
+    assert evaluated(point) == fresh(kind, c1)
+    assert point.c.tobytes() == c1.tobytes()
+    for c in (c1, c2, c1, c1):  # alternate two states on one system, then repeat one
+        assert evaluated(point_at(c)) == fresh(kind, c)
+    # -0.0 and NaN entries go through as they are
     zero = np.zeros(D)
     for c in (zero, -zero, zero):
-        assert evaluated(system, c) == fresh(c)
+        assert evaluated(point_at(c)) == fresh(kind, c)
     if kind == "dirichlet":  # V'(0) = 0, so the sign of zero reaches the residual
-        assert fresh(-zero)[2] != fresh(zero)[2]
+        assert fresh(kind, -zero)[2] != fresh(kind, zero)[2]
     nan = c1.copy()
     nan[[0, D // 2]] = np.nan
-    assert evaluated(system, nan) == fresh(nan)
-    assert system.residual(nan) is system.residual(nan.copy())
-    for a in (system.grid_values(c1), system.vprime(c1), system.residual(c1)):
+    assert evaluated(point_at(nan)) == fresh(kind, nan)
+    # every array a point keeps is read-only
+    for a in (point.c, point.u, point.v, point.values, point.vprime, point.residual,
+              point.blocks.A, point.blocks.B, point.blocks.D, point.schur):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
@@ -793,9 +809,9 @@ def count_states(system):
     states = []
     nonlinear = system.nonlinear_coeffs
 
-    def counting(c):
+    def counting(c, *args):
         states.append(np.asarray(c, dtype=float).tobytes())
-        return nonlinear(c)
+        return nonlinear(c, *args)
 
     system.nonlinear_coeffs = counting
     return states
@@ -820,10 +836,62 @@ def test_newton_and_picard_evaluate_each_state_once():
     system = MechanicalSystem(bp, plan.M, plan.quad_points)
     states = count_states(system)
     u = np.linspace(-0.5, 0.5, plan.N)
-    v, stats = core.solve_tail(system, plan.N, u, tol=plan.tail_tol, method="picard")
+    v, stats, _ = core.solve_tail(system, plan.N, u, tol=plan.tail_tol, method="picard")
     assert stats.converged and stats.iterations > 10
     # one state per iteration plus the converged one, each evaluated once
     assert len(states) == len(stats.residuals) == len(set(states))
+
+
+def test_a_stalled_newton_solve_evaluates_each_state_once():
+    # both seeds end with an exhausted line search; the result keeps the last
+    # iterate's point, so that state is not evaluated a second time
+    dom, pot, plan, seeds = stalled_dirichlet()
+    for i in (1, 3):
+        system = DirichletSystem(dom, pot, plan)
+        states = count_states(system)
+        res = core.reduced_newton(system, plan.N, seeds[i], head_tol=plan.head_tol,
+                                  tail_tol=plan.tail_tol, c_bound=plan.c_bound)
+        assert res.reason == "line_search_exhausted"
+        assert len(states) > res.tail_iterations and len(set(states)) == len(states)
+
+
+def test_one_system_is_shared_between_calls_and_threads():
+    dom, pot, plan, _ = stalled_dirichlet()
+    system = DirichletSystem(dom, pot, plan)
+    seed_lists = [core.draw_seeds(plan.N, 6, 2.0, seed) for seed in (7, 8, 9)]
+    options = dict(count=6, radius=2.0, seed=0, method="newton", refine=False,
+                   with_oracles=False)
+
+    def solve(seeds):
+        records: list = []
+        reduction.solve_system(system, plan, seeds, seed_records=records, **options)
+        return [_seed_results(r) for r in records]
+
+    before, grid_before = dict(vars(system)), dict(vars(system.grid))
+    sequential = [solve(seeds) for seeds in seed_lists]
+    # a solve leaves the system as it was, but for the geometry tables built on first use
+    for now, then, lazy in ((vars(system), before, {"_gauss"}),
+                            (vars(system.grid), grid_before, {"_cosines", "_gather"})):
+        assert set(now) - set(then) <= lazy and all(now[k] is then[k] for k in then)
+    assert any(r[-1] == "line_search_exhausted" for records in sequential for r in records)
+    # three threads (more than a 2-core host has), switching often, each on its own seeds
+    concurrent = [None] * len(seed_lists)
+
+    def run(j):
+        concurrent[j] = solve(seed_lists[j])
+
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(len(seed_lists))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert concurrent == sequential
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +937,7 @@ def test_rejection_slope_is_sound(kind, seed, scale, near):
         r = system.residual(np.concatenate([u, v]))
         return core.head_residual_norm(r, head_dim), core.tail_residual_norm(system, r, head_dim)
 
-    v_star, stats = core.solve_tail(system, head_dim, u)
+    v_star, stats, _ = core.solve_tail(system, head_dim, u)
     assert stats.converged
     if near:
         v = v_star + scale * np.where(eig[head_dim:] == lam_t,
@@ -934,10 +1002,10 @@ def test_reduced_result_sums_tail_fallbacks(monkeypatch):
     solve_tail_, calls = core.solve_tail, []
 
     def one_fallback_each(*args, **kwargs):
-        v, stats = solve_tail_(*args, **kwargs)
+        v, stats, end = solve_tail_(*args, **kwargs)
         stats.fallbacks += 1
         calls.append(stats)
-        return v, stats
+        return v, stats, end
 
     monkeypatch.setattr(core, "solve_tail", one_fallback_each)
     res = core.reduced_newton(system, head_dim, np.full(head_dim, 0.7))
@@ -1147,11 +1215,11 @@ def test_a_system_built_after_clearing_the_tables_is_bitwise_the_same(kind):
         return (system.residual(c).tobytes(), system.hessian_matrix(c).tobytes(),
                 system.action(c))
 
-    before = memo_system(kind)
+    before = sample_system(kind)
     c = np.random.default_rng(11).normal(size=len(before.eigenvalues)) * 0.3
     expected = evaluate(before, c)
     clear_tables()
-    after = memo_system(kind)
+    after = sample_system(kind)
     assert evaluate(after, c) == expected
     (cos, gauss), (cos2, gauss2) = tables(before), tables(after)
     assert all(a is not b for a, b in zip(cos + gauss, cos2 + gauss2, strict=True))
