@@ -40,9 +40,10 @@ and ``hessian_matrix`` also take grid values the caller already holds.
 One state's evaluation lives in its ``ReducedPoint``, the reduced function
 f(u) = L(u + v(u)) at one head u, which every consumer of u + v(u), the
 gradient of f and its Hessian (the Schur complement of the tail block)
-reads.  ``solve_tail`` walks from point to point, and ``reduced_newton``
-starts each iterate from the accepted trial's point and keeps its last
-point in its result, so no state is evaluated twice.
+reads.  A point evaluates its residual when it is made, and its Hessian
+on first read.  ``solve_tail`` walks from point to point, and
+``reduced_newton`` starts each iterate from the accepted trial's point and
+keeps its last point in its result, so no state is evaluated twice.
 
 Certified early rejection.  The line search of ``reduced_newton`` solves
 the tail at every trial head, only to compare the head residual with the
@@ -206,7 +207,6 @@ single_blas_thread = BlasThreadPin(openblas_setters)
 
 @dataclass
 class TailStats:
-    method: str
     iterations: int = 0
     fallbacks: int = 0
     converged: bool = False
@@ -231,6 +231,13 @@ class HessianBlocks:
     D: np.ndarray
     metric: str = "l2_coeff"  # 'l2_coeff' | 'h1_coeff'
 
+    @classmethod
+    def split(cls, K: np.ndarray, head_dim: int, n: int,
+              metric: str = "l2_coeff") -> "HessianBlocks":
+        """K, a fresh (D, D) matrix made read-only, split after head_dim rows and columns."""
+        h, K = head_dim, _read_only(K)
+        return cls(h // n, K.shape[0] // n, n, K[:h, :h], K[:h, h:], K[h:, h:], metric)
+
     def full(self) -> np.ndarray:
         return np.block([[self.A, self.B], [self.B.T, self.D]])
 
@@ -238,13 +245,9 @@ class HessianBlocks:
         """Congruence by the positive diagonal mapping to H1-orthonormal modes."""
         if self.metric == "h1_coeff":
             return self
-        eig = np.repeat(mode_eigenvalues(T, self.M), self.n)
-        scale = 1.0 / np.sqrt(eig)
-        hd = self.N * self.n
-        K = self.full() * scale[:, None] * scale[None, :]
-        return HessianBlocks(self.N, self.M, self.n,
-                             A=K[:hd, :hd], B=K[:hd, hd:], D=K[hd:, hd:],
-                             metric="h1_coeff")
+        scale = 1.0 / np.sqrt(np.repeat(mode_eigenvalues(T, self.M), self.n))
+        return HessianBlocks.split(self.full() * scale[:, None] * scale[None, :],
+                                   self.N * self.n, self.n, metric="h1_coeff")
 
 
 @dataclass
@@ -468,7 +471,7 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
     if start is None:
         start = ReducedPoint(system, head_dim,
                              np.concatenate([u, np.zeros(len(eig_tail)) if v0 is None else v0]))
-    point, stats = start, TailStats(method=method)
+    point, stats = start, TailStats()
     for _ in range(TAIL_NEWTON_STEPS if method == "newton" else TAIL_PICARD_STEPS):
         res = point.tail_residual
         stats.residuals.append(res)
@@ -539,18 +542,24 @@ class ReducedPoint:
     holder of an evaluation: ``c`` = (u, v), flat, a read-only copy of the
     coefficients it is given, ``u`` and ``v`` views of it, and ``tail`` the
     TailStats of the last tail solve that ended here (None for a given c).
-    Its grid ``values``, the coefficients ``vprime`` of V', the ``residual``
-    eigenvalues * c - vprime, its head block ``gradient`` (the gradient of
-    f), their norms ``head_residual`` and ``tail_residual``
-    (``tail_residual_norm``), the Hessian ``blocks`` (from the same grid
-    values), their Schur complement ``schur`` (the Hessian of f) and
-    ``value`` (f) are each computed once, on first read; every array it
-    keeps is read-only."""
+    Made with it are its grid ``values``, the coefficients ``vprime`` of V',
+    the ``residual`` eigenvalues * c - vprime, its head block ``gradient``
+    (the gradient of f) and their norms ``head_residual`` and
+    ``tail_residual`` (``tail_residual_norm``).  The Hessian ``blocks``
+    (from the same grid values), their Schur complement ``schur`` (the
+    Hessian of f) and ``value`` (f) are each computed once, on first read.
+    Every array it keeps is read-only."""
 
     def __init__(self, system, head_dim: int, c: np.ndarray):
         self.system, self.head_dim, self.tail = system, head_dim, None
         self.c = _read_only(np.array(c, dtype=float))
         self.u, self.v = self.c[:head_dim], self.c[head_dim:]
+        self.values = _read_only(system.grid_values(self.c))
+        self.vprime = _read_only(system.nonlinear_coeffs(self.c, self.values))
+        self.residual = _read_only(system.eigenvalues * self.c - self.vprime)
+        self.gradient = self.residual[:head_dim]
+        self.head_residual = head_residual_norm(self.residual, head_dim)
+        self.tail_residual = tail_residual_norm(system, self.residual, head_dim)
 
     @classmethod
     def solve(cls, system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = None,
@@ -565,35 +574,9 @@ class ReducedPoint:
         return ReducedPoint(self.system, self.head_dim, np.concatenate([self.u, v]))
 
     @cached_property
-    def values(self) -> np.ndarray:
-        return _read_only(self.system.grid_values(self.c))
-
-    @cached_property
-    def vprime(self) -> np.ndarray:
-        return _read_only(self.system.nonlinear_coeffs(self.c, self.values))
-
-    @cached_property
-    def residual(self) -> np.ndarray:
-        return _read_only(self.system.eigenvalues * self.c - self.vprime)
-
-    @property
-    def gradient(self) -> np.ndarray:
-        return self.residual[:self.head_dim]
-
-    @cached_property
-    def head_residual(self) -> float:
-        return head_residual_norm(self.residual, self.head_dim)
-
-    @cached_property
-    def tail_residual(self) -> float:
-        return tail_residual_norm(self.system, self.residual, self.head_dim)
-
-    @cached_property
     def blocks(self) -> HessianBlocks:
-        h, n = self.head_dim, self.system.n
-        K = _read_only(self.system.hessian_matrix(self.c, self.values))
-        return HessianBlocks(N=h // n, M=len(self.system.eigenvalues) // n, n=n,
-                             A=K[:h, :h], B=K[:h, h:], D=K[h:, h:])
+        return HessianBlocks.split(self.system.hessian_matrix(self.c, self.values),
+                                   self.head_dim, self.system.n)
 
     @cached_property
     def schur(self) -> np.ndarray:

@@ -275,6 +275,9 @@ class DirichletSystem(GalerkinSystem):
     part; V'(0), its boundary value, is projected exactly."""
 
     def __init__(self, dom: RectangleDomain, pot: Potential, plan: DirichletPlan):
+        if dom != plan.domain:  # the modes and eigenvalues are the plan's, the grid dom's
+            raise ValueError(f"the plan is for the domain {plan.domain.lengths}, "
+                             f"not {dom.lengths}")
         self.dom = dom
         self.pot = pot
         self.plan = plan

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HessianBlocks, MechanicalSystem, ReducedPoint
+from .core import HessianBlocks, MechanicalSystem
 from .fourier import BoundaryProblem, SinePath
 
 __all__ = ["HessianBlocks", "action_value", "blocks_at", "gradient", "hessian_blocks"]
@@ -46,8 +46,9 @@ def gradient(bp: BoundaryProblem, c: SinePath, convention: str = "euler_lagrange
 
 
 def blocks_at(system, head_dim: int, c: np.ndarray) -> HessianBlocks:
-    """Head/tail blocks of a system's Hessian at coefficients c, head = first head_dim entries."""
-    return ReducedPoint(system, head_dim, c).blocks
+    """Head/tail blocks of a system's Hessian at coefficients c, head = first head_dim
+    entries: read-only, as a ``ReducedPoint``'s, with no V' evaluated."""
+    return HessianBlocks.split(system.hessian_matrix(c), head_dim, system.n)
 
 
 def hessian_blocks(bp: BoundaryProblem, c: SinePath, N: int,

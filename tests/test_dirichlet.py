@@ -222,6 +222,21 @@ def test_plan_certification_opt_in():
     assert not plan.certified
 
 
+def test_a_system_rejects_a_domain_that_is_not_its_plans():
+    # the modes and eigenvalues are the plan's and the grid the domain's: on the
+    # 2 x 1 rectangle with the unit square's plan the solve "converged" to roots
+    # of neither problem
+    pot = parse_potential("-20*cos(q1)", 1, c_bound=20.0)
+    plan = dirichlet_plan(RectangleDomain((1.0, 1.0)), pot)
+    other = RectangleDomain((2.0, 1.0))
+    with pytest.raises(ValueError, match=r"plan is for the domain \(1.0, 1.0\), not \(2.0, 1.0\)"):
+        DirichletSystem(other, pot, plan)
+    with pytest.raises(ValueError, match="plan is for the domain"):
+        solve_dirichlet(other, pot, plan, count=4, refine=False)
+    # an equal domain built apart is the plan's
+    assert DirichletSystem(RectangleDomain([1, 1]), pot, plan).dom == plan.domain
+
+
 # ---------------------------------------------------------------------------
 # weyl
 

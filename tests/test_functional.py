@@ -253,6 +253,16 @@ def test_to_h1_is_positive_diagonal_congruence(rng):
     eig = np.repeat(mode_eigenvalues(bp.T, plan.M), bp.n)
     rebuilt = h1.full() * np.sqrt(eig)[:, None] * np.sqrt(eig)[None, :]
     assert np.allclose(rebuilt, blocks.full(), rtol=1e-12, atol=1e-12)
+    # the bits of the full matrix scaled on both sides, split at the same head, read-only
+    scale = 1.0 / np.sqrt(eig)
+    K = blocks.full() * scale[:, None] * scale[None, :]
+    hd = plan.N * bp.n
+    assert (h1.N, h1.M, h1.n) == (blocks.N, blocks.M, blocks.n)
+    for got, want in zip((h1.A, h1.B, h1.D), (K[:hd, :hd], K[:hd, hd:], K[hd:, hd:])):
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0.0
+    assert h1.to_h1(bp.T) is h1
 
 
 def test_gradient_converges_in_quadrature_points(rng):

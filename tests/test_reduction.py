@@ -804,6 +804,48 @@ def test_a_point_is_bitwise_a_fresh_system(kind):
             a[0] = 1.0
 
 
+@pytest.mark.parametrize("kind", ["mechanical", "dirichlet"])
+def test_a_point_evaluates_its_residual_when_made_and_its_hessian_on_read(kind):
+    from finred.functional import blocks_at
+
+    system = sample_system(kind)
+    D, head = len(system.eigenvalues), head_of(system)
+    c = np.random.default_rng(23).normal(size=D) / np.arange(1, D + 1)
+    calls = []
+
+    def counting(name):
+        method = getattr(system, name)
+
+        def record(*args):
+            calls.append((name,) + args[1:])
+            return method(*args)
+        setattr(system, name, record)
+
+    for name in ("grid_values", "nonlinear_coeffs", "hessian_matrix"):
+        counting(name)
+    point = core.ReducedPoint(system, head, c)
+    assert [name for name, *_ in calls] == ["grid_values", "nonlinear_coeffs"]
+    assert calls[1][1] is point.values  # V' from the grid values the point holds
+    for name in ("values", "vprime", "residual", "gradient", "head_residual", "tail_residual"):
+        getattr(point, name)
+    assert len(calls) == 2
+    blocks = point.blocks
+    assert [name for name, *_ in calls[2:]] == ["hessian_matrix"]
+    assert calls[2][1] is point.values  # the Hessian from the same grid values
+    point.blocks, point.schur
+    assert len(calls) == 3
+    # blocks_at splits the Hessian as a point does, with no V' evaluated: the
+    # Hessian synthesizes its own grid values
+    calls.clear()
+    at = blocks_at(system, head, c)
+    assert [name for name, *_ in calls] == ["hessian_matrix", "grid_values"]
+    assert (at.N, at.M, at.n, at.metric) == (blocks.N, blocks.M, blocks.n, blocks.metric)
+    for mine, theirs in zip((at.A, at.B, at.D), (blocks.A, blocks.B, blocks.D)):
+        assert mine.tobytes() == theirs.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            mine[0] = 1.0
+
+
 def count_states(system):
     """Record the bit pattern of every state that nonlinear_coeffs evaluates."""
     states = []
