@@ -2,8 +2,8 @@
 
 A "system" exposes the diagonal stiffness of its stored modes plus the
 sampled nonlinearity; everything downstream (tail contraction/Newton,
-reduced Newton with the Schur-complement Jacobian, multistart) is written
-against that surface.  Coefficient vectors are flat, head block first.
+reduced Newton on the Schur complement, multistart) is written against
+that surface.  Coefficient vectors are flat, head block first.
 The surface is
 
     eigenvalues            flat diagonal stiffness, head block first
@@ -44,6 +44,18 @@ reads.  A point evaluates its residual when it is made, and its Hessian
 on first read.  ``solve_tail`` walks from point to point, and
 ``reduced_newton`` starts each iterate from the accepted trial's point and
 keeps its last point in its result, so no state is evaluated twice.
+
+Newton's matrix.  A tail solve that ends with a Newton step has just
+assembled and factored the Hessian blocks at the tail iterate before its
+last, which lies within res/mu of v(u) in H1 (strong monotonicity, below).
+That step forms the nN x nN Schur complement from those blocks and that
+factor (``ReducedPoint.newton_matrix``), and the next head step solves with
+it, so it costs no Hessian and no factorization at u + v(u).  No (D, D)
+array outlives the tail solve.  This is an inexact Newton method (Dembo,
+Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982): the line search
+and the convergence test read exact residuals.  A tail solve that ends
+without a Newton step (converged at its first check, a Picard step or a
+fallback) leaves the exact ``schur``, which every Morse count reads.
 
 Certified early rejection.  The line search of ``reduced_newton`` solves
 the tail at every trial head, only to compare the head residual with the
@@ -220,7 +232,8 @@ class HessianBlocks:
     """Second-variation matrix partitioned at mode N into head/tail blocks.
 
     ``A`` is the head block (nN x nN), ``D`` the tail block, ``B`` couples
-    head rows to tail columns; the full matrix is [[A, B], [B^T, D]].
+    head rows to tail columns; the full matrix is [[A, B], [B^T, D]], and
+    ``matrix`` is that matrix when the blocks are views of it (``split``).
     """
 
     N: int
@@ -230,15 +243,19 @@ class HessianBlocks:
     B: np.ndarray
     D: np.ndarray
     metric: str = "l2_coeff"  # 'l2_coeff' | 'h1_coeff'
+    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def split(cls, K: np.ndarray, head_dim: int, n: int,
               metric: str = "l2_coeff") -> "HessianBlocks":
         """K, a fresh (D, D) matrix made read-only, split after head_dim rows and columns."""
         h, K = head_dim, _read_only(K)
-        return cls(h // n, K.shape[0] // n, n, K[:h, :h], K[:h, h:], K[h:, h:], metric)
+        return cls(h // n, K.shape[0] // n, n, K[:h, :h], K[:h, h:], K[h:, h:], metric, K)
 
     def full(self) -> np.ndarray:
+        """[[A, B], [B^T, D]]: ``matrix`` when held (read-only), else a new array."""
+        if self.matrix is not None:
+            return self.matrix
         return np.block([[self.A, self.B], [self.B.T, self.D]])
 
     def to_h1(self, T: float) -> "HessianBlocks":
@@ -457,7 +474,8 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
     unconverged, after TAIL_NEWTON_STEPS or TAIL_PICARD_STEPS iterations.
     An empty tail converges at the first check (its dual norm is 0).  Each
     iterate is a ReducedPoint; returns the last one's tail (a fresh array),
-    the stats and that point.
+    the stats and that point.  A Newton step that lands within tol sets that
+    point's ``newton_matrix`` from its own blocks and Cholesky factor.
 
     ``reject=(hnorm, kappa)`` screens a line-search trial: the solve stops
     early, with ``stats.rejected``, at the first unconverged iterate where
@@ -485,13 +503,17 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
                 break
         stats.iterations += 1
         if method == "newton":  # a Newton step on the tail block
+            blocks = point.blocks
             try:
-                step = _cholesky_solve(_tail_cholesky(point.blocks.D), point.residual[head_dim:])
+                factor = _tail_cholesky(blocks.D)
             except TruncationError as exc:
                 exc.tail = stats  # the step that failed counts
                 raise
-            trial = point.with_tail(point.v - step)
+            trial = point.with_tail(point.v - _cholesky_solve(factor, point.residual[head_dim:]))
             if trial.tail_residual < res:
+                if trial.tail_residual <= tol:  # the landing step: the solve ends at trial
+                    trial.newton_matrix = _read_only(
+                        schur_matrix(blocks.A, blocks.B, blocks.D, factor))
                 point = trial
                 continue
             stats.fallbacks += 1  # to the contraction step, which is always safe
@@ -527,13 +549,15 @@ def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """A - B D^{-1} B^T through a Cholesky factorization of D."""
+def schur_matrix(A: np.ndarray, B: np.ndarray, D: np.ndarray,
+                 factor: np.ndarray | None = None) -> np.ndarray:
+    """A - B D^{-1} B^T through the Cholesky factor of D, ``factor`` (from
+    ``_tail_cholesky(D)``) when given, else a new factorization of D."""
     if A.shape[0] == 0:
         return A.copy()
     if D.shape[0] == 0:
         return 0.5 * (A + A.T)
-    S = A - B @ _cholesky_solve(_tail_cholesky(D), B.T)
+    S = A - B @ _cholesky_solve(_tail_cholesky(D) if factor is None else factor, B.T)
     return 0.5 * (S + S.T)
 
 
@@ -547,8 +571,9 @@ class ReducedPoint:
     (the gradient of f) and their norms ``head_residual`` and
     ``tail_residual`` (``tail_residual_norm``).  The Hessian ``blocks``
     (from the same grid values), their Schur complement ``schur`` (the
-    Hessian of f) and ``value`` (f) are each computed once, on first read.
-    Every array it keeps is read-only."""
+    Hessian of f), ``newton_matrix`` (``schur`` unless its tail solve set
+    it) and ``value`` (f) are each computed once, on first read.  Every
+    array it keeps is read-only."""
 
     def __init__(self, system, head_dim: int, c: np.ndarray):
         self.system, self.head_dim, self.tail = system, head_dim, None
@@ -583,6 +608,14 @@ class ReducedPoint:
         return _read_only(schur_matrix(self.blocks.A, self.blocks.B, self.blocks.D))
 
     @cached_property
+    def newton_matrix(self) -> np.ndarray:
+        """The matrix of a Newton step from here: ``schur``, unless the tail solve
+        that ended here landed by a tail Newton step, which sets the Schur
+        complement of that step's blocks from its Cholesky factor (at the last
+        factored tail, within res/mu of v(u)); no Morse data reads it."""
+        return self.schur
+
+    @cached_property
     def value(self) -> float:
         return self.system.action(self.c)
 
@@ -606,7 +639,10 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
                    tail_method: str = "newton", max_iter: int = 60,
                    c_bound: float | None = None,
                    v0: np.ndarray | None = None) -> ReducedResult:
-    """Damped Newton on the gradient of f, Jacobian = its Schur complement.
+    """Damped Newton on the gradient of f.  Its matrix is each iterate's
+    ``newton_matrix``: the Schur complement at the last factored tail
+    iterate, within res/mu of v(u) (the exact one, ``schur``, when the tail
+    solve took no Newton step last); residuals and Morse data stay exact.
 
     Every iterate and every line-search trial is a ReducedPoint, one tail
     solve each, the first from the tail ``v0`` (zero when None; a refined
@@ -639,7 +675,7 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
                 reason = ("" if converged else "tail_not_converged" if head_dim == 0
                           else "iteration_cap")
                 break
-            step = np.linalg.solve(point.schur, point.gradient)
+            step = np.linalg.solve(point.newton_matrix, point.gradient)
             reject = None if kappa is None else (point.head_residual, kappa)
             lam = 1.0
             for _ in range(LINE_SEARCH_HALVINGS + 1):

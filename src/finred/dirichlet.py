@@ -29,7 +29,7 @@ from .core import MODE_CAP, GalerkinSystem
 from .fourier import SineGrid, affine_coeffs, frozen_copy, sine_table, tensor_values
 from .potentials import Potential
 from .reduction import (DEFAULT_MULTISTART_COUNT, DEFAULT_MULTISTART_SEED, SolutionReport,
-                        curvature_bound, solve_system)
+                        curvature_bound, null_margin, solve_system)
 
 __all__ = [
     "RectangleDomain",
@@ -190,8 +190,11 @@ def dirichlet_plan(dom: RectangleDomain, pot: Potential, *,
     """Eigenvalue-threshold cutoff: head = modes with lambda <= C.
 
     mu = 1 - C / lambda_{N+1} > 0.  The stored mode set keeps every mode
-    with lambda <= lambda_cut (default 4 max(C, lambda_{N+1})); N may be
-    overridden upward only.
+    with lambda <= lambda_cut (default 4 max(C, lambda_{N+1})).  While the
+    tail margin lambda_{N+1} - C is inside the null threshold of that
+    default cut (``reduction.null_margin``), the head takes the next mode,
+    whatever lambda_cut is given, so a refined level re-plans to the same
+    head; N may be overridden upward only.
     """
     if pot.dim != 1:
         raise ValueError(f"Dirichlet problems take scalar potentials, got dimension {pot.dim}")
@@ -201,6 +204,9 @@ def dirichlet_plan(dom: RectangleDomain, pot: Potential, *,
     probe = max(C, lam1) * 4.0 + 1.0
     modes_probe = enumerate_modes(dom, probe)
     n_min = sum(1 for em in modes_probe if em.lam <= C)
+    # a tail margin inside the null threshold of the default cut takes the next cutoff
+    while modes_probe[n_min].lam - C <= null_margin(C, 4.0 * max(C, modes_probe[n_min].lam)):
+        n_min += 1
     if N is None:
         N = n_min
     elif N < n_min:

@@ -51,13 +51,23 @@ def reduced_hessian(blocks: HessianBlocks) -> np.ndarray:
 
 
 def _signature(matrix: np.ndarray, method: str) -> IndexReport:
+    """The signature of the symmetric part of matrix; a bitwise symmetric matrix
+    is its own symmetric part, bit for bit, so it goes to eigvalsh as it is."""
     if matrix.shape[0] == 0:
         return IndexReport(0, 0, method, np.inf)
-    eigs = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
+    if not _bitwise_symmetric(matrix):
+        matrix = 0.5 * (matrix + matrix.T)
+    eigs = np.linalg.eigvalsh(matrix)
     theta = NULL_THRESHOLD_SCALE * (1.0 + float(np.max(np.abs(eigs), initial=0.0)))
     index = int(np.sum(eigs < -theta))
     nullity = int(np.sum(np.abs(eigs) <= theta))
     return IndexReport(index, nullity, method, float(np.min(np.abs(eigs))))
+
+
+def _bitwise_symmetric(matrix: np.ndarray) -> bool:
+    """Whether matrix equals its transpose bit for bit (signed zeros and NaNs included)."""
+    bits = matrix.view(np.uint64) if matrix.dtype == np.float64 else matrix
+    return bool(np.array_equal(bits, bits.T))
 
 
 @single_blas_thread

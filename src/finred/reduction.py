@@ -11,8 +11,10 @@ enters a strongly monotone tail problem with constant
 so the tail coefficients are a function v(u) of the head u alone, the
 fixed-point iteration contracts at rate 1 - mu, and solving the original
 problem is exactly equivalent to finding the roots of the reduced head
-gradient.  The reduced Hessian used as the Newton Jacobian is the Schur
-complement of the tail block and carries the full Morse data.
+gradient.  The reduced Hessian is the Schur complement of the tail block
+and carries the full Morse data.  Newton's matrix is the Schur complement
+at the last factored tail iterate, within res/mu of v(u) (see ``core``),
+while the Morse data read the exact one.
 
 The multistart -> dedup -> refine -> report pipeline (``solve_system``) is
 shared by the mechanical and the Dirichlet problem.  It works against
@@ -35,7 +37,7 @@ import numpy as np
 from . import core
 from .core import MechanicalSystem, TailStats
 from .fourier import BoundaryProblem, SinePath
-from .morse import index_full, index_schur
+from .morse import NULL_THRESHOLD_SCALE, index_full, index_schur
 
 __all__ = [
     "ReductionPlan",
@@ -149,13 +151,28 @@ def curvature_bound(pot, allow_uncertified: bool) -> float:
     return C
 
 
+def null_margin(C: float, top: float) -> float:
+    """The least tail margin mu lambda_{N+1} = lambda_{N+1} - C a plan keeps.
+
+    It is the null threshold of ``morse`` for a full matrix whose
+    eigenvalues reach top + C, with top the plan's largest mode eigenvalue
+    raised by MAX_REFINEMENTS levels (each multiplies it by 4).  The tail
+    block is at least mu lambda_{N+1} (its guaranteed margin); at or below
+    the threshold ``index_full`` may read a tail eigenvalue as null, which
+    ``index_schur`` never sees, so such a plan takes the next cutoff.
+    """
+    return NULL_THRESHOLD_SCALE * (1.0 + 4.0 ** MAX_REFINEMENTS * top + C)
+
+
 def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None,
               quad_points: int | None = None, tail_tol: float = 1e-10,
               head_tol: float = 1e-9, allow_uncertified: bool = False) -> ReductionPlan:
     """Compute the certified cutoff and tail constants for a problem.
 
-    N defaults to floor(T sqrt(C)/pi) and may only be overridden upward
-    (mu is recomputed for the override).  M defaults to max(2N+8, 32).
+    N defaults to floor(T sqrt(C)/pi), one more while the tail margin
+    mu lambda_{N+1} is inside the null threshold (``null_margin``), and may
+    only be overridden upward (mu is recomputed for the override).  M
+    defaults to max(2N+8, 32).
     Planning with an uncertified bound (sampled estimate or unbounded
     curvature) requires ``allow_uncertified=True``.  M n and quad_points
     (default 2M+1) may not exceed ``core.MODE_CAP`` = 100000, the cap on
@@ -165,6 +182,12 @@ def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None
     pot = bp.potential
     C = curvature_bound(pot, allow_uncertified)
     n_min = int(math.floor(bp.T * math.sqrt(C) / math.pi))
+
+    def lam(k: int) -> float:  # the k-th mode eigenvalue
+        return (math.pi * k / bp.T) ** 2
+
+    while lam(n_min + 1) - C <= null_margin(C, lam(max(2 * n_min + 8, 32) if M is None else M)):
+        n_min += 1
     if N is None:
         N = n_min
     elif N < n_min:

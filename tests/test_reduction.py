@@ -72,6 +72,39 @@ def test_plan_defaults():
 
 
 @pytest.mark.parametrize("kind", ["mechanical", "dirichlet"])
+def test_a_tail_margin_inside_the_null_threshold_takes_the_next_cutoff(kind):
+    # 1e-12 short of the first conjugate horizon (a path) or eigenvalue (a field),
+    # the tail block of the zero solution has eigenvalues near 1e-11 at the
+    # floor cutoff: index_full reads them as null, index_schur never sees them.
+    # The head takes them in, so both count them
+    from finred.functional import blocks_at
+    from finred.morse import index_full, index_schur
+
+    if kind == "mechanical":
+        omega = (1.8041156, 1.77672364, 1.64423956, 0.43230209)
+        bp = BoundaryProblem(builtin_potential("harmonic", omega), math.pi / omega[0]
+                             * (1 - 1e-12), np.zeros(4), np.zeros(4))
+        plan, floor, nullity = make_plan(bp), 0, 1
+        system, lam_next = MechanicalSystem(bp, plan.M), mode_eigenvalues(bp.T, plan.N + 1)[-1]
+        with pytest.raises(ValueError, match="below the certified minimum 1"):
+            make_plan(bp, N=floor)
+    else:
+        g = 5 * math.pi ** 2 * (1 - 1e-12)
+        dom = RectangleDomain((1.0, 1.0))
+        pot = parse_potential(f"-{g!r}*cos(q1)", 1, c_bound=g)
+        plan, floor, nullity = dirichlet_plan(dom, pot), 1, 2  # the modes (1, 2) and (2, 1)
+        system = DirichletSystem(dom, pot, plan)
+        lam_next = plan.modes[plan.N].lam
+        assert system.refined().plan.N == plan.N  # a finer level keeps the head
+    assert plan.N > floor
+    assert plan.mu * lam_next > reduction.null_margin(plan.c_bound, float(system.eigenvalues[-1]))
+    blocks = blocks_at(system, plan.N * system.n, np.zeros(len(system.eigenvalues)))
+    schur, full = index_schur(blocks), index_full(blocks)
+    assert (schur.index, schur.nullity) == (full.index, full.nullity)
+    assert schur.nullity == nullity and schur.min_abs_eigenvalue < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["mechanical", "dirichlet"])
 def test_plan_rejects_a_bound_the_sampler_contradicts(kind, monkeypatch):
     def plan(expr, c_bound):
         pot = parse_potential(expr, 1, c_bound=c_bound)
@@ -444,42 +477,181 @@ def test_unconverged_results_name_their_reason():
     assert (empty.converged, empty.reason) == (False, "tail_not_converged")
 
 
-def test_newton_calls_one_tail_solve_per_point_and_one_schur_per_step(monkeypatch):
-    # the benchmark's tracer counts these calls and derives the line-search halvings
-    # from them: one tail solve at each iterate (I; after an accepted trial it starts
-    # from the trial's point, so no tail step), one per trial (T), one Schur
-    # complement per Newton step (S); it reads the iteration cap from the signature
-    assert inspect.signature(core.reduced_newton).parameters["max_iter"].default == 60
-    dom, pot, plan, seeds = stalled_dirichlet()
-    system = DirichletSystem(dom, pot, plan)
-    solve_tail_, schur_matrix_, events, iterate_steps = core.solve_tail, core.schur_matrix, [], []
+def newton_trace(monkeypatch, system):
+    """Record, in call order, what a reduced Newton solve on system does: each tail
+    solve as I(...) at an iterate or T(...) for a line-search trial (a trial
+    passes the tail screen), and inside or between them H for a Hessian, C for a
+    tail Cholesky factorization, S for a Schur complement that factors its tail
+    block and s for one formed from a factor it is given."""
+    solve_tail_, schur_matrix_, cholesky_ = core.solve_tail, core.schur_matrix, core._tail_cholesky
+    hessian_, events, iterate_steps = system.hessian_matrix, [], []
 
     def counted_tail(*args, **kwargs):
+        trial = "reject" in kwargs
+        events.append("T(" if trial else "I(")
         v, stats, end = solve_tail_(*args, **kwargs)
-        trial = "reject" in kwargs  # a line-search trial passes the tail screen
-        events.append("T" if trial else "I")
+        events.append(")")
         if not trial:
             iterate_steps.append(stats.iterations)
         return v, stats, end
 
-    def counted_schur(*args):
-        events.append("S")
-        return schur_matrix_(*args)
+    def counted_schur(A, B, D, factor=None):
+        events.append("S" if factor is None else "s")
+        return schur_matrix_(A, B, D, factor)
+
+    def counted(name, function):
+        def record(*args, **kwargs):
+            events.append(name)
+            return function(*args, **kwargs)
+        return record
 
     monkeypatch.setattr(core, "solve_tail", counted_tail)
     monkeypatch.setattr(core, "schur_matrix", counted_schur)
-    exhausted = f"(IST+)*IST{{{core.LINE_SEARCH_HALVINGS + 1}}}"
-    for i, reason, pattern in ((2, "", "(IST+)*I"), (1, "line_search_exhausted", exhausted)):
+    monkeypatch.setattr(core, "_tail_cholesky", counted("C", cholesky_))
+    monkeypatch.setattr(system, "hessian_matrix", counted("H", hessian_))
+    return events, iterate_steps
+
+
+def tail_solves(trace):
+    """(kind, calls inside, calls after until the next solve) of each tail solve."""
+    return re.findall(r"([IT])\(([^()]*)\)([^()IT]*)", trace)
+
+
+def newton_steps(trace):
+    """Per Newton step: the calls inside the tail solve that made its point (the
+    iterate's own, or the accepted trial's when the iterate's solve took no step)
+    and the calls between that iterate's tail solve and its first trial."""
+    solves, steps = tail_solves(trace), []
+    for j, (kind, inside, after) in enumerate(solves):
+        if kind == "I" and j + 1 < len(solves):
+            steps.append((inside if inside or j == 0 else solves[j - 1][1], after))
+    return steps
+
+
+def test_newton_calls_one_tail_solve_per_point_and_one_schur_per_step(monkeypatch):
+    # the benchmark's tracer counts these calls and derives the line-search halvings
+    # from them: one tail solve at each iterate (I; after an accepted trial it starts
+    # from the trial's point, so no tail step) and one per trial (T); it reads the
+    # iteration cap from the signature.  Each Newton step reads one Schur
+    # complement: the one a tail solve formed (s) at its last Newton step, from that
+    # step's blocks and factor, when the step's point was reached by it, with no
+    # Hessian or factorization between the solves; else the exact one (HSC)
+    assert inspect.signature(core.reduced_newton).parameters["max_iter"].default == 60
+    dom, pot, plan, seeds = stalled_dirichlet()
+    system = DirichletSystem(dom, pot, plan)
+    events, iterate_steps = newton_trace(monkeypatch, system)
+    newton = dict(head_tol=plan.head_tol, tail_tol=plan.tail_tol, c_bound=plan.c_bound)
+    exhausted = f"(I.*?T.*?)*I.*?(T.*?){{{core.LINE_SEARCH_HALVINGS + 1}}}"
+    for i, reason, pattern in ((2, "", r"(I.*?T.*?)*I\(\)"), (1, "line_search_exhausted", exhausted)):
         events.clear()
         iterate_steps.clear()
-        res = core.reduced_newton(system, plan.N, seeds[i], head_tol=plan.head_tol,
-                                  tail_tol=plan.tail_tol, c_bound=plan.c_bound)
+        res = core.reduced_newton(system, plan.N, seeds[i], **newton)
         assert (res.converged, res.reason) == (not reason, reason)
         trace = "".join(events)
         assert re.fullmatch(pattern, trace), trace
         assert trace.count("I") == len(res.head_history) >= 2
-        assert trace.count("S") == len(res.head_history) - res.converged
         assert iterate_steps[0] > 0 and not any(iterate_steps[1:])
+        # a tail solve forms a Schur complement only at its last Newton step
+        assert all(re.fullmatch(r"(HC)*s?", inside) for _, inside, _ in tail_solves(trace))
+        steps = newton_steps(trace)
+        assert len(steps) == len(res.head_history) - res.converged
+        for made_by, between in steps:
+            assert made_by.endswith("s") and between == "", trace
+
+    # an iterate reached without a tail Newton step gets the exact Schur complement:
+    # a start whose tail has converged takes no tail step, and Picard takes none at all
+    start = core.ReducedPoint.solve(system, plan.N, seeds[2], tol=plan.tail_tol)
+    for kwargs in (dict(v0=np.array(start.v)), dict(tail_method="picard")):
+        events.clear()
+        res = core.reduced_newton(system, plan.N, seeds[2], **newton, **kwargs)
+        assert res.converged
+        trace = "".join(events)
+        steps = newton_steps(trace)
+        assert steps[0] == ("", "HSC")
+        for made_by, between in steps:
+            assert between == ("" if made_by.endswith("s") else "HSC"), trace
+        assert ("s" in trace) == ("v0" in kwargs)
+
+
+def exact_schur(K, head):
+    """A - B D^-1 B^T of K split after head, symmetrised, as scipy's Cholesky gives it."""
+    A, B, D = K[:head, :head], K[:head, head:], K[head:, head:]
+    S = A - B @ cho_solve(cho_factor(D, lower=True, check_finite=False), B.T, check_finite=False)
+    return 0.5 * (S + S.T)
+
+
+PENDULUM_09 = """
+[problem]
+kind = mechanical
+
+[potential]
+builtin = pendulum
+params = 1.0
+
+[geometry]
+T = 9.42477796076938
+q0 = 0.0
+qT = 0.9
+
+[multistart]
+count = 6
+
+[output]
+directory = {out}
+"""
+
+
+def test_morse_data_read_the_exact_schur_complement(monkeypatch, tmp_path, capsys):
+    # Newton's matrix may be the Schur complement at the tail solve's last factored
+    # iterate; every Morse count reads the exact one at the root's own coefficients
+    from finred import cli, morse
+
+    bp = BoundaryProblem(builtin_potential("pendulum", (1.0,)), 3 * np.pi, [0.0], [0.9])
+    plan = make_plan(bp)
+    signatures, signature = [], morse._signature
+
+    def spy(matrix, method):
+        signatures.append((method, matrix.tobytes()))
+        return signature(matrix, method)
+
+    monkeypatch.setattr(morse, "_signature", spy)
+    reports = solve_reduced(bp, plan, count=6, with_oracles=True)
+    assert len(reports) >= 2 and len(signatures) == 2 * len(reports)
+    refined = 0
+    for rep in reports:
+        system = MechanicalSystem(bp, rep.path.M)
+        refined += system.M > plan.M
+        K = system.hessian_matrix(system.flatten(rep.path.coeffs))
+        S = exact_schur(K, plan.N)
+        assert ("schur", S.tobytes()) in signatures and ("full_matrix", K.tobytes()) in signatures
+        assert (rep.index, rep.nullity) == (signature(S, "schur").index,
+                                            signature(S, "schur").nullity)
+        assert rep.oracle_index == signature(K, "full_matrix").index
+    assert refined
+
+    # the reduced Hessian of a head is the exact Schur complement at its tail point,
+    # not the matrix its tail solve formed for Newton, which differs in its last bits
+    for rep in reports:
+        point = reduction._plan_point(bp, plan, rep.head)
+        S = exact_schur(point.system.hessian_matrix(point.c), plan.N)
+        assert reduced_hessian_matrix(bp, plan, rep.head).tobytes() == S.tobytes()
+        assert point.schur.tobytes() == S.tobytes()
+        assert point.newton_matrix.tobytes() != S.tobytes()
+
+    # finred index counts from the written coefficients what the solve reported
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(PENDULUM_09.format(out=tmp_path / "out"), encoding="utf-8")
+    monkeypatch.undo()
+    assert cli.main(["solve", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "solutions.csv").read_text().splitlines()[1:]
+    assert [tuple(map(int, row.split(",")[2:4])) for row in rows] == \
+        [(rep.index, rep.nullity) for rep in reports]
+    for row in rows:
+        sid, _, index, nullity = row.split(",")[:4]
+        capsys.readouterr()
+        assert cli.main(["index", "--config", str(cfg), sid]) == 0
+        assert capsys.readouterr().out == f"schur={index} full={index} jacobi={index} AGREE\n"
+        assert nullity == "0"
 
 
 def test_refinement_records_drift():
@@ -1111,14 +1283,14 @@ def test_report_order_ignores_rounding():
 
 
 def test_mirror_roots_are_ordered_by_head():
-    """-51.3 cos(phi) on the unit square has two mirror pairs whose actions
+    """-51.4 cos(phi) on the unit square has two mirror pairs whose actions
     and zero head components differ in the last digits only."""
     dom = RectangleDomain((1.0, 1.0))
-    pot = parse_potential("-51.3*cos(q1)", 1, c_bound=51.3)
+    pot = parse_potential("-51.4*cos(q1)", 1, c_bound=51.4)
     reports = solve_dirichlet(dom, pot, dirichlet_plan(dom, pot), count=8, refine=False)
     heads = [np.round(r.head, 6).tolist() for r in reports]
-    assert heads[:4] == [[-1.588766, 0.0, 0.0], [1.588766, 0.0, 0.0],
-                         [0.0, -0.322092, 0.0], [0.0, 0.0, -0.322092]]
+    assert heads[:4] == [[-1.590284, 0.0, 0.0], [1.590284, 0.0, 0.0],
+                         [0.0, -0.3301, 0.0], [0.0, 0.0, -0.3301]]
     assert reports[0].action != reports[1].action and reports[2].action != reports[3].action
     # a plain (action, head) sort orders both pairs by rounding noise
     plain = sorted(reports, key=lambda rep: (rep.action, tuple(rep.head)))
