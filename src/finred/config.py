@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .core import MODE_CAP
 from .dirichlet import RectangleDomain, dirichlet_plan
 from .fourier import BoundaryProblem
 from .potentials import builtin_potential, parse_potential
@@ -74,6 +75,8 @@ vector = typed(lambda text: tuple(map(float, text.split(","))),
                "must be a comma-separated list of reals")
 positive_real = checked(real, lambda x: math.isfinite(x) and x > 0, "must be a positive real")
 positive_int = checked(integer, lambda n: n >= 1, "must be positive")
+# no plan holds more than MODE_CAP coefficients, so no larger dimension plans
+dimension = checked(integer, lambda n: 1 <= n <= MODE_CAP, f"must be from 1 to {MODE_CAP}")
 points = checked(integer, lambda n: n >= 2, "must be at least 2")
 nonnegative_real = checked(real, lambda x: math.isfinite(x) and x >= 0,
                            "must be finite and nonnegative")
@@ -97,7 +100,7 @@ class RunConfig:
     params: tuple = setting("potential", vector, (), only="builtin")
     expr: str | None = setting("potential", str, None)
     c_bound: float | None = setting("potential", nonnegative_real, None, only="expr")
-    dim: int = setting("potential", positive_int, 1)
+    dim: int = setting("potential", dimension, 1)
     allow_uncertified: bool = setting("potential", boolean, False)
     T: float = setting("geometry", positive_real, 1.0, only="mechanical")
     q0: tuple = setting("geometry", vector, (0.0,), only="mechanical")

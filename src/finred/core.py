@@ -114,7 +114,8 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .fourier import (TABLE_CACHE_SIZE, BoundaryProblem, SineGrid, SinePath, affine_coeffs,
-                      grid_points, mode_eigenvalues, scipy_extension, sine_table, tensor_values)
+                      frozen_copy, grid_points, mode_eigenvalues, scipy_extension, sine_table,
+                      tensor_values)
 
 # the functions scipy.linalg.lapack exports, without scipy.linalg's __init__
 _flapack = scipy_extension("scipy.linalg._flapack")
@@ -269,13 +270,9 @@ class HessianBlocks:
 
 @dataclass
 class ReducedResult:
-    point: ReducedPoint  # the last iterate; u, v and the residual norms below are its
-    u: np.ndarray
-    v: np.ndarray  # tail coefficients (flat, length D - head)
+    point: ReducedPoint  # the last iterate; u, v and the residual norms are read from it
     converged: bool
     iterations: int
-    head_residual: float
-    tail_residual: float
     head_history: list
     tail_iterations: int
     seed_index: int = -1  # position in the multistart list; set by solve_system
@@ -287,6 +284,22 @@ class ReducedResult:
     reason: str = ""
     # the smallest eigenvalue of the tail block that stopped a tail_not_positive_definite solve
     tail_min_eigenvalue: float | None = None
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.point.u
+
+    @property
+    def v(self) -> np.ndarray:  # tail coefficients (flat, length D - head)
+        return self.point.v
+
+    @property
+    def head_residual(self) -> float:
+        return self.point.head_residual
+
+    @property
+    def tail_residual(self) -> float:
+        return self.point.tail_residual
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -577,7 +590,7 @@ class ReducedPoint:
 
     def __init__(self, system, head_dim: int, c: np.ndarray):
         self.system, self.head_dim, self.tail = system, head_dim, None
-        self.c = _read_only(np.array(c, dtype=float))
+        self.c = frozen_copy(c)
         self.u, self.v = self.c[:head_dim], self.c[head_dim:]
         self.values = _read_only(system.grid_values(self.c))
         self.vprime = _read_only(system.nonlinear_coeffs(self.c, self.values))
@@ -694,8 +707,7 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
         if exc.tail is not None:
             tails.append(exc.tail)
     # point is the last iterate, or the seed or accepted trial whose tail solve raised
-    return ReducedResult(point, point.u, point.v, converged, it, point.head_residual,
-                         point.tail_residual, history, sum(t.iterations for t in tails),
+    return ReducedResult(point, converged, it, history, sum(t.iterations for t in tails),
                          rejected_trials=sum(t.rejected for t in tails),
                          tail_fallbacks=sum(t.fallbacks for t in tails),
                          reason=reason, tail_min_eigenvalue=margin)

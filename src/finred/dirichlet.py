@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MODE_CAP, GalerkinSystem
-from .fourier import SineGrid, affine_coeffs, frozen_copy, sine_table, tensor_values
+from .fourier import (SineGrid, affine_coeffs, frozen_copy, sine_eigenvalue, sine_table,
+                      tensor_values)
 from .potentials import Potential
 from .reduction import (DEFAULT_MULTISTART_COUNT, DEFAULT_MULTISTART_SEED, SolutionReport,
-                        curvature_bound, null_margin, solve_system)
+                        curvature_bound, head_cutoff, solve_system)
 
 __all__ = [
     "RectangleDomain",
@@ -78,7 +79,7 @@ class EigenMode:
 
 
 def mode_eigenvalue(dom: RectangleDomain, indices) -> float:
-    return float(sum((math.pi * k / L) ** 2 for k, L in zip(indices, dom.lengths)))
+    return float(sum(sine_eigenvalue(k, L) for k, L in zip(indices, dom.lengths)))
 
 
 def enumerate_modes(dom: RectangleDomain, lambda_max: float,
@@ -89,15 +90,16 @@ def enumerate_modes(dom: RectangleDomain, lambda_max: float,
     is built, and no per-axis list holds more than ``cap + 1`` terms: a
     longer axis would put more than ``cap`` modes in the first row or
     column.  So a ``cap`` violation is raised without allocating the lattice.
+    A per-axis term that is not a finite float is a ValueError
+    (``fourier.sine_eigenvalue``).
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0):
         raise ValueError(f"lambda_max must be finite and positive, got {lambda_max}")
     # one past the floor-sqrt bound, which can round below a boundary-exact k;
     # the float test below trims the extra term
-    kmax = [min(int(math.floor(L * math.sqrt(lambda_max) / math.pi)) + 1, cap + 1)
-            for L in dom.lengths]
+    kmax = [math.floor(min(L * math.sqrt(lambda_max) / math.pi, cap)) + 1 for L in dom.lengths]
     # per-axis terms (pi k / L)^2, computed exactly as mode_eigenvalue does
-    squares = [np.array([(math.pi * k / L) ** 2 for k in range(1, km + 1)])
+    squares = [np.array([sine_eigenvalue(k, L) for k in range(1, km + 1)])
                for km, L in zip(kmax, dom.lengths)]
     if dom.m == 1:
         counts = np.array([np.count_nonzero(squares[0] <= lambda_max)])
@@ -189,35 +191,36 @@ def dirichlet_plan(dom: RectangleDomain, pot: Potential, *,
                    allow_uncertified: bool = False) -> DirichletPlan:
     """Eigenvalue-threshold cutoff: head = modes with lambda <= C.
 
-    mu = 1 - C / lambda_{N+1} > 0.  The stored mode set keeps every mode
-    with lambda <= lambda_cut (default 4 max(C, lambda_{N+1})).  While the
-    tail margin lambda_{N+1} - C is inside the null threshold of that
-    default cut (``reduction.null_margin``), the head takes the next mode,
-    whatever lambda_cut is given, so a refined level re-plans to the same
-    head; N may be overridden upward only.
+    N and mu = 1 - C / lambda_{N+1} follow ``reduction.head_cutoff`` from
+    the count of modes with lambda <= C, with top the default cut
+    4 max(C, lambda_{N+1}) whatever lambda_cut is given, so a refined level
+    re-plans to the same head; N may be overridden upward only.  The modes
+    are read from one list, enumerated to 4 max(C, lambda_1) + 1 and
+    re-enumerated to four times that cut whenever a later mode is read.
+    The stored mode set keeps every mode with lambda <= lambda_cut
+    (default 4 max(C, lambda_{N+1})).
     """
     if pot.dim != 1:
         raise ValueError(f"Dirichlet problems take scalar potentials, got dimension {pot.dim}")
     C = curvature_bound(pot, allow_uncertified)
 
-    lam1 = mode_eigenvalue(dom, (1,) * dom.m)
-    probe = max(C, lam1) * 4.0 + 1.0
-    modes_probe = enumerate_modes(dom, probe)
-    n_min = sum(1 for em in modes_probe if em.lam <= C)
-    # a tail margin inside the null threshold of the default cut takes the next cutoff
-    while modes_probe[n_min].lam - C <= null_margin(C, 4.0 * max(C, modes_probe[n_min].lam)):
-        n_min += 1
-    if N is None:
-        N = n_min
-    elif N < n_min:
-        raise ValueError(f"head override {N} is below the certified minimum {n_min}")
-    while N >= len(modes_probe):
-        probe *= 4.0
-        modes_probe = enumerate_modes(dom, probe)
-    lam_next = modes_probe[N].lam
-    mu = 1.0 - C / lam_next
+    probe = 4.0 * max(C, mode_eigenvalue(dom, (1,) * dom.m)) + 1.0
+    listed = enumerate_modes(dom, probe)
+
+    def lam(k: int) -> float:  # the k-th mode eigenvalue
+        nonlocal probe, listed
+        while len(listed) < k:
+            probe *= 4.0
+            listed = enumerate_modes(dom, probe)
+        return listed[k - 1].lam
+
+    def default_cut(n: int) -> float:  # the cut of a plan with head n
+        return 4.0 * max(C, lam(n + 1))
+
+    N, mu = head_cutoff(C, sum(1 for em in listed if em.lam <= C), lam, default_cut, N)
+    lam_next = lam(N + 1)
     if lambda_cut is None:
-        lambda_cut = 4.0 * max(C, lam_next)
+        lambda_cut = default_cut(N)
     if lambda_cut <= lam_next:
         raise ValueError(f"lambda_cut {lambda_cut} leaves no tail modes (lambda_N+1 = {lam_next})")
     modes = tuple(enumerate_modes(dom, lambda_cut))

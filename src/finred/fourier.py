@@ -43,6 +43,7 @@ __all__ = [
     "BoundaryProblem",
     "grid_points",
     "mode_eigenvalues",
+    "sine_eigenvalue",
     "affine_embed",
     "sine_table",
     "tensor_values",
@@ -234,6 +235,18 @@ def mode_eigenvalues(T: float, M: int) -> np.ndarray:
     """Stiffness (pi k / T)^2 of modes k = 1..M."""
     k = np.arange(1, M + 1)
     return (np.pi * k / T) ** 2
+
+
+def sine_eigenvalue(k: int, L: float) -> float:
+    """(pi k / L)^2, the k-th eigenvalue of -d^2/dx^2 on (0, L), as a float
+    scalar; a ValueError where it is not a finite float."""
+    try:
+        lam = (math.pi * k / L) ** 2
+    except OverflowError:
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise ValueError(f"the mode eigenvalue (pi k / {L!r})^2 at k = {k} is not a finite float")
+    return lam
 
 
 def affine_embed(bp: BoundaryProblem, c: SinePath, t) -> np.ndarray:

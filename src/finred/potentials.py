@@ -45,6 +45,9 @@ _SAMPLE_HALF_WIDTH = 10.0
 _SAMPLE_AXIS_POINTS = 41
 _SAMPLE_RANDOM_POINTS = 200
 _SAMPLE_SAFETY = 1.25
+# the most variables of an expression: its V'' has dim^2 derivatives, and the
+# sample's V'' table of (41 dim + 200) x dim^2 floats grows as dim^3 (12 MB at 32)
+EXPR_DIM_CAP = 32
 # parsed expression potentials kept per process, keyed by the call's arguments
 PARSE_CACHE_SIZE = 32
 
@@ -246,10 +249,14 @@ def parse_potential(expr: str, dim: int, c_bound: float | None = None) -> Potent
     command that reads its config twice, or a process that runs ``solve``
     and then ``index`` on it, parses and samples it once.  An expression
     with a constant part that is not finite, in it or in a derivative
-    (``q1/0``, ``0^q1``, ``(-2)^q1``), is a ValueError.
+    (``q1/0``, ``0^q1``, ``(-2)^q1``), is a ValueError, and so is a
+    dimension above EXPR_DIM_CAP.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
+    if dim > EXPR_DIM_CAP:
+        raise ValueError(f"an expression takes at most {EXPR_DIM_CAP} variables, "
+                         f"got dimension {dim}")
     ast = exprparse.parse(expr, dim)
     with np.errstate(all="ignore"):  # a literal may fold to inf or nan: rejected below
         grads = [exprparse.derivative(ast, i) for i in range(dim)]

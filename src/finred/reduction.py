@@ -6,7 +6,7 @@ For a potential with sup |V''| <= C, every mode above the cutoff
 
 enters a strongly monotone tail problem with constant
 
-    mu = 1 - C T^2 / (pi (N+1))^2  in (0, 1],
+    mu = 1 - C / lambda_{N+1}  in (0, 1],   lambda_k = (pi k / T)^2,
 
 so the tail coefficients are a function v(u) of the head u alone, the
 fixed-point iteration contracts at rate 1 - mu, and solving the original
@@ -15,6 +15,12 @@ gradient.  The reduced Hessian is the Schur complement of the tail block
 and carries the full Morse data.  Newton's matrix is the Schur complement
 at the last factored tail iterate, within res/mu of v(u) (see ``core``),
 while the Morse data read the exact one.
+
+The cutoff rule is ``head_cutoff``, shared with ``dirichlet.dirichlet_plan``
+(only the spectrum differs): the head takes the next mode while the tail
+margin is inside ``null_margin``, and a head above ``core.MODE_CAP`` or
+mode eigenvalues that are not finite floats up to the finest refinement
+level end planning with a ValueError.
 
 The multistart -> dedup -> refine -> report pipeline (``solve_system``) is
 shared by the mechanical and the Dirichlet problem.  It works against
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import core
 from .core import MechanicalSystem, TailStats
-from .fourier import BoundaryProblem, SinePath
+from .fourier import BoundaryProblem, SinePath, sine_eigenvalue
 from .morse import NULL_THRESHOLD_SCALE, index_full, index_schur
 
 __all__ = [
@@ -44,6 +50,7 @@ __all__ = [
     "SolutionReport",
     "UncertifiedPotentialError",
     "make_plan",
+    "head_cutoff",
     "fixed_point_cutoff",
     "solve_tail",
     "reduced_gradient",
@@ -164,15 +171,46 @@ def null_margin(C: float, top: float) -> float:
     return NULL_THRESHOLD_SCALE * (1.0 + 4.0 ** MAX_REFINEMENTS * top + C)
 
 
+def head_cutoff(C: float, n_min: int, lam, top, N: int | None = None) -> tuple[int, float]:
+    """The cutoff rule of both planners: the head N and mu = 1 - C / lambda_{N+1}.
+
+    ``n_min`` counts the eigenvalues at or below C, ``lam(k)`` is the k-th
+    mode eigenvalue and ``top(n)`` the largest eigenvalue a plan with head n
+    keeps.  The head is n_min, one more while the tail margin
+    lambda_{n+1} - C is inside ``null_margin``; an override N may only
+    raise it.  Before each margin test, a head above ``core.MODE_CAP`` and
+    mode eigenvalues that are not finite floats up to the finest refinement
+    level (4^MAX_REFINEMENTS top) are a ValueError, so the bump is bounded.
+    """
+    def margin(n: int) -> float:
+        if n > core.MODE_CAP:
+            raise ValueError(f"head N >= {n} is above the cap {core.MODE_CAP}")
+        threshold = null_margin(C, top(n))
+        if not math.isfinite(threshold):
+            raise ValueError(f"mode eigenvalues up to {4 ** MAX_REFINEMENTS} x {top(n):.6g} "
+                             f"(the finest refinement level) are not finite floats")
+        return threshold
+
+    n = n_min
+    while margin(n) >= lam(n + 1) - C:
+        n += 1
+    if N is None:
+        N = n
+    elif N < n:
+        raise ValueError(f"head override {N} is below the certified minimum {n}")
+    else:
+        margin(N)  # the override's own cap and finest level
+    return N, 1.0 - C / lam(N + 1)
+
+
 def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None,
               quad_points: int | None = None, tail_tol: float = 1e-10,
               head_tol: float = 1e-9, allow_uncertified: bool = False) -> ReductionPlan:
     """Compute the certified cutoff and tail constants for a problem.
 
-    N defaults to floor(T sqrt(C)/pi), one more while the tail margin
-    mu lambda_{N+1} is inside the null threshold (``null_margin``), and may
-    only be overridden upward (mu is recomputed for the override).  M
-    defaults to max(2N+8, 32).
+    N and mu follow ``head_cutoff`` from the paper's floor(T sqrt(C)/pi)
+    and the mode eigenvalues (pi k/T)^2, with top the eigenvalue of mode M.
+    M defaults to max(2N+8, 32).
     Planning with an uncertified bound (sampled estimate or unbounded
     curvature) requires ``allow_uncertified=True``.  M n and quad_points
     (default 2M+1) may not exceed ``core.MODE_CAP`` = 100000, the cap on
@@ -181,20 +219,17 @@ def make_plan(bp: BoundaryProblem, *, N: int | None = None, M: int | None = None
     """
     pot = bp.potential
     C = curvature_bound(pot, allow_uncertified)
-    n_min = int(math.floor(bp.T * math.sqrt(C) / math.pi))
 
     def lam(k: int) -> float:  # the k-th mode eigenvalue
-        return (math.pi * k / bp.T) ** 2
+        return sine_eigenvalue(k, bp.T)
 
-    while lam(n_min + 1) - C <= null_margin(C, lam(max(2 * n_min + 8, 32) if M is None else M)):
-        n_min += 1
-    if N is None:
-        N = n_min
-    elif N < n_min:
-        raise ValueError(f"cutoff override {N} is below the certified minimum {n_min}")
-    mu = 1.0 - C * bp.T * bp.T / (math.pi * (N + 1)) ** 2
-    if M is None:
-        M = max(2 * N + 8, 32)
+    def truncation(n: int) -> int:  # M of a plan with head n
+        return max(2 * n + 8, 32) if M is None else M
+
+    # held at MODE_CAP + 1, so that a floor past any integer is refused by the cap
+    n_min = math.floor(min(bp.T * math.sqrt(C) / math.pi, core.MODE_CAP + 1))
+    N, mu = head_cutoff(C, n_min, lam, lambda n: lam(truncation(n)), N)
+    M = truncation(N)
     if quad_points is None:
         quad_points = 2 * M + 1
     core.check_truncation(M, bp.n, quad_points)

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from finred import BoundaryProblem, SinePath, builtin_potential, make_plan
+
+# `pytest --hypothesis-profile=ci` draws more examples for a test that sets no count
+# of its own (tests/test_cli_fuzz.py)
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture
