@@ -148,8 +148,8 @@ def _convergence_log(reports, seed_records) -> str:
 def cmd_solve(cfg: RunConfig) -> int:
     plan = cfg.build_plan()
     seed_records: list = []
-    options = dict(count=cfg.count, radius=cfg.radius, seed=cfg.seed, method=cfg.method,
-                   refine=cfg.refine, seed_records=seed_records)
+    options = dict(count=cfg.count, radius=cfg.radius, seed=cfg.seed, refine=cfg.refine,
+                   seed_records=seed_records)
     if cfg.kind == "mechanical":
         bp = cfg.boundary_problem()
         cfg.N, cfg.M, cfg.quad_points = plan.N, plan.M, plan.quad_points
@@ -264,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="override [output] directory")
     p_solve.add_argument("--seeds", help="override [multistart] count")
     p_solve.add_argument("--seed", help="override [multistart] seed (accepts hex, e.g. 0xAC21)")
-    p_solve.add_argument("--method", choices=("newton", "picard"), help="override tail solver")
     p_index.add_argument("solution_id", type=int, help="solution id from solutions.csv")
     p_weyl.add_argument("--c-values", default="100,1000,10000",
                         help="comma-separated thresholds (default 100,1000,10000)")
@@ -280,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         flags = {("output", "directory"): "out", ("multistart", "count"): "seeds",
-                 ("multistart", "seed"): "seed", ("multistart", "method"): "method"}
+                 ("multistart", "seed"): "seed"}
         given = vars(args)  # only the flags of the parsed command
         cfg = load_config(Path(args.config).read_text(encoding="utf-8"),
                           {key: given[flag] for key, flag in flags.items()

@@ -74,9 +74,9 @@ boolean = typed(lambda text: _BOOLEANS[text.lower()], "must be true or false")
 vector = typed(lambda text: tuple(map(float, text.split(","))),
                "must be a comma-separated list of reals")
 positive_real = checked(real, lambda x: math.isfinite(x) and x > 0, "must be a positive real")
-positive_int = checked(integer, lambda n: n >= 1, "must be positive")
-# no plan holds more than MODE_CAP coefficients, so no larger dimension plans
-dimension = checked(integer, lambda n: 1 <= n <= MODE_CAP, f"must be from 1 to {MODE_CAP}")
+# no plan holds more than MODE_CAP coefficients, so no larger dimension plans; a seed
+# count is held to the same cap
+capped_int = checked(integer, lambda n: 1 <= n <= MODE_CAP, f"must be from 1 to {MODE_CAP}")
 points = checked(integer, lambda n: n >= 2, "must be at least 2")
 nonnegative_real = checked(real, lambda x: math.isfinite(x) and x >= 0,
                            "must be finite and nonnegative")
@@ -100,7 +100,7 @@ class RunConfig:
     params: tuple = setting("potential", vector, (), only="builtin")
     expr: str | None = setting("potential", str, None)
     c_bound: float | None = setting("potential", nonnegative_real, None, only="expr")
-    dim: int = setting("potential", dimension, 1)
+    dim: int = setting("potential", capped_int, 1)
     allow_uncertified: bool = setting("potential", boolean, False)
     T: float = setting("geometry", positive_real, 1.0, only="mechanical")
     q0: tuple = setting("geometry", vector, (0.0,), only="mechanical")
@@ -114,10 +114,9 @@ class RunConfig:
     tail_tol: float = setting("plan", positive_real, 1e-10)
     head_tol: float = setting("plan", positive_real, 1e-9)
     refine: bool = setting("plan", boolean, True)
-    count: int = setting("multistart", positive_int, DEFAULT_MULTISTART_COUNT)
+    count: int = setting("multistart", capped_int, DEFAULT_MULTISTART_COUNT)
     radius: float | None = setting("multistart", positive_real, None)
     seed: int = setting("multistart", nonnegative_int, DEFAULT_MULTISTART_SEED)
-    method: str = setting("multistart", choice("newton", "picard"), "newton")
     directory: str = setting("output", str, "out")
     trajectory_points: int = setting("output", points, 512)
     field_points: int = setting("output", points, 65)

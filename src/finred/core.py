@@ -54,8 +54,8 @@ it, so it costs no Hessian and no factorization at u + v(u).  No (D, D)
 array outlives the tail solve.  This is an inexact Newton method (Dembo,
 Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982): the line search
 and the convergence test read exact residuals.  A tail solve that ends
-without a Newton step (converged at its first check, a Picard step or a
-fallback) leaves the exact ``schur``, which every Morse count reads.
+without a Newton step (converged at its first check, or a contraction
+step) leaves the exact ``schur``, which every Morse count reads.
 
 Certified early rejection.  The line search of ``reduced_newton`` solves
 the tail at every trial head, only to compare the head residual with the
@@ -123,9 +123,8 @@ dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 GAUSS_NODES_PER_PANEL = 8
 GAUSS_MIN_PANELS = 16
-# caps: the Newton or Picard steps of one tail solve, the step halvings of one line search
+# caps: the steps of one tail solve, the step halvings of one line search
 TAIL_NEWTON_STEPS = 50
-TAIL_PICARD_STEPS = 5000
 LINE_SEARCH_HALVINGS = 30
 # the most Dirichlet modes, or mechanical coefficients M n and grid points, of one system
 MODE_CAP = 100_000
@@ -225,7 +224,6 @@ class TailStats:
     converged: bool = False
     rejected: bool = False  # stopped by the certified rejection test
     residuals: list = field(default_factory=list)
-    increments: list = field(default_factory=list)  # H1 sizes of Picard steps
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,7 @@ class ReducedResult:
     tail_iterations: int
     seed_index: int = -1  # position in the multistart list; set by solve_system
     rejected_trials: int = 0  # line-search trials stopped by the tail certificate
-    tail_fallbacks: int = 0  # Picard fallbacks of the tail Newton solves
+    tail_fallbacks: int = 0  # contraction-step fallbacks of the tail Newton solves
     # why the solve stopped unconverged, empty when it converged: line_search_exhausted,
     # iteration_cap, tail_not_converged (an empty head whose tail stopped at its cap)
     # or tail_not_positive_definite
@@ -474,17 +472,16 @@ def tail_h1_norm(system, v: np.ndarray, head_dim: int) -> float:
 # tail solvers
 
 def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = None,
-               tol: float = 1e-10, method: str = "newton",
-               reject: tuple[float, float] | None = None,
+               tol: float = 1e-10, reject: tuple[float, float] | None = None,
                start: ReducedPoint | None = None) -> tuple[np.ndarray, TailStats, ReducedPoint]:
     """Solve the tail stationarity equations at frozen head u.
 
-    ``picard`` iterates the contraction v <- g_tail / eig_tail (guaranteed
-    rate 1 - mu); ``newton`` uses the tail curvature block as Jacobian and
-    falls back to a Picard step whenever a Newton step fails to decrease
-    the residual.  Starts from v0 = 0 unless a warm start is given, or from
-    ``start``, the point at (u, v0) when the caller holds it; stops,
-    unconverged, after TAIL_NEWTON_STEPS or TAIL_PICARD_STEPS iterations.
+    Each step is a Newton step with the tail curvature block as Jacobian;
+    one that fails to decrease the residual falls back to the contraction
+    step v <- V'_tail / eig_tail (guaranteed rate 1 - mu), counted in
+    ``stats.fallbacks``.  Starts from v0 = 0 unless a warm start is given,
+    or from ``start``, the point at (u, v0) when the caller holds it; stops,
+    unconverged, after TAIL_NEWTON_STEPS iterations.
     An empty tail converges at the first check (its dual norm is 0).  Each
     iterate is a ReducedPoint; returns the last one's tail (a fresh array),
     the stats and that point.  A Newton step that lands within tol sets that
@@ -496,14 +493,12 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
     residual after a full solve would not fall below hnorm (see
     ``rejection_slope``).
     """
-    if method not in ("newton", "picard"):
-        raise ValueError(f"unknown tail method {method!r}")
     eig_tail = system.eigenvalues[head_dim:]
     if start is None:
         start = ReducedPoint(system, head_dim,
                              np.concatenate([u, np.zeros(len(eig_tail)) if v0 is None else v0]))
     point, stats = start, TailStats()
-    for _ in range(TAIL_NEWTON_STEPS if method == "newton" else TAIL_PICARD_STEPS):
+    for _ in range(TAIL_NEWTON_STEPS):
         res = point.tail_residual
         stats.residuals.append(res)
         if res <= tol:
@@ -515,25 +510,21 @@ def solve_tail(system, head_dim: int, u: np.ndarray, v0: np.ndarray | None = Non
                 stats.rejected = True
                 break
         stats.iterations += 1
-        if method == "newton":  # a Newton step on the tail block
-            blocks = point.blocks
-            try:
-                factor = _tail_cholesky(blocks.D)
-            except TruncationError as exc:
-                exc.tail = stats  # the step that failed counts
-                raise
-            trial = point.with_tail(point.v - _cholesky_solve(factor, point.residual[head_dim:]))
-            if trial.tail_residual < res:
-                if trial.tail_residual <= tol:  # the landing step: the solve ends at trial
-                    trial.newton_matrix = _read_only(
-                        schur_matrix(blocks.A, blocks.B, blocks.D, factor))
-                point = trial
-                continue
-            stats.fallbacks += 1  # to the contraction step, which is always safe
-        v = point.vprime[head_dim:] / eig_tail
-        if method == "picard":
-            stats.increments.append(tail_h1_norm(system, v - point.v, head_dim))
-        point = point.with_tail(v)
+        blocks = point.blocks
+        try:
+            factor = _tail_cholesky(blocks.D)
+        except TruncationError as exc:
+            exc.tail = stats  # the step that failed counts
+            raise
+        trial = point.with_tail(point.v - _cholesky_solve(factor, point.residual[head_dim:]))
+        if trial.tail_residual < res:
+            if trial.tail_residual <= tol:  # the landing step: the solve ends at trial
+                trial.newton_matrix = _read_only(
+                    schur_matrix(blocks.A, blocks.B, blocks.D, factor))
+            point = trial
+            continue
+        stats.fallbacks += 1  # to the contraction step, which is always safe
+        point = point.with_tail(point.vprime[head_dim:] / eig_tail)
     else:  # cap exceeded: report best effort
         stats.residuals.append(point.tail_residual)
     return point.v.copy(), stats, point
@@ -648,14 +639,13 @@ def rejection_slope(system, head_dim: int, c_bound: float) -> float | None:
 
 
 def reduced_newton(system, head_dim: int, u0: np.ndarray,
-                   head_tol: float = 1e-9, tail_tol: float = 1e-10,
-                   tail_method: str = "newton", max_iter: int = 60,
+                   head_tol: float = 1e-9, tail_tol: float = 1e-10, max_iter: int = 60,
                    c_bound: float | None = None,
                    v0: np.ndarray | None = None) -> ReducedResult:
     """Damped Newton on the gradient of f.  Its matrix is each iterate's
     ``newton_matrix``: the Schur complement at the last factored tail
     iterate, within res/mu of v(u) (the exact one, ``schur``, when the tail
-    solve took no Newton step last); residuals and Morse data stay exact.
+    solve did not end with a Newton step); residuals and Morse data stay exact.
 
     Every iterate and every line-search trial is a ReducedPoint, one tail
     solve each, the first from the tail ``v0`` (zero when None; a refined
@@ -673,14 +663,14 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
     same, only tail iterations are saved.
     """
     kappa = None if c_bound is None else rejection_slope(system, head_dim, c_bound)
-    options = dict(tol=tail_tol, method=tail_method)
     v = np.zeros(len(system.eigenvalues) - head_dim) if v0 is None else v0
     point = ReducedPoint(system, head_dim, np.concatenate([u0, v]))
     history, tails = [], []  # tails: the TailStats of every tail solve
     converged, reason, margin = False, "", None
     try:
         for it in range(max_iter + 1):
-            point = ReducedPoint.solve(system, head_dim, point.u, point.v, start=point, **options)
+            point = ReducedPoint.solve(system, head_dim, point.u, point.v, tol=tail_tol,
+                                       start=point)
             tails.append(point.tail)
             history.append(point.head_residual)
             converged = point.head_residual <= head_tol and point.tail.converged
@@ -693,7 +683,7 @@ def reduced_newton(system, head_dim: int, u0: np.ndarray,
             lam = 1.0
             for _ in range(LINE_SEARCH_HALVINGS + 1):
                 trial = ReducedPoint.solve(system, head_dim, point.u - lam * step, point.v,
-                                           reject=reject, **options)
+                                           tol=tail_tol, reject=reject)
                 tails.append(trial.tail)
                 if not trial.tail.rejected and trial.head_residual < point.head_residual:
                     point = trial

@@ -180,7 +180,7 @@ class DirichletPlan:
 
     @property
     def contraction(self) -> float:
-        """1 - mu, the guaranteed Picard rate on the tail."""
+        """1 - mu, the guaranteed rate of the tail's contraction step."""
         return 1.0 - self.mu
 
 
@@ -327,8 +327,8 @@ DirichletSolution = SolutionReport  # a field's report: its ``field`` is its ``p
 def solve_dirichlet(dom: RectangleDomain, pot: Potential, plan: DirichletPlan,
                     seeds: list[np.ndarray] | None = None, *,
                     count: int = DEFAULT_MULTISTART_COUNT, radius: float | None = None,
-                    seed: int = DEFAULT_MULTISTART_SEED, method: str = "newton",
-                    refine: bool = True, with_oracles: bool = False,
+                    seed: int = DEFAULT_MULTISTART_SEED, refine: bool = True,
+                    with_oracles: bool = False,
                     seed_records: list | None = None) -> list[SolutionReport]:
     """Multistart reduced Newton for the Dirichlet problem; see solve_reduced.
 
@@ -337,5 +337,5 @@ def solve_dirichlet(dom: RectangleDomain, pot: Potential, plan: DirichletPlan,
     """
     return solve_system(DirichletSystem(dom, pot, plan), plan, seeds, count=count,
                         radius=DEFAULT_MULTISTART_RADIUS if radius is None else float(radius),
-                        seed=seed, method=method, refine=refine,
-                        with_oracles=with_oracles, seed_records=seed_records)
+                        seed=seed, refine=refine, with_oracles=with_oracles,
+                        seed_records=seed_records)

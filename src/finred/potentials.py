@@ -145,12 +145,19 @@ def builtin_potential(family: str, params=(), dim: int | None = None) -> Potenti
     n = int(dim) if dim is not None else default_dim
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
+    # the exact bound of |V''|; pair terms contribute at most
+    # (kappa/2) * lambda_max(path Laplacian) < 2 kappa
+    bound = (0.0 if family == "zero" else max(w * w for w in params) if family == "harmonic"
+             else g + 2.0 * kappa if family == "coupled_pendula" else g)
+    if not math.isfinite(bound):
+        raise ValueError(f"params = {', '.join(map(str, params))} give {family} a curvature "
+                         f"bound that is not a finite float")
 
     if family == "zero":
         return Potential(n, lambda q: np.zeros(np.asarray(q, dtype=float).shape[:-1]),
                          lambda q: np.zeros_like(np.asarray(q, dtype=float)),
                          lambda q: np.zeros(np.asarray(q, dtype=float).shape + (n,)),
-                         c_bound=0.0, c_source="exact", label=family)
+                         c_bound=bound, c_source="exact", label=family)
 
     if family == "harmonic":
         if len(params) not in (1, n):
@@ -168,8 +175,7 @@ def builtin_potential(family: str, params=(), dim: int | None = None) -> Potenti
         def h_hess(q):
             return _diagonal_hessian(_as_points(q, n), w2)
 
-        return Potential(n, h_eval, h_grad, h_hess,
-                         c_bound=float(np.max(w2)), c_source="exact", label=family)
+        return Potential(n, h_eval, h_grad, h_hess, c_bound=bound, c_source="exact", label=family)
 
     coupled = family == "coupled_pendula" and n > 1
 
@@ -201,8 +207,6 @@ def builtin_potential(family: str, params=(), dim: int | None = None) -> Potenti
             flat[..., n::n + 1] -= cdiff
         return out
 
-    # pair terms contribute at most (kappa/2) * lambda_max(path Laplacian) < 2 kappa
-    bound = g + 2.0 * kappa if family == "coupled_pendula" else g
     return Potential(n, c_eval, c_grad, c_hess, c_bound=bound, c_source="exact", label=family)
 
 

@@ -102,7 +102,7 @@ class ReductionPlan:
 
     @property
     def contraction(self) -> float:
-        """1 - mu, the guaranteed Picard rate on the tail."""
+        """1 - mu, the guaranteed rate of the tail's contraction step."""
         return 1.0 - self.mu
 
 
@@ -265,32 +265,30 @@ def fixed_point_cutoff(c_tilde: float, T: float) -> int:
 
 
 def _plan_point(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
-                v0: SinePath | None = None, method: str = "newton") -> core.ReducedPoint:
+                v0: SinePath | None = None) -> core.ReducedPoint:
     """The reduced function at head u on the plan's system, its tail solved
     to plan.tail_tol from the tail of v0 when given."""
     system = MechanicalSystem(bp, plan.M, plan.quad_points)
     head_dim = plan.N * system.n
     u = np.asarray(u, dtype=float).reshape(head_dim)
     v_start = None if v0 is None else system.flatten(v0.coeffs)[head_dim:]
-    return core.ReducedPoint.solve(system, head_dim, u, v_start, tol=plan.tail_tol, method=method)
+    return core.ReducedPoint.solve(system, head_dim, u, v_start, tol=plan.tail_tol)
 
 
 def solve_tail(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
-               v0: SinePath | None = None, method: str = "newton") -> tuple[SinePath, TailStats]:
+               v0: SinePath | None = None) -> tuple[SinePath, TailStats]:
     """Tail coefficients v(u) with residual below plan.tail_tol (H10 dual norm).
 
-    Newton (tail curvature block as Jacobian, Picard fallback when a step
-    does not decrease the residual) is the default; ``method="picard"``
-    runs the bare contraction.
+    Newton on the tail block, with the contraction step as its fallback
+    when a step does not decrease the residual (``core.solve_tail``).
     """
-    point = _plan_point(bp, plan, u, v0, method)
+    point = _plan_point(bp, plan, u, v0)
     return point.system.embed(np.concatenate([np.zeros(point.head_dim), point.v])), point.tail
 
 
-def reduced_gradient(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray,
-                     method: str = "newton") -> np.ndarray:
+def reduced_gradient(bp: BoundaryProblem, plan: ReductionPlan, u: np.ndarray) -> np.ndarray:
     """Head block of the stationarity residual at u + v(u), L2 convention."""
-    point = _plan_point(bp, plan, u, method=method)
+    point = _plan_point(bp, plan, u)
     if not point.tail.converged:
         raise RuntimeError(
             f"tail solve did not reach tolerance {plan.tail_tol} "
@@ -313,7 +311,6 @@ def solve_reduced(bp: BoundaryProblem, plan: ReductionPlan,
                   count: int = DEFAULT_MULTISTART_COUNT,
                   radius: float | None = None,
                   seed: int = DEFAULT_MULTISTART_SEED,
-                  method: str = "newton",
                   refine: bool = True,
                   with_oracles: bool = False,
                   seed_records: list | None = None) -> list[SolutionReport]:
@@ -326,14 +323,13 @@ def solve_reduced(bp: BoundaryProblem, plan: ReductionPlan,
     """
     return solve_system(MechanicalSystem(bp, plan.M, plan.quad_points), plan, seeds, count=count,
                         radius=default_radius(bp) if radius is None else float(radius),
-                        seed=seed, method=method, refine=refine,
-                        with_oracles=with_oracles, seed_records=seed_records)
+                        seed=seed, refine=refine, with_oracles=with_oracles,
+                        seed_records=seed_records)
 
 
 @core.single_blas_thread
 def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
-                 count: int, radius: float, seed: int, method: str,
-                 refine: bool, with_oracles: bool,
+                 count: int, radius: float, seed: int, refine: bool, with_oracles: bool,
                  seed_records: list | None) -> list[SolutionReport]:
     """Multistart reduced Newton on one system, shared by both problem kinds.
 
@@ -358,7 +354,7 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
         seeds = core.draw_seeds(head_dim, count, radius, seed)
     else:
         seeds = [np.asarray(s, dtype=float).reshape(head_dim) for s in seeds]
-    newton = dict(head_tol=plan.head_tol, tail_tol=plan.tail_tol, tail_method=method,
+    newton = dict(head_tol=plan.head_tol, tail_tol=plan.tail_tol,
                   c_bound=plan.c_bound if plan.certified else None)
     results = []
     for i, u0 in enumerate(seeds):
@@ -368,8 +364,8 @@ def solve_system(system, plan, seeds: list[np.ndarray] | None = None, *,
         if not res.converged:
             log.debug("seed %d stopped unconverged (%s) after %d Newton iterations at head "
                       "residual %.3e: %d line-search trials rejected by the tail "
-                      "certificate, %d tail Picard fallbacks", i, res.reason, res.iterations,
-                      res.head_residual, res.rejected_trials, res.tail_fallbacks)
+                      "certificate, %d tail steps fallen back to the contraction", i, res.reason,
+                      res.iterations, res.head_residual, res.rejected_trials, res.tail_fallbacks)
     if seed_records is not None:
         seed_records.extend(results)
 

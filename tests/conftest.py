@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from finred import BoundaryProblem, SinePath, builtin_potential, make_plan
+from finred.core import MechanicalSystem
 
 # `pytest --hypothesis-profile=ci` draws more examples for a test that sets no count
 # of its own (tests/test_cli_fuzz.py)
@@ -23,6 +24,28 @@ def random_pendulum_problem(rng, max_T=3.0):
     qT = rng.uniform(-1.5, 1.5, 1)
     bp = BoundaryProblem(builtin_potential("pendulum", (g,)), T, q0, qT)
     return bp, make_plan(bp)
+
+
+def picard_tail(bp, plan, u, max_steps=5000):
+    """The paper's constructive tail v(u): the contraction v <- V'_tail(u + v) / lambda_tail
+    from v = 0 (rate 1 - mu), until the dual H1 norm of the tail residual is within
+    plan.tail_tol.  Returns the tail as a path (head zero), whether it converged
+    and the H1 size of each step; a reference for the package's tail solve."""
+    system = MechanicalSystem(bp, plan.M, plan.quad_points)
+    hd = plan.N * bp.n
+    eig = system.eigenvalues[hd:]
+    v, increments, converged = np.zeros(len(eig)), [], False
+    for _ in range(max_steps):
+        vprime = system.nonlinear_coeffs(np.concatenate([u, v]))[hd:]
+        r = eig * v - vprime
+        converged = np.sqrt(np.sum(r * r / eig)) <= plan.tail_tol
+        if converged:
+            break
+        new = vprime / eig
+        increments.append(float(np.sqrt(np.sum(eig * (new - v) ** 2))))
+        v = new
+    path = SinePath(bp.T, system.unflatten(np.concatenate([np.zeros(hd), v])))
+    return path, converged, increments
 
 
 def random_builtin_problem(rng):

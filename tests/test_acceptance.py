@@ -20,7 +20,7 @@ from finred.cli import main
 from finred.core import MechanicalSystem
 from finred.fourier import h1_inner, mode_eigenvalues
 from finred.functional import action_value
-from tests.conftest import random_builtin_problem, random_pendulum_problem
+from tests.conftest import picard_tail, random_builtin_problem, random_pendulum_problem
 
 
 def verdict(num: int, ok: bool, text: str) -> None:
@@ -90,10 +90,10 @@ def test_criterion_04_tail_solver():
         bp, plan = random_pendulum_problem(rng)
         u = rng.uniform(-1.0, 1.0, plan.N)
 
-        v_picard, pstats = solve_tail(bp, plan, u, method="picard")
-        ok &= pstats.converged
-        floor = 1e-12 * max(pstats.increments[0], 1e-30)
-        ratios = [b / a for a, b in zip(pstats.increments, pstats.increments[1:])
+        v_picard, converged, increments = picard_tail(bp, plan, u)
+        ok &= converged
+        floor = 1e-12 * max(increments[0], 1e-30)
+        ratios = [b / a for a, b in zip(increments, increments[1:])
                   if a > floor and b > floor]
         if ratios:
             ok &= max(ratios) <= plan.contraction + 0.05

@@ -64,6 +64,12 @@ def test_builtin_errors():
         builtin_potential("pendulum", (-1.0,))
     with pytest.raises(ValueError, match="frequencies"):
         builtin_potential("harmonic", (1.0, 2.0), dim=3)
+    # finite parameters whose exact bound overflows: refused by name, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family, params in (("harmonic", (1e300,)), ("coupled_pendula", (1e308, 1e308))):
+            with pytest.raises(ValueError, match=f"^params = .* give {family} a curvature bound"):
+                builtin_potential(family, params)
 
 
 @pytest.mark.parametrize("family,params,dim", ALL_BUILTINS)

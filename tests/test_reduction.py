@@ -27,7 +27,8 @@ from finred.core import MechanicalSystem
 from finred.dirichlet import DirichletSystem, mode_eigenvalue
 from finred.fourier import h1_inner, mode_eigenvalues
 from finred.reduction import default_radius, reduced_hessian_matrix
-from tests.conftest import random_builtin_problem, random_pendulum_problem, refuse_grids
+from tests.conftest import (picard_tail, random_builtin_problem, random_pendulum_problem,
+                            refuse_grids)
 
 
 def bp_with_bound(C, T):
@@ -204,6 +205,17 @@ def test_fixed_point_cutoff_matches_scan_and_beats_plan():
 # ---------------------------------------------------------------------------
 # tail solver
 
+def test_the_tail_solver_has_one_path():
+    # Newton on the tail block with the contraction step as its fallback; no
+    # function takes a setting that picks another solver
+    functions = (solve_reduced, solve_dirichlet, reduction.solve_system, core.reduced_newton,
+                 core.solve_tail, solve_tail, reduced_gradient)
+    for function in functions:
+        assert {"method", "tail_method"}.isdisjoint(inspect.signature(function).parameters)
+    assert not hasattr(core, "TAIL_PICARD_STEPS")
+    assert "increments" not in {f.name for f in dataclasses.fields(core.TailStats)}
+
+
 def test_tail_free_particle_is_zero(rng):
     bp = bp_with_bound(0.0, 2.0)
     plan = make_plan(bp)
@@ -233,10 +245,11 @@ def test_tail_picard_contracts_and_matches_dense_root(rng):
     for _ in range(10):
         bp, plan = random_pendulum_problem(rng)
         u = rng.uniform(-1, 1, plan.N)
-        v_picard, stats = solve_tail(bp, plan, u, method="picard")
-        assert stats.converged
-        floor = 1e-12 * max(stats.increments[0], 1e-30)
-        ratios = [b / a for a, b in zip(stats.increments, stats.increments[1:])
+        # the paper's contraction, by the reference loop of the tests
+        v_picard, converged, increments = picard_tail(bp, plan, u)
+        assert converged
+        floor = 1e-12 * max(increments[0], 1e-30)
+        ratios = [b / a for a, b in zip(increments, increments[1:])
                   if a > floor and b > floor]
         if ratios:
             assert max(ratios) <= plan.contraction + 0.05
@@ -429,8 +442,7 @@ def test_a_seed_whose_tail_block_fails_stays_alone(monkeypatch):
     system = MechanicalSystem(bp, plan.M, plan.quad_points)
     head_dim = plan.N * system.n
     seeds = core.draw_seeds(head_dim, 6, default_radius(bp), 0xAC21)
-    options = dict(count=len(seeds), radius=1.0, seed=0, method="newton", refine=False,
-                   with_oracles=False)
+    options = dict(count=len(seeds), radius=1.0, seed=0, refine=False, with_oracles=False)
     clean: list = []
     reduction.solve_system(system, plan, seeds, seed_records=clean, **options)
 
@@ -559,18 +571,17 @@ def test_newton_calls_one_tail_solve_per_point_and_one_schur_per_step(monkeypatc
             assert made_by.endswith("s") and between == "", trace
 
     # an iterate reached without a tail Newton step gets the exact Schur complement:
-    # a start whose tail has converged takes no tail step, and Picard takes none at all
+    # a start whose tail has converged takes no tail step
     start = core.ReducedPoint.solve(system, plan.N, seeds[2], tol=plan.tail_tol)
-    for kwargs in (dict(v0=np.array(start.v)), dict(tail_method="picard")):
-        events.clear()
-        res = core.reduced_newton(system, plan.N, seeds[2], **newton, **kwargs)
-        assert res.converged
-        trace = "".join(events)
-        steps = newton_steps(trace)
-        assert steps[0] == ("", "HSC")
-        for made_by, between in steps:
-            assert between == ("" if made_by.endswith("s") else "HSC"), trace
-        assert ("s" in trace) == ("v0" in kwargs)
+    events.clear()
+    res = core.reduced_newton(system, plan.N, seeds[2], **newton, v0=np.array(start.v))
+    assert res.converged
+    trace = "".join(events)
+    steps = newton_steps(trace)
+    assert steps[0] == ("", "HSC")
+    for made_by, between in steps:
+        assert between == ("" if made_by.endswith("s") else "HSC"), trace
+    assert "s" in trace
 
 
 def exact_schur(K, head):
@@ -704,16 +715,6 @@ def test_tail_cap_exceeded_reports_best_effort():
     assert stats.iterations > 0
     with pytest.raises(RuntimeError, match="tail solve did not reach tolerance 1e-30"):
         reduced_gradient(bp, plan, np.zeros(plan.N))
-
-
-def test_solve_reduced_with_picard_tail():
-    bp, plan = random_pendulum_problem(np.random.default_rng(13))
-    newton = solve_reduced(bp, plan, count=4, refine=False)
-    picard = solve_reduced(bp, plan, count=4, refine=False, method="picard")
-    assert len(newton) == len(picard)
-    for a, b in zip(newton, picard):
-        assert np.allclose(a.head, b.head, atol=1e-7)
-        assert a.index == b.index
 
 
 def test_two_component_envelope_and_indices():
@@ -1031,7 +1032,7 @@ def count_states(system):
     return states
 
 
-def test_newton_and_picard_evaluate_each_state_once():
+def test_newton_and_the_tail_solve_evaluate_each_state_once(monkeypatch):
     from finred import core
 
     dom = RectangleDomain((1.0, 1.0))
@@ -1050,10 +1051,25 @@ def test_newton_and_picard_evaluate_each_state_once():
     system = MechanicalSystem(bp, plan.M, plan.quad_points)
     states = count_states(system)
     u = np.linspace(-0.5, 0.5, plan.N)
-    v, stats, _ = core.solve_tail(system, plan.N, u, tol=plan.tail_tol, method="picard")
-    assert stats.converged and stats.iterations > 10
-    # one state per iteration plus the converged one, each evaluated once
+    v, stats, _ = core.solve_tail(system, plan.N, u, tol=plan.tail_tol)
+    assert stats.converged and stats.iterations >= 2 and stats.fallbacks == 0
     assert len(states) == len(stats.residuals) == len(set(states))
+
+    # a first Newton step sent uphill is refused, and the contraction step is taken
+    # instead: one state per checked iterate and one per refused trial, each once
+    newton_solve, solves = core._cholesky_solve, []
+
+    def uphill_once(L, b):
+        solves.append(b)
+        return -newton_solve(L, b) if len(solves) == 1 else newton_solve(L, b)
+
+    monkeypatch.setattr(core, "_cholesky_solve", uphill_once)
+    states.clear()
+    w, stats, _ = core.solve_tail(system, plan.N, u, tol=plan.tail_tol)
+    assert stats.converged and stats.fallbacks == 1
+    assert len(states) == len(stats.residuals) + 1 == len(set(states))
+    # both tails are within tail_tol / mu of v(u) in H1 (strong monotonicity)
+    assert core.tail_h1_norm(system, w - v, plan.N) <= 2.0 * plan.tail_tol / plan.mu
 
 
 def test_a_stalled_newton_solve_evaluates_each_state_once():
@@ -1073,8 +1089,7 @@ def test_one_system_is_shared_between_calls_and_threads():
     dom, pot, plan, _ = stalled_dirichlet()
     system = DirichletSystem(dom, pot, plan)
     seed_lists = [core.draw_seeds(plan.N, 6, 2.0, seed) for seed in (7, 8, 9)]
-    options = dict(count=6, radius=2.0, seed=0, method="newton", refine=False,
-                   with_oracles=False)
+    options = dict(count=6, radius=2.0, seed=0, refine=False, with_oracles=False)
 
     def solve(seeds):
         records: list = []

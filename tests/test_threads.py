@@ -63,8 +63,8 @@ def _entry_points(monkeypatch, probe):
     cfg = SimpleNamespace(build_plan=probe)
     return {
         "solve_system": lambda: reduction.solve_system(
-            SimpleNamespace(n=1), plan, count=1, radius=1.0, seed=0, method="newton",
-            refine=False, with_oracles=False, seed_records=None),
+            SimpleNamespace(n=1), plan, count=1, radius=1.0, seed=0, refine=False,
+            with_oracles=False, seed_records=None),
         "index_schur": lambda: morse.index_schur(None),
         "index_full": lambda: morse.index_full(SimpleNamespace(full=probe)),
         "index_jacobi": lambda: morse.index_jacobi(None, None),
